@@ -7,11 +7,11 @@ and parameter counting rely on.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
 from .tensor import ShapeError, Tensor
@@ -147,11 +147,24 @@ def _conv3d_out_extent(n: int, k: int, stride: int, pad: int) -> int:
     return (n + 2 * pad - k) // stride + 1
 
 
+def _taps(k: int, stride: int, out_sp: Tuple[int, int, int]) -> Iterator[Tuple[slice, slice, slice]]:
+    """Per kernel offset (i, j, l), in row-major order, the strided slice of a
+    padded volume's three spatial axes that the offset reads for every output
+    voxel."""
+    for i, j, l in itertools.product(range(k), repeat=3):
+        yield tuple(slice(o, o + stride * n, stride) for o, n in zip((i, j, l), out_sp))
+
+
 def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor], stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of [B,C,D,H,W] with weight [O,C,k,k,k].
 
-    Implemented as im2col + matmul; backward scatters window gradients back
-    (col2im) and reduces the weight/bias terms with the matching contractions.
+    Tap-major im2col: the input is zero-padded channel-major as [C,B,Dp,Hp,Wp],
+    each of the k^3 kernel offsets copies its strided slice into one contiguous
+    block of ``cols`` [k^3*C, B*S] (S output voxels per sample), and the output
+    is one matmul with the weight laid out as [O, k^3*C]. Backward forms
+    dW = g cols^T and, only when ``x`` requires grad, scatter-adds each
+    offset's block of W^T g back through the same slices; an input that
+    needs no gradient (the raw image at the stem) gets none computed.
     """
     if x.ndim != 5:
         raise ShapeError(f"conv3d expects [B,C,D,H,W], got {x.shape}")
@@ -164,40 +177,35 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor], stride: int = 1, p
     if any(n <= 0 for n in out_sp):
         raise ShapeError(f"conv3d: kernel {k} (stride {stride}, pad {padding}) does not fit input {x.shape}")
 
-    pads = ((0, 0), (0, 0), (padding, padding), (padding, padding), (padding, padding))
-    xp = np.pad(x.data, pads)
-    win = sliding_window_view(xp, (k, k, k), axis=(2, 3, 4))[:, :, ::stride, ::stride, ::stride]
-    # [B,C,Do,Ho,Wo,k,k,k] -> [B,Do,Ho,Wo, C*k^3]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 4, 1, 5, 6, 7)).reshape(B, *out_sp, C * k ** 3)
-    wmat = weight.data.reshape(O, C * k ** 3).T
-    out = cols @ wmat  # [B,Do,Ho,Wo,O]
-    out = np.ascontiguousarray(out.transpose(0, 4, 1, 2, 3))
+    inner = (slice(None), slice(None)) + tuple(slice(padding, padding + n) for n in spatial)
+    xp = np.zeros((C, B) + tuple(n + 2 * padding for n in spatial), dtype=x.dtype)
+    xp[inner] = x.data.transpose(1, 0, 2, 3, 4)
+    taps = list(_taps(k, stride, out_sp))
+    cols = np.empty((len(taps), C, B) + out_sp, dtype=x.dtype)
+    for t, window in enumerate(taps):
+        cols[t] = xp[(Ellipsis,) + window]
+    cols = cols.reshape(len(taps) * C, -1)
+    wmat = weight.data.transpose(0, 2, 3, 4, 1).reshape(O, -1)  # [O, k^3*C], tap-major like cols
+    out = np.ascontiguousarray((wmat @ cols).reshape((O, B) + out_sp).transpose(1, 0, 2, 3, 4))
     if bias is not None:
         out = out + bias.data.reshape(1, O, 1, 1, 1)
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
+    xp_shape = xp.shape  # the closure keeps the shape, not the padded copy
 
     def bwd(g):
-        gfl = g.transpose(0, 2, 3, 4, 1)  # [B,Do,Ho,Wo,O]
-        dw = (cols.reshape(-1, C * k ** 3).T @ gfl.reshape(-1, O)).T.reshape(weight.shape)
-        dcols = (gfl @ wmat.T).reshape(B, *out_sp, C, k, k, k).transpose(0, 4, 1, 2, 3, 5, 6, 7)
-        dxp = np.zeros_like(xp)
-        Do, Ho, Wo = out_sp
-        for i in range(k):
-            for j in range(k):
-                for l in range(k):
-                    dxp[:, :,
-                        i: i + stride * Do: stride,
-                        j: j + stride * Ho: stride,
-                        l: l + stride * Wo: stride] += dcols[..., i, j, l]
-        if padding:
-            dx = dxp[:, :, padding:-padding, padding:-padding, padding:-padding]
-        else:
-            dx = dxp
-        dx = np.ascontiguousarray(dx)
+        gmat = g.transpose(1, 0, 2, 3, 4).reshape(O, -1)  # [O, B*S]
+        dw = np.ascontiguousarray((gmat @ cols.T).reshape(O, k, k, k, C).transpose(0, 4, 1, 2, 3))
+        dx = None
+        if x.requires_grad:
+            dcols = (wmat.T @ gmat).reshape((len(taps), C, B) + out_sp)
+            dxp = np.zeros(xp_shape, dtype=dcols.dtype)
+            for t, window in enumerate(taps):
+                dxp[(Ellipsis,) + window] += dcols[t]
+            dx = np.ascontiguousarray(dxp[inner].transpose(1, 0, 2, 3, 4))
         if bias is None:
             return dx, dw
-        return dx, dw, g.sum(axis=(0, 2, 3, 4))
+        return dx, dw, gmat.sum(axis=1)
 
     return T._trace(out, inputs, bwd, "conv3d")
 

@@ -127,6 +127,37 @@ def ffn_closure(lin1_w, lin1_b, lin2_w, lin2_b, activation):
     return fn
 
 
+def conv3d_naive(x, weight, bias, stride, padding):
+    """Direct 3D cross-correlation from the definition.
+
+    out[b,o,z,y,w] = bias[o] + sum over c,i,j,l of
+    weight[o,c,i,j,l] * x[b,c, stride*z+i-padding, stride*y+j-padding, stride*w+l-padding],
+    where reads outside the input are zero. x: [B,C,D,H,W]; weight: [O,C,k,k,k].
+    """
+    x = np.asarray(x, dtype=np.float64)
+    B, C, D, H, W = x.shape
+    O, _, k = weight.shape[:3]
+    Do, Ho, Wo = ((n + 2 * padding - k) // stride + 1 for n in (D, H, W))
+    out = np.zeros((B, O, Do, Ho, Wo))
+    for b in range(B):
+        for o in range(O):
+            for z in range(Do):
+                for y in range(Ho):
+                    for w in range(Wo):
+                        acc = bias[o]
+                        for c in range(C):
+                            for i in range(k):
+                                for j in range(k):
+                                    for l in range(k):
+                                        zi = stride * z + i - padding
+                                        yi = stride * y + j - padding
+                                        wi = stride * w + l - padding
+                                        if 0 <= zi < D and 0 <= yi < H and 0 <= wi < W:
+                                            acc += weight[o, c, i, j, l] * x[b, c, zi, yi, wi]
+                        out[b, o, z, y, w] = acc
+    return out
+
+
 def dice_naive(pred, gt, cls):
     """Voxel-counting Dice for one class (empty/empty -> 1.0)."""
     p = (np.asarray(pred) == cls)

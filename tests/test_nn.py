@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hsmoe import nn, tensor as T
 from hsmoe.gradcheck import grad_check, weighted_sum_loss
 from hsmoe.tensor import ShapeError, Tensor
+from oracles import conv3d_naive
 
 
 def test_linear_identity_weights():
@@ -192,6 +193,77 @@ def test_conv3d_gradient():
     params["x"] = x
     res = grad_check(lambda: weighted_sum_loss(conv(x)), params, name="conv3d", tol=1e-6)
     assert res.passed, f"max rel err {res.max_rel_err}"
+
+
+CONV_GRID = [(s, k, p) for s in (1, 2) for k in (1, 2, 3) for p in (0, 1)]
+
+
+@pytest.mark.parametrize("stride,k,pad", CONV_GRID)
+def test_conv3d_matches_naive_oracle(stride, k, pad):
+    g = T.rng(30)
+    x = g.uniform(-1, 1, (2, 3, 6, 5, 4))  # B=2, C=3, odd and even extents
+    w = g.uniform(-1, 1, (2, 3, k, k, k))  # O=2
+    b = g.uniform(-1, 1, 2)
+    out = nn.conv3d(Tensor(x), Tensor(w), Tensor(b), stride, pad)
+    np.testing.assert_allclose(out.data, conv3d_naive(x, w, b, stride, pad), rtol=0, atol=1e-12)
+
+
+def _unread_input_mask(spatial, k, stride, pad):
+    """Input voxels that no kernel window reads (per spatial axis, outer product)."""
+    axes = []
+    for n in spatial:
+        read = np.zeros(n + 2 * pad, dtype=bool)
+        for o in range((n + 2 * pad - k) // stride + 1):
+            read[stride * o: stride * o + k] = True
+        axes.append(~read[pad: pad + n])
+    return axes[0][:, None, None] | axes[1][None, :, None] | axes[2][None, None, :]
+
+
+@pytest.mark.parametrize("stride,k,pad", CONV_GRID)
+def test_conv3d_input_gradient(stride, k, pad):
+    conv = nn.Conv3d(2, 3, k, T.rng(31), stride=stride, padding=pad)
+    x = Tensor(T.rng(32).uniform(-1, 1, (2, 2, 6, 5, 4)), requires_grad=True)
+    params = dict(conv.named_parameters())
+    params["x"] = x
+    res = grad_check(lambda: weighted_sum_loss(conv(x)), params, name="conv3d", tol=1e-6)
+    assert res.passed, f"max rel err {res.max_rel_err}"
+    # voxels no window reads (stride 2 with (n + 2p - k) % 2 != 0, or k < stride) get exactly zero
+    unread = _unread_input_mask(x.shape[2:], k, stride, pad)
+    assert np.all(x.grad[:, :, unread] == 0.0)
+    if (stride, k, pad) in ((2, 3, 0), (2, 1, 1)):
+        assert unread.any()
+
+
+def test_conv3d_skips_input_gradient_when_not_required():
+    conv = nn.Conv3d(2, 3, 3, T.rng(33), stride=2, padding=1)
+    data = T.rng(34).uniform(-1, 1, (2, 2, 6, 5, 4))
+    grads = {}
+    for x_requires_grad in (False, True):
+        x = Tensor(data, requires_grad=x_requires_grad)
+        conv.zero_grad()
+        T.backward(weighted_sum_loss(conv(x)))
+        grads[x_requires_grad] = (x.grad, conv.weight.grad, conv.bias.grad)
+    assert grads[False][0] is None
+    assert grads[True][0] is not None
+    assert np.array_equal(grads[False][1], grads[True][1])
+    assert np.array_equal(grads[False][2], grads[True][2])
+    out = conv(Tensor(data))
+    assert out.node.backward_fn(np.ones(out.shape))[0] is None  # not computed, not just dropped
+
+
+@pytest.mark.parametrize("x_requires_grad", [False, True])
+def test_conv3d_float32_stays_float32(x_requires_grad):
+    conv = nn.Conv3d(2, 3, 3, T.rng(35), stride=2, padding=1)
+    for p in conv.parameters():
+        p.data = p.data.astype(np.float32)
+    x = Tensor(T.rng(36).uniform(-1, 1, (2, 2, 6, 5, 4)).astype(np.float32), requires_grad=x_requires_grad)
+    out = conv(x)
+    assert out.dtype == np.float32
+    T.backward(T.reduce_sum(out))
+    assert conv.weight.grad.dtype == np.float32
+    assert conv.bias.grad.dtype == np.float32
+    if x_requires_grad:
+        assert x.grad.dtype == np.float32
 
 
 def test_conv_transpose_doubles_extents():
