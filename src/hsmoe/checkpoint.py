@@ -11,7 +11,7 @@ from typing import Dict, Iterable, Tuple
 import numpy as np
 
 _DTYPES = {"f64": "<f8", "f32": "<f4"}
-_FORMAT = "hsmoe-checkpoint-v1"
+_FORMAT = "hsmoe-checkpoint-v2"
 
 
 class CheckpointError(RuntimeError):
@@ -54,6 +54,10 @@ def load_checkpoint(base: str) -> Dict[str, np.ndarray]:
             raise CheckpointError(f"missing checkpoint file: {path}")
     with open(json_path) as fh:
         manifest = json.load(fh)
+    if manifest.get("format") == "hsmoe-checkpoint-v1":
+        raise CheckpointError("checkpoint format hsmoe-checkpoint-v1 stores per-expert FFNs "
+                              "(experts1.<e>.lin1.weight, ...), which this version cannot load: "
+                              f"it stores each routing level's experts stacked ({_FORMAT})")
     if manifest.get("format") != _FORMAT:
         raise CheckpointError(f"unrecognized checkpoint format: {manifest.get('format')!r}")
     blob = open(bin_path, "rb").read()
@@ -68,7 +72,8 @@ def load_checkpoint(base: str) -> Dict[str, np.ndarray]:
 
 
 def load_into(module, base: str) -> None:
-    """Copy checkpoint values into a module's parameters, shape-checked."""
+    """Copy checkpoint values into a module's parameters, checking shape and
+    dtype (no silent cast); nothing is copied unless every parameter fits."""
     values = load_checkpoint(base)
     named = dict(module.named_parameters())
     missing = set(named) - set(values)
@@ -80,6 +85,10 @@ def load_into(module, base: str) -> None:
         if tuple(values[name].shape) != p.data.shape:
             raise CheckpointError(f"shape mismatch for {name}: checkpoint "
                                   f"{values[name].shape} vs model {p.data.shape}")
+        if values[name].dtype != p.data.dtype:
+            raise CheckpointError(f"dtype mismatch for {name}: checkpoint "
+                                  f"{values[name].dtype} vs model {p.data.dtype}")
+    for name, p in named.items():
         p.data[...] = values[name]
 
 

@@ -13,6 +13,7 @@ from typing import Callable, Dict, Optional, Sequence
 import numpy as np
 
 from . import tensor as T
+from .routing import is_expert_stack
 from .tensor import Tensor
 
 
@@ -91,12 +92,22 @@ def weighted_sum_loss(out: Tensor, seed: int = 0) -> Tensor:
 
 
 def gradient_flow(named_params: Sequence, loss: Tensor) -> Dict[str, float]:
-    """Run backward and report max|grad| per named parameter (None -> 0)."""
+    """Run backward and report max|grad| per named parameter (None -> 0).
+
+    A stacked expert tensor is reported once per expert, as ``<name>.<e>``,
+    so one dead expert cannot hide inside a live stack.
+    """
     for _, p in named_params:
         p.grad = None
     T.backward(loss)
-    return {name: (0.0 if p.grad is None else float(np.max(np.abs(p.grad))))
-            for name, p in named_params}
+    report = {}
+    for name, p in named_params:
+        mag = np.zeros_like(p.data) if p.grad is None else np.abs(p.grad)
+        if is_expert_stack(name):
+            report.update((f"{name}.{e}", float(np.max(m))) for e, m in enumerate(mag))
+        else:
+            report[name] = float(np.max(mag))
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -131,9 +131,12 @@ def _linear(name: str, i: int, o: int):
     yield f"{name}.bias", (o,)
 
 
-def _ffn(name: str, d: int, ratio: int):
-    yield from _linear(f"{name}.lin1", d, ratio * d)
-    yield from _linear(f"{name}.lin2", ratio * d, d)
+def _bank(name: str, num: int, d: int, ratio: int):
+    r = ratio * d
+    yield f"{name}.w1", (num, d, r)
+    yield f"{name}.b1", (num, 1, r)
+    yield f"{name}.w2", (num, r, d)
+    yield f"{name}.b2", (num, 1, d)
 
 
 def _norm(name: str, kind: str, d: int):
@@ -170,11 +173,9 @@ def _moe(name: str, stage) -> Iterator:
     d = stage.dim
     yield f"{name}.slot_emb", (stage.num_experts, stage.slots_per_expert, d)
     yield from _linear(f"{name}.router1", d, stage.num_experts)
-    for e in range(stage.num_experts):
-        yield from _ffn(f"{name}.experts1.{e}", d, stage.ffn_ratio)
+    yield from _bank(f"{name}.experts1", stage.num_experts, d, stage.ffn_ratio)
     yield from _linear(f"{name}.router2", d, stage.num_experts_l2)
-    for e in range(stage.num_experts_l2):
-        yield from _ffn(f"{name}.experts2.{e}", d, stage.ffn_ratio)
+    yield from _bank(f"{name}.experts2", stage.num_experts_l2, d, stage.ffn_ratio)
 
 
 def _block_layer(name: str, stage, norm: str, n: int):

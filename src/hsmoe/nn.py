@@ -56,6 +56,15 @@ class Linear(Module):
         self.in_dim = in_dim
         self.out_dim = out_dim
 
+    @classmethod
+    def over(cls, weight: Tensor, bias: Tensor) -> "Linear":
+        """A Linear computing with existing weight [in,out] and bias [out]
+        tensors (shared, not copied)."""
+        lin = cls.__new__(cls)
+        lin.weight, lin.bias = weight, bias
+        lin.in_dim, lin.out_dim = weight.shape
+        return lin
+
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"Linear: trailing dim {x.shape[-1]} != in_dim {self.in_dim} (input {x.shape})")
@@ -68,11 +77,40 @@ class Linear(Module):
         return out
 
 
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Smooth tanh-form approximation of the Gaussian error linear unit."""
-    c = math.sqrt(2.0 / math.pi)
-    inner = T.mul(T.add(x, T.mul(T.mul(T.mul(x, x), x), 0.044715)), c)
-    return T.mul(T.mul(x, 0.5), T.add(T.tanh(inner), 1.0))
+    """Smooth tanh-form approximation of the Gaussian error linear unit,
+    0.5 x (1 + tanh(c (x + a x^3))), as one tape op.
+
+    The forward runs in place in the order of the composition
+    ``(x*0.5) * (tanh(((x*x)*x*a + x) * c) + 1)``, so its values are
+    bit-identical to that composition of traced ops; only s = 1 + tanh(.)
+    is kept for the backward, which uses 1 - tanh^2 = s (2 - s).
+    """
+    x = T.as_tensor(x)
+    s = np.multiply(x.data, x.data, out=np.empty_like(x.data))  # an array even for 0-d x
+    s *= x.data
+    s *= _GELU_A
+    s += x.data
+    s *= _GELU_C
+    np.tanh(s, out=s)
+    s += 1.0
+    out = x.data * 0.5
+    out *= s
+
+    def bwd(g):
+        dx = (2.0 - s) * x.data
+        dx *= _GELU_C * (1.0 + 3.0 * _GELU_A * x.data * x.data)
+        dx += 1.0
+        dx *= s
+        dx *= 0.5
+        dx *= g
+        return (dx,)
+
+    return T._trace(out, (x,), bwd, "gelu")
 
 
 _ACTIVATIONS = {
@@ -82,19 +120,34 @@ _ACTIVATIONS = {
 }
 
 
+def activation_fn(name: str):
+    """The traced activation function called ``name``."""
+    if name not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation {name!r}; choose from {sorted(_ACTIVATIONS)}")
+    return _ACTIVATIONS[name]
+
+
 class FeedForward(Module):
     """Width-preserving expert FFN: Linear(d -> r*d) -> activation -> Linear(r*d -> d)."""
 
     def __init__(self, dim: int, rng: np.random.Generator, ratio: int = 2, activation: str = "gelu"):
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}; choose from {sorted(_ACTIVATIONS)}")
+        activation_fn(activation)
         self.lin1 = Linear(dim, ratio * dim, rng)
         self.lin2 = Linear(ratio * dim, dim, rng)
         self.dim = dim
         self.activation = activation
 
+    @classmethod
+    def over(cls, lin1: Linear, lin2: Linear, activation: str) -> "FeedForward":
+        """A FeedForward computing with existing layers (shared, not copied)."""
+        ffn = cls.__new__(cls)
+        ffn.lin1, ffn.lin2 = lin1, lin2
+        ffn.dim = lin1.in_dim
+        ffn.activation = activation
+        return ffn
+
     def __call__(self, x: Tensor) -> Tensor:
-        return self.lin2(_ACTIVATIONS[self.activation](self.lin1(x)))
+        return self.lin2(activation_fn(self.activation)(self.lin1(x)))
 
 
 class DynamicTanh(Module):

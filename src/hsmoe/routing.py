@@ -16,7 +16,7 @@ interface.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -44,8 +44,8 @@ def group_and_pad(x: Tensor, mask: Optional[np.ndarray], group_size: int
     Np = G * group_size
     padded = T.pad_zeros(x, [(0, 0), (0, Np - N), (0, 0)]) if Np > N else x
     grouped = T.reshape(padded, (B, G, group_size, d))
-    valid = np.zeros((B, Np), dtype=np.float64)
-    valid[:, :N] = 1.0 if mask is None else np.asarray(mask, dtype=np.float64)
+    valid = np.zeros((B, Np), dtype=x.dtype)
+    valid[:, :N] = 1.0 if mask is None else np.asarray(mask, dtype=x.dtype)
     return grouped, valid
 
 
@@ -81,12 +81,31 @@ def slot_assign(grouped: Tensor, valid: np.ndarray, slot_emb: Tensor
     else:
         keep = valid.reshape(B, G, K, 1).astype(bool)
         safe = T.masked_fill(logits, keep, 0.0)  # dead rows -> uniform-safe logits
-        weights = T.mul(T.softmax(safe, axis=-1), Tensor(keep.astype(np.float64)))
+        weights = T.masked_fill(T.softmax(safe, axis=-1), keep, 0.0)
     slots_flat = T.matmul(T.transpose(weights), grouped)  # [B,G,M,K] @ [B,G,K,d]
     return T.reshape(slots_flat, (B, G, E, S, d)), weights
 
 
-def level1_route(slots: Tensor, router: nn.Linear, experts: Sequence[nn.FeedForward]) -> Tensor:
+def _mix(outs: Tensor, gate: Tensor) -> Tensor:
+    """Gate-weighted sum over the expert axis: out = sum_e gate[..., e] * outs[e].
+
+    outs: [E, *lead, d] (one output per expert); gate: [*lead', E] with lead'
+    broadcastable to lead. One tape op; the forward accumulates experts in
+    index order.
+    """
+    w = np.moveaxis(gate.data, -1, 0)[..., None]  # [E, *lead', 1]
+    out = w[0] * outs.data[0]
+    for e in range(1, outs.shape[0]):
+        out += w[e] * outs.data[e]
+
+    def bwd(g):
+        dgate = np.moveaxis(np.sum(outs.data * g, axis=-1), 0, -1)  # [*lead, E]
+        return w * g, T._unbroadcast(dgate, gate.shape)
+
+    return T._trace(out, (outs, gate), bwd, "mix")
+
+
+def level1_route(slots: Tensor, router: nn.Linear, experts: ExpertBank) -> Tensor:
     """Dense first-level mixture: one gate per group (softmax over experts of
     an MLP on the slot mean), every expert runs on every group's slots.
 
@@ -95,25 +114,14 @@ def level1_route(slots: Tensor, router: nn.Linear, experts: Sequence[nn.FeedForw
     B, G, M, d = slots.shape
     pooled = T.reduce_mean(slots, axis=2)  # [B,G,d]
     gate = T.softmax(router(pooled), axis=-1)  # [B,G,E]
-    out = None
-    for e, expert in enumerate(experts):
-        w = T.reshape(gate[..., e], (B, G, 1, 1))
-        term = T.mul(w, expert(slots))
-        out = term if out is None else T.add(out, term)
-    return out
+    return _mix(experts(slots), T.reshape(gate, (B, G, 1, len(experts))))
 
 
-def level2_route(seq: Tensor, router: nn.Linear, experts: Sequence[nn.FeedForward]) -> Tensor:
+def level2_route(seq: Tensor, router: nn.Linear, experts: ExpertBank) -> Tensor:
     """Dense second-level mixture with a per-position gate over the flattened
     slot sequence [B, G*M, d]; enables cross-group refinement."""
-    B, L, d = seq.shape
     gate = T.softmax(router(seq), axis=-1)  # [B,L,E2]
-    out = None
-    for e, expert in enumerate(experts):
-        w = T.reshape(gate[..., e], (B, L, 1))
-        term = T.mul(w, expert(seq))
-        out = term if out is None else T.add(out, term)
-    return out
+    return _mix(experts(seq), gate)
 
 
 def combine(slot_out: Tensor, weights: Tensor, n_tokens: int) -> Tensor:
@@ -132,6 +140,60 @@ def combine(slot_out: Tensor, weights: Tensor, n_tokens: int) -> Tensor:
     return ungroup(mixed, n_tokens)
 
 
+class ExpertBank(nn.Module):
+    """E width-preserving expert FFNs (Linear d->r*d, activation, Linear
+    r*d->d) stored as stacked parameters w1 [E,d,r*d], b1 [E,1,r*d],
+    w2 [E,r*d,d], b2 [E,1,d].
+
+    Calling the bank on [..., d] runs every expert on every token with one
+    broadcast matmul per linear and returns [E, ..., d]. ``len``, iteration
+    and ``bank[e]`` give expert e as an ``nn.FeedForward`` whose weights are
+    numpy views of slice e (an index past the end raises IndexError): writes
+    to their data change the bank, they do not require grad, and they are
+    not parameters of the bank.
+    """
+
+    def __init__(self, num: int, dim: int, rng: np.random.Generator, ratio: int = 2,
+                 activation: str = "gelu"):
+        nn.activation_fn(activation)
+        hidden = ratio * dim
+        w1 = np.empty((num, dim, hidden))
+        w2 = np.empty((num, hidden, dim))
+        for e in range(num):  # per-expert draw order, as separate FeedForwards draw
+            w1[e] = nn._uniform_init(rng, (dim, hidden), dim)
+            w2[e] = nn._uniform_init(rng, (hidden, dim), hidden)
+        self.w1 = Tensor(w1, requires_grad=True)
+        self.b1 = Tensor(np.zeros((num, 1, hidden)), requires_grad=True)
+        self.w2 = Tensor(w2, requires_grad=True)
+        self.b2 = Tensor(np.zeros((num, 1, dim)), requires_grad=True)
+        self.dim = dim
+        self.activation = activation
+
+    def __len__(self) -> int:
+        return self.w1.shape[0]
+
+    def __getitem__(self, e: int) -> nn.FeedForward:
+        return nn.FeedForward.over(
+            nn.Linear.over(Tensor(self.w1.data[e]), Tensor(self.b1.data[e, 0])),
+            nn.Linear.over(Tensor(self.w2.data[e]), Tensor(self.b2.data[e, 0])),
+            self.activation)
+
+    def __call__(self, x: Tensor) -> Tensor:
+        if x.shape[-1] != self.dim:
+            raise ShapeError(f"ExpertBank: trailing dim {x.shape[-1]} != {self.dim} (input {x.shape})")
+        tokens = T.reshape(x, (1, -1, self.dim))
+        hidden = nn.activation_fn(self.activation)(T.add(T.matmul(tokens, self.w1), self.b1))
+        out = T.add(T.matmul(hidden, self.w2), self.b2)  # [E, L, d]
+        return T.reshape(out, (len(self),) + x.shape)
+
+
+def is_expert_stack(name: str) -> bool:
+    """Whether a dotted parameter name is one of a routing layer's stacked
+    expert tensors, whose leading axis indexes experts."""
+    owner, _, leaf = name.rpartition(".")
+    return leaf in ("w1", "b1", "w2", "b2") and owner.rpartition(".")[2] in ("experts1", "experts2")
+
+
 class HierarchicalMoE(nn.Module):
     """The full grouped two-level soft-MoE layer (shape-preserving on [B,N,d])."""
 
@@ -141,11 +203,9 @@ class HierarchicalMoE(nn.Module):
         self.slot_emb = Tensor(rng.uniform(-bound, bound, (cfg.num_experts, cfg.slots_per_expert, d)),
                                requires_grad=True)
         self.router1 = nn.Linear(d, cfg.num_experts, rng)
-        self.experts1 = [nn.FeedForward(d, rng, cfg.ffn_ratio, cfg.activation)
-                         for _ in range(cfg.num_experts)]
+        self.experts1 = ExpertBank(cfg.num_experts, d, rng, cfg.ffn_ratio, cfg.activation)
         self.router2 = nn.Linear(d, cfg.num_experts_l2, rng)
-        self.experts2 = [nn.FeedForward(d, rng, cfg.ffn_ratio, cfg.activation)
-                         for _ in range(cfg.num_experts_l2)]
+        self.experts2 = ExpertBank(cfg.num_experts_l2, d, rng, cfg.ffn_ratio, cfg.activation)
         self.cfg = cfg
 
     def __call__(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:

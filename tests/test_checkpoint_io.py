@@ -25,7 +25,7 @@ def test_checkpoint_manifest_schema(tmp_path):
     base = str(tmp_path / "ckpt")
     save_checkpoint(list(lin.named_parameters()), base)
     manifest = json.loads((tmp_path / "ckpt.json").read_text())
-    assert manifest["format"] == "hsmoe-checkpoint-v1"
+    assert manifest["format"] == "hsmoe-checkpoint-v2"
     entries = {e["name"]: e for e in manifest["params"]}
     assert entries["weight"]["shape"] == [2, 3]
     assert entries["weight"]["dtype"] == "f64"
@@ -49,6 +49,29 @@ def test_load_into_restores_and_checks(tmp_path):
     wrong = nn.FeedForward(4, T.rng(4))
     with pytest.raises(CheckpointError):
         load_into(wrong, base)
+
+
+def test_v1_checkpoint_rejected_with_reason(tmp_path):
+    lin = nn.Linear(2, 3, T.rng(8))
+    base = str(tmp_path / "ckpt")
+    save_checkpoint(list(lin.named_parameters()), base)
+    manifest = json.loads((tmp_path / "ckpt.json").read_text())
+    manifest["format"] = "hsmoe-checkpoint-v1"
+    (tmp_path / "ckpt.json").write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match="v1 stores per-expert FFNs"):
+        load_into(lin, base)
+
+
+def test_load_into_rejects_dtype_mismatch(tmp_path):
+    a = nn.Linear(2, 3, T.rng(9))
+    base = str(tmp_path / "ckpt")
+    save_checkpoint(list(a.named_parameters()), base)
+    b = nn.Linear(2, 3, T.rng(10))
+    b.bias.data = b.bias.data.astype(np.float32)
+    before = b.weight.data.copy()
+    with pytest.raises(CheckpointError, match=r"dtype mismatch for bias: checkpoint float64 vs model float32"):
+        load_into(b, base)
+    assert np.array_equal(b.weight.data, before)  # nothing copied on a rejected load
 
 
 def test_missing_checkpoint_raises(tmp_path):

@@ -65,6 +65,64 @@ def test_ffn_gradient():
     assert res.passed, f"max rel err {res.max_rel_err}"
 
 
+def _gelu_composed(x):
+    """The tanh-form GELU as a composition of eight traced ops."""
+    c = math.sqrt(2.0 / math.pi)
+    inner = T.mul(T.add(x, T.mul(T.mul(T.mul(x, x), x), 0.044715)), c)
+    return T.mul(T.mul(x, 0.5), T.add(T.tanh(inner), 1.0))
+
+
+def test_gelu_is_one_op_bit_identical_to_composition():
+    for dtype in (np.float64, np.float32):
+        x = Tensor(np.concatenate([T.rng(50).normal(0, 3, 500), [-8.0, -0.0, 0.0, 8.0, 30.0, -30.0]])
+                   .astype(dtype), requires_grad=True)
+        out = nn.gelu(x)
+        assert out.node.op == "gelu" and out.node.inputs == (x,)
+        assert out.dtype == dtype
+        assert np.array_equal(out.data, _gelu_composed(x).data)
+    scalar = Tensor(np.asarray(-1.5))
+    assert np.array_equal(nn.gelu(scalar).data, _gelu_composed(scalar).data)
+
+
+def test_gelu_gradient_including_saturation():
+    x = Tensor(np.array([-8.1, -7.9, -3.0, -0.7, -1e-3, 0.0, 0.4, 1.3, 4.0, 7.9, 8.1]),
+               requires_grad=True)
+    res = grad_check(lambda: weighted_sum_loss(nn.gelu(x)), {"x": x}, name="gelu", tol=1e-6)
+    assert res.passed, f"max rel err {res.max_rel_err}"
+
+
+def test_gelu_backward_matches_composition():
+    data = T.rng(51).normal(0, 3, (4, 6))
+    grads = []
+    for fn in (nn.gelu, _gelu_composed):
+        x = Tensor(data, requires_grad=True)
+        T.backward(weighted_sum_loss(fn(x)))
+        grads.append(x.grad)
+    assert np.max(np.abs(grads[0] - grads[1])) < 1e-14
+
+
+def test_gelu_float32_gradient_stays_float32():
+    x = Tensor(T.rng(52).uniform(-4, 4, (3, 5)).astype(np.float32), requires_grad=True)
+    T.backward(T.reduce_sum(nn.gelu(x)))
+    assert x.grad.dtype == np.float32
+
+
+def test_tiny_forward_tape_and_parameter_census():
+    from hsmoe.config import tiny_config
+    from hsmoe.network import SegNet
+
+    net = SegNet(tiny_config(num_classes=3), seed=0)
+    out = net(Tensor(T.rng(53).uniform(0, 1, (4, 1, 16, 16, 16))))
+    seen, stack = set(), [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen and t.node is not None:
+            seen.add(id(t))
+            stack.extend(t.node.inputs)
+    assert len(seen) <= 650, f"{len(seen)} tape nodes in one tiny forward"
+    assert len(net.parameters()) == 198
+
+
 # ---------------------------------------------------------------------------
 # DyT
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hsmoe import nn, routing, tensor as T
 from hsmoe.config import StageConfig
 from hsmoe.gradcheck import grad_check, weighted_sum_loss
-from hsmoe.routing import HierarchicalMoE, combine, group_and_pad, level1_route, level2_route, slot_assign, ungroup
+from hsmoe.routing import (ExpertBank, HierarchicalMoE, combine, group_and_pad, level1_route, level2_route,
+                           slot_assign, ungroup)
 from hsmoe.tensor import ShapeError, Tensor
 
 from oracles import ffn_closure, hierarchical_moe_naive
@@ -129,6 +130,65 @@ def test_dispatch_rows_of_valid_tokens_sum_to_one(n, k, e, s):
     assert np.all(np.abs(sums[valid_b] - 1.0) <= 1e-12)
     assert np.array_equal(sums[~valid_b], np.zeros((~valid_b).sum()))
     assert (A.data >= 0).all() and (A.data <= 1).all()
+
+
+# ---------------------------------------------------------------------------
+# expert bank
+
+
+def test_bank_draws_match_separate_feedforwards():
+    bank = ExpertBank(3, 2, T.rng(40), ratio=2)
+    rng = T.rng(40)
+    ffns = [nn.FeedForward(2, rng, 2) for _ in range(3)]
+    for e, ffn in enumerate(ffns):
+        assert np.array_equal(bank.w1.data[e], ffn.lin1.weight.data)
+        assert np.array_equal(bank.b1.data[e, 0], ffn.lin1.bias.data)
+        assert np.array_equal(bank.w2.data[e], ffn.lin2.weight.data)
+        assert np.array_equal(bank.b2.data[e, 0], ffn.lin2.bias.data)
+
+
+def test_bank_views_write_through_and_are_not_parameters():
+    layer = make_layer(dim=2, experts=2, group=2, slots=1, seed=41)
+    names = [n for n, _ in layer.named_parameters()]
+    assert names == ["slot_emb", "router1.weight", "router1.bias",
+                     "experts1.w1", "experts1.b1", "experts1.w2", "experts1.b2",
+                     "router2.weight", "router2.bias",
+                     "experts2.w1", "experts2.b1", "experts2.w2", "experts2.b2"]
+    assert len(layer.experts1) == 2 and len(list(layer.experts2)) == 4
+    layer.experts1[1].lin1.weight.data[:] = 7.0
+    layer.experts2[3].lin2.bias.data[:] = -3.0
+    assert np.all(layer.experts1.w1.data[1] == 7.0)
+    assert not np.any(layer.experts1.w1.data[0] == 7.0)
+    assert np.all(layer.experts2.b2.data[3] == -3.0)
+    assert np.all(layer.experts2.b2.data[:3] == 0.0)
+    with pytest.raises(IndexError):
+        layer.experts1[2]
+
+
+def test_bank_expert_view_matches_slice_of_bank_output():
+    bank = ExpertBank(3, 4, T.rng(42), ratio=2)
+    bank.b1.data[:] = T.rng(43).uniform(-1, 1, bank.b1.shape)
+    bank.b2.data[:] = T.rng(44).uniform(-1, 1, bank.b2.shape)
+    x = Tensor(T.rng(45).uniform(-1, 1, (2, 3, 5, 4)))
+    out = bank(x)
+    assert out.shape == (3, 2, 3, 5, 4)
+    for e, expert in enumerate(bank):
+        assert np.max(np.abs(expert(x).data - out.data[e])) < 1e-12
+
+
+def test_f32_layer_with_padding_stays_f32():
+    layer = make_layer(dim=3, experts=2, group=4, slots=2, seed=46)
+    for p in layer.parameters():
+        p.data = p.data.astype(np.float32)
+    x = Tensor(T.rng(47).uniform(-1, 1, (2, 7, 3)).astype(np.float32), requires_grad=True)
+    mask = np.ones((2, 7))
+    mask[1, 2] = 0.0
+    out = layer(x, mask)
+    assert out.dtype == np.float32
+    T.backward(T.reduce_sum(out))
+    assert x.grad.dtype == np.float32
+    for name, p in layer.named_parameters():
+        assert p.grad.dtype == np.float32, name
 
 
 # ---------------------------------------------------------------------------

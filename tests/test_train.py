@@ -191,3 +191,19 @@ def test_gradient_flow_reaches_every_parameter():
     assert not dead, f"zero gradient on: {dead}"
     assert any("slot_emb" in name for name in report)
     assert any("experts2" in name for name in report)
+
+
+def test_gradient_flow_reports_each_stacked_expert():
+    cfg = make_network_config(num_classes=2, stem_channels=4, experts=(2, 3),
+                              base_group_size=8, slots_per_expert=2,
+                              ssm_state_dim=2, scan_block_size=16)
+    net = SegNet(cfg, seed=16)
+    bank = net.blocks[1].layers[0].moe.experts2
+    bank.w2.data[4] = 0.0  # expert 4's output no longer depends on its first linear
+    sample = synth_volumes(seed=17, n=1, size=8, classes=2)[0]
+    loss = dice_ce_loss(net(Tensor(sample.image[None])), sample.label[None])
+    report = gradient_flow(list(net.named_parameters()), loss)
+    prefix = "blocks.1.layers.0.moe.experts2"
+    assert f"{prefix}.w2.5" in report and f"{prefix}.w2" not in report
+    dead = sorted(name for name, mag in report.items() if mag == 0.0)
+    assert dead == [f"{prefix}.b1.4", f"{prefix}.w1.4"]
