@@ -1,8 +1,8 @@
 """Scaling benchmarks: routing and full-network wall time versus token count,
 grouped-vs-global assignment cost accounting, and the DyT-vs-LN norm timing.
 
-All timings use min-over-repeats of perf_counter around forwards with the
-tape disabled (parameters detached), so measured cost is pure forward work.
+All timings use min-over-repeats of perf_counter around forwards under
+``T.no_grad()``, so measured cost is pure forward work.
 """
 
 from __future__ import annotations
@@ -22,11 +22,6 @@ from .tensor import Tensor
 
 def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     return float(np.polyfit(np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float)), 1)[0])
-
-
-def _detach_params(module) -> None:
-    for p in module.parameters():
-        p.requires_grad = False
 
 
 def time_forward(fn, repeats: int = 3) -> float:
@@ -88,12 +83,12 @@ def routing_sweep(n_values: Sequence[int], group_size: int = 256, num_experts: i
     stage = StageConfig(dim=dim, num_experts=num_experts, group_size=group_size,
                         slots_per_expert=slots_per_expert)
     layer = HierarchicalMoE(stage, T.rng(seed))
-    _detach_params(layer)
     rows = []
     gen = T.rng(seed + 1)
     for n in n_values:
         x = Tensor(gen.uniform(-1, 1, (1, int(n), dim)))
-        wall = time_forward(lambda: layer(x), repeats)
+        with T.no_grad():
+            wall = time_forward(lambda: layer(x), repeats)
         rows.append({
             "N": int(n),
             "K": group_size,
@@ -157,12 +152,12 @@ def network_sweep(n_values: Sequence[int], seed: int = 0, repeats: int = 3,
                   norm: str = "dyt") -> List[Dict]:
     """End-to-end forward wall time over input token counts (powers of two)."""
     net = SegNet(_bench_network_config(norm), seed=seed)
-    _detach_params(net)
     gen = T.rng(seed + 1)
     rows = []
     for n, shape in zip(n_values, volume_shapes_for(n_values)):
         x = Tensor(gen.uniform(0, 1, (1, 1) + shape))
-        wall = time_forward(lambda: net(x), repeats)
+        with T.no_grad():
+            wall = time_forward(lambda: net(x), repeats)
         rows.append({"N": int(n), "shape": "x".join(map(str, shape)), "wall_ms": wall * 1e3})
     return rows
 
@@ -181,22 +176,20 @@ def norm_comparison(n_values: Sequence[int] = (2 ** 12, 2 ** 13, 2 ** 14), dim: 
 
     gen = T.rng(seed + 1)
     layers = {"dyt": nn.DynamicTanh(dim), "ln": nn.LayerNorm(dim)}
-    for layer in layers.values():
-        for p in layer.parameters():
-            p.requires_grad = False
     totals = {"dyt": 0.0, "ln": 0.0}
-    for n in n_values:
-        x = Tensor(gen.uniform(-1, 1, (1, int(n), dim)))
-        best = {"dyt": math.inf, "ln": math.inf}
-        for name, layer in layers.items():
-            layer(x)  # warmup
-        for _ in range(rounds):
+    with T.no_grad():
+        for n in n_values:
+            x = Tensor(gen.uniform(-1, 1, (1, int(n), dim)))
+            best = {"dyt": math.inf, "ln": math.inf}
             for name, layer in layers.items():
-                t0 = time.perf_counter()
-                layer(x)
-                best[name] = min(best[name], time.perf_counter() - t0)
-        for name in totals:
-            totals[name] += best[name]
+                layer(x)  # warmup
+            for _ in range(rounds):
+                for name, layer in layers.items():
+                    t0 = time.perf_counter()
+                    layer(x)
+                    best[name] = min(best[name], time.perf_counter() - t0)
+            for name in totals:
+                totals[name] += best[name]
     return {k: v * 1e3 for k, v in totals.items()}
 
 
@@ -206,15 +199,14 @@ def norm_net_comparison(n_tokens: int = 2 ** 13, seed: int = 0, rounds: int = 9)
     shape = volume_shapes_for([n_tokens])[0]
     gen = T.rng(seed + 1)
     x = Tensor(gen.uniform(0, 1, (1, 1) + shape))
-    nets = {}
-    for norm in ("dyt", "ln"):
-        nets[norm] = SegNet(_bench_network_config(norm), seed=seed)
-        _detach_params(nets[norm])
-        nets[norm](x)  # warmup
+    nets = {norm: SegNet(_bench_network_config(norm), seed=seed) for norm in ("dyt", "ln")}
     best = {"dyt": math.inf, "ln": math.inf}
-    for _ in range(rounds):
-        for norm in ("dyt", "ln"):
-            t0 = time.perf_counter()
-            nets[norm](x)
-            best[norm] = min(best[norm], time.perf_counter() - t0)
+    with T.no_grad():
+        for net in nets.values():
+            net(x)  # warmup
+        for _ in range(rounds):
+            for norm, net in nets.items():
+                t0 = time.perf_counter()
+                net(x)
+                best[norm] = min(best[norm], time.perf_counter() - t0)
     return {k: v * 1e3 for k, v in best.items()}

@@ -90,10 +90,3 @@ def load_into(module, base: str) -> None:
                                   f"{values[name].dtype} vs model {p.data.dtype}")
     for name, p in named.items():
         p.data[...] = values[name]
-
-
-def checkpoint_parameter_count(base: str) -> int:
-    json_path, _ = _paths(base)
-    with open(json_path) as fh:
-        manifest = json.load(fh)
-    return sum(int(np.prod(e["shape"])) if e["shape"] else 1 for e in manifest["params"])

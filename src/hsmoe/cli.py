@@ -21,10 +21,10 @@ import numpy as np
 from . import bench as bench_mod
 from .checkpoint import CheckpointError, load_into, save_checkpoint
 from .config import ConfigError, NetworkConfig, PRESETS, TrainConfig, make_network_config
-from .metrics import (EmptyMaskError, MetricError, dsc_per_class, hd95, mdsc,
-                      summarize, write_metrics_csv, write_metrics_json)
-from .network import SegNet, manifest_parameter_count
-from .tensor import NumericalError, Tensor
+from .metrics import (EmptyMaskError, MetricError, count_parameters, dsc_per_class, hd95,
+                      mdsc, summarize, write_metrics_csv, write_metrics_json)
+from .network import SegNet
+from .tensor import NumericalError, Tensor, no_grad
 from .train import TrainingDiverged, synth_volumes, train_loop
 from .volio import VolumeIOError, read_volume, write_volume
 
@@ -200,8 +200,7 @@ def cmd_describe(run: RunConfig, args) -> int:
         sp = size // 2 ** (i + 1)
         print(f"{i + 1:5d}  {s.dim:8d}  {sp:^13d}  {s.num_experts:7d}  "
               f"{s.num_experts_l2:10d}  {s.group_size:5d}  {s.slots_per_expert:5d}", file=out)
-    total = manifest_parameter_count(cfg)
-    print(f"\nparameters: {total}", file=out)
+    print(f"\nparameters: {count_parameters(SegNet(cfg, seed=None))}", file=out)
     return EXIT_OK
 
 
@@ -325,7 +324,8 @@ def cmd_eval(run: RunConfig, args) -> int:
         data = synth_volumes(seed=run.seed + 2, n=run.data.num_volumes, size=run.data.size,
                              classes=num_classes, noise_sigma=run.data.noise_sigma)
         for i, sample in enumerate(data):
-            logits = net(Tensor(sample.image[None]))
+            with no_grad():
+                logits = net(Tensor(sample.image[None]))
             pred = np.argmax(logits.data, axis=1)[0]
             cases.append((f"case{i:03d}", pred, sample.label, sample.spacing_mm))
 

@@ -69,18 +69,19 @@ def grad_check(loss_fn: Callable[[], Tensor], params: Dict[str, Tensor],
         coords = [coords[i] for i in picks]
 
     max_err = 0.0
-    for key, flat_idx in coords:
-        p = params[key]
-        flat = p.data.reshape(-1)
-        orig = flat[flat_idx]
-        flat[flat_idx] = orig + h
-        up = loss_fn().item()
-        flat[flat_idx] = orig - h
-        down = loss_fn().item()
-        flat[flat_idx] = orig
-        fd = (up - down) / (2.0 * h)
-        err = _rel_err(analytic[key].reshape(-1)[flat_idx], fd, floor)
-        max_err = max(max_err, err)
+    with T.no_grad():  # the probes need loss values only
+        for key, flat_idx in coords:
+            p = params[key]
+            flat = p.data.reshape(-1)
+            orig = flat[flat_idx]
+            flat[flat_idx] = orig + h
+            up = loss_fn().item()
+            flat[flat_idx] = orig - h
+            down = loss_fn().item()
+            flat[flat_idx] = orig
+            fd = (up - down) / (2.0 * h)
+            err = _rel_err(analytic[key].reshape(-1)[flat_idx], fd, floor)
+            max_err = max(max_err, err)
     return CheckResult(name, max_err, len(coords), tol)
 
 

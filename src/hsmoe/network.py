@@ -11,7 +11,7 @@ this is validated up front rather than hidden behind implicit padding.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -70,11 +70,16 @@ class UpBlock(nn.Module):
 
 
 class SegNet(nn.Module):
-    """Complete segmentation network for dense 3D volumes."""
+    """Complete segmentation network for dense 3D volumes.
 
-    def __init__(self, cfg: NetworkConfig, seed: int = 0):
+    ``seed=None`` builds it shape-only: every drawn parameter is lazily zeroed
+    memory (``nn.uniform``), so the names and shapes of even the full preset
+    are listed without drawing a value or touching its pages.
+    """
+
+    def __init__(self, cfg: NetworkConfig, seed: Optional[int] = 0):
         cfg.validate()
-        rng = T.rng(seed)
+        rng = None if seed is None else T.rng(seed)
         self.stem = Stem(cfg.in_channels, cfg.stem_channels, rng)
         self.blocks = [EncoderBlock(stage, cfg.layers_per_stage[i], cfg.norm,
                                     cfg.ssm_state_dim, cfg.scan_block_size, rng)
@@ -118,99 +123,3 @@ class SegNet(nn.Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.decoder_forward(self.encoder_forward(x))
-
-
-# ---------------------------------------------------------------------------
-# parameter manifest: (name, shape) pairs without allocating the network.
-# Mirrors the module construction above; tests pin exact agreement with
-# named_parameters() on instantiable configs.
-
-
-def _linear(name: str, i: int, o: int):
-    yield f"{name}.weight", (i, o)
-    yield f"{name}.bias", (o,)
-
-
-def _bank(name: str, num: int, d: int, ratio: int):
-    r = ratio * d
-    yield f"{name}.w1", (num, d, r)
-    yield f"{name}.b1", (num, 1, r)
-    yield f"{name}.w2", (num, r, d)
-    yield f"{name}.b2", (num, 1, d)
-
-
-def _norm(name: str, kind: str, d: int):
-    if kind == "dyt":
-        yield f"{name}.w", (d,)
-        yield f"{name}.b", (d,)
-        yield f"{name}.alpha", ()
-    else:
-        yield f"{name}.gamma", (d,)
-        yield f"{name}.beta", (d,)
-
-
-def _conv(name: str, i: int, o: int, k: int):
-    yield f"{name}.weight", (o, i, k, k, k)
-    yield f"{name}.bias", (o,)
-
-
-def _conv_t(name: str, i: int, o: int):
-    yield f"{name}.weight", (i, o, 2, 2, 2)
-    yield f"{name}.bias", (o,)
-
-
-def _gated_ssm(name: str, d: int, n: int):
-    yield from _linear(f"{name}.in_proj", d, 2 * d)
-    yield f"{name}.ssm.decay_rate", (d, n)
-    yield from _linear(f"{name}.ssm.step_proj", d, d)
-    yield from _linear(f"{name}.ssm.input_map", d, n)
-    yield from _linear(f"{name}.ssm.output_map", d, n)
-    yield f"{name}.ssm.skip", (d,)
-    yield from _linear(f"{name}.out_proj", d, d)
-
-
-def _moe(name: str, stage) -> Iterator:
-    d = stage.dim
-    yield f"{name}.slot_emb", (stage.num_experts, stage.slots_per_expert, d)
-    yield from _linear(f"{name}.router1", d, stage.num_experts)
-    yield from _bank(f"{name}.experts1", stage.num_experts, d, stage.ffn_ratio)
-    yield from _linear(f"{name}.router2", d, stage.num_experts_l2)
-    yield from _bank(f"{name}.experts2", stage.num_experts_l2, d, stage.ffn_ratio)
-
-
-def _block_layer(name: str, stage, norm: str, n: int):
-    d = stage.dim
-    yield from _conv(f"{name}.gsc.main", d, d, 3)
-    yield from _conv(f"{name}.gsc.gate", d, d, 1)
-    yield from _conv(f"{name}.gsc.out", d, d, 3)
-    yield from _norm(f"{name}.norm_scan", norm, d)
-    yield from _gated_ssm(f"{name}.scan", d, n)
-    yield from _norm(f"{name}.norm_moe", norm, d)
-    yield from _moe(f"{name}.moe", stage)
-    yield from _linear(f"{name}.proj", d, d)
-
-
-def parameter_manifest(cfg: NetworkConfig) -> List[Tuple[str, Tuple[int, ...]]]:
-    """Name/shape of every parameter the network would allocate."""
-    cfg.validate()
-    out = []
-    out.extend(_conv("stem.conv", cfg.in_channels, cfg.stem_channels, 3))
-    for i, stage in enumerate(cfg.stages):
-        for l in range(cfg.layers_per_stage[i]):
-            out.extend(_block_layer(f"blocks.{i}.layers.{l}", stage, cfg.norm, cfg.ssm_state_dim))
-    for i in range(cfg.num_stages - 1):
-        out.extend(_conv(f"downs.{i}.conv", cfg.channels[i], 2 * cfg.channels[i], 3))
-    for i in range(cfg.num_stages - 1):
-        c = cfg.channels[i]
-        out.extend(_conv_t(f"ups.{i}.up", 2 * c, c))
-        out.extend(_conv(f"ups.{i}.conv1", 2 * c, c, 3))
-        out.extend(_norm(f"ups.{i}.norm1", "ln", c))
-        out.extend(_conv(f"ups.{i}.conv2", c, c, 3))
-        out.extend(_norm(f"ups.{i}.norm2", "ln", c))
-    out.extend(_conv_t("head_up", cfg.stem_channels, cfg.stem_channels))
-    out.extend(_conv("head_conv", cfg.stem_channels, cfg.num_classes, 1))
-    return out
-
-
-def manifest_parameter_count(cfg: NetworkConfig) -> int:
-    return sum(int(np.prod(shape)) for _, shape in parameter_manifest(cfg))

@@ -42,9 +42,18 @@ class Module:
             p.grad = None
 
 
-def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+def uniform(rng: Optional[np.random.Generator], shape, low: float, high: float) -> np.ndarray:
+    """Initial values drawn uniformly from [low, high), or, with ``rng=None``,
+    ``np.zeros(shape)``: lazily zeroed memory, nothing drawn and no page
+    touched, which builds a network for its parameter names and shapes."""
+    if rng is None:
+        return np.zeros(shape)
+    return rng.uniform(low, high, size=shape)
+
+
+def _uniform_init(rng: Optional[np.random.Generator], shape, fan_in: int) -> np.ndarray:
     bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+    return uniform(rng, shape, -bound, bound)
 
 
 class Linear(Module):

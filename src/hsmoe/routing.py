@@ -157,11 +157,12 @@ class ExpertBank(nn.Module):
                  activation: str = "gelu"):
         nn.activation_fn(activation)
         hidden = ratio * dim
-        w1 = np.empty((num, dim, hidden))
-        w2 = np.empty((num, hidden, dim))
-        for e in range(num):  # per-expert draw order, as separate FeedForwards draw
-            w1[e] = nn._uniform_init(rng, (dim, hidden), dim)
-            w2[e] = nn._uniform_init(rng, (hidden, dim), hidden)
+        w1 = np.zeros((num, dim, hidden))
+        w2 = np.zeros((num, hidden, dim))
+        if rng is not None:  # without a generator the stacks stay lazily zeroed
+            for e in range(num):  # per-expert draw order, as separate FeedForwards draw
+                w1[e] = nn._uniform_init(rng, (dim, hidden), dim)
+                w2[e] = nn._uniform_init(rng, (hidden, dim), hidden)
         self.w1 = Tensor(w1, requires_grad=True)
         self.b1 = Tensor(np.zeros((num, 1, hidden)), requires_grad=True)
         self.w2 = Tensor(w2, requires_grad=True)
@@ -200,7 +201,7 @@ class HierarchicalMoE(nn.Module):
     def __init__(self, cfg: StageConfig, rng: np.random.Generator):
         d = cfg.dim
         bound = 1.0 / math.sqrt(d)
-        self.slot_emb = Tensor(rng.uniform(-bound, bound, (cfg.num_experts, cfg.slots_per_expert, d)),
+        self.slot_emb = Tensor(nn.uniform(rng, (cfg.num_experts, cfg.slots_per_expert, d), -bound, bound),
                                requires_grad=True)
         self.router1 = nn.Linear(d, cfg.num_experts, rng)
         self.experts1 = ExpertBank(cfg.num_experts, d, rng, cfg.ffn_ratio, cfg.activation)

@@ -116,7 +116,7 @@ class SSMParams(nn.Module):
     """
 
     def __init__(self, dim: int, state_dim: int, rng: np.random.Generator):
-        self.decay_rate = Tensor(rng.uniform(0.0, 1.0, (dim, state_dim)), requires_grad=True)
+        self.decay_rate = Tensor(nn.uniform(rng, (dim, state_dim), 0.0, 1.0), requires_grad=True)
         self.step_proj = nn.Linear(dim, dim, rng)
         self.step_proj.bias.data[:] = -1.0  # softplus(-1) ~ 0.31: moderate initial step
         self.input_map = nn.Linear(dim, state_dim, rng)

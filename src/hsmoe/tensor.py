@@ -12,10 +12,15 @@ The one sanctioned source of non-finite values is ``masked_fill`` with an
 infinite fill value, which exists to feed ``softmax`` masked logits.
 Reductions delegate to numpy's deterministic pairwise summation, so identical
 inputs give bit-identical outputs on a fixed platform.
+
+Inference runs under ``with no_grad():``, which records no node, so outputs
+hold no tape and keep no backward closure alive; parameters keep
+``requires_grad`` and train as before once the block is left.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from typing import Callable, Optional, Sequence, Union
 
@@ -24,6 +29,7 @@ import numpy as np
 DEFAULT_DTYPE = np.float64
 
 _SEQ = itertools.count()
+_RECORDING = True  # process-wide, switched off inside no_grad()
 
 
 class TensorError(Exception):
@@ -168,12 +174,27 @@ def _require_finite(arr: np.ndarray, op: str) -> None:
         raise NumericalError(f"{op}: non-finite values in output (NaN/Inf surfaced, not propagated)")
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape node inside the block: every op's output is a plain
+    tensor that does not require grad. Nests, and the previous state comes
+    back however the block is left. The switch is process-wide, not per
+    thread."""
+    global _RECORDING
+    previous = _RECORDING
+    _RECORDING = False
+    try:
+        yield
+    finally:
+        _RECORDING = previous
+
+
 def _trace(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable,
            op: str, check_finite: bool = True) -> Tensor:
     if check_finite:
         _require_finite(data, op)
     node = None
-    if any(t.requires_grad for t in inputs):
+    if _RECORDING and any(t.requires_grad for t in inputs):
         node = TapeNode(tuple(inputs), backward_fn, op)
     return Tensor(data, node=node)
 

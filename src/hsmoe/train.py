@@ -29,10 +29,10 @@ class VolumeSample:
     spacing_mm: Tuple[float, float, float] = (1.0, 1.0, 1.0)
 
 
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """[B,D,H,W] int -> [B,C,D,H,W] float64."""
+def one_hot(labels: np.ndarray, num_classes: int, dtype) -> np.ndarray:
+    """[B,D,H,W] int -> [B,C,D,H,W] of ``dtype``."""
     labels = np.asarray(labels)
-    out = np.zeros((labels.shape[0], num_classes) + labels.shape[1:], dtype=np.float64)
+    out = np.zeros((labels.shape[0], num_classes) + labels.shape[1:], dtype=dtype)
     np.put_along_axis(out, labels[:, None], 1.0, axis=1)
     return out
 
@@ -46,7 +46,7 @@ def dice_ce_loss(logits: Tensor, labels: np.ndarray, eps: float = 1e-5) -> Tenso
         raise ValueError(f"labels shape {labels.shape} does not match logits {logits.shape}")
     if labels.min() < 0 or labels.max() >= C:
         raise ValueError(f"label class ids outside [0, {C})")
-    target = Tensor(one_hot(labels, C))
+    target = Tensor(one_hot(labels, C, logits.dtype))  # f32 logits keep an f32 loss
     probs = T.softmax(logits, axis=1)
     spatial = (0, 2, 3, 4)
     inter = T.reduce_sum(T.mul(probs, target), axis=spatial)  # [C]
@@ -208,10 +208,11 @@ def mdsc_batch(pred: np.ndarray, labels: np.ndarray, num_classes: int) -> float:
 
 
 def evaluate_mdsc(net, samples: Sequence[VolumeSample]) -> float:
-    """Argmax predictions over full volumes, one at a time."""
+    """Argmax predictions over full volumes, one at a time, recording no tape."""
     scores = []
     for s in samples:
-        logits = net(Tensor(s.image[None]))
+        with T.no_grad():
+            logits = net(Tensor(s.image[None]))
         pred = np.argmax(logits.data, axis=1)[0]
         scores.append(mdsc(pred, s.label, net.cfg.num_classes))
     return float(np.mean(scores))

@@ -11,7 +11,8 @@ from hsmoe.bench import (
     volume_shapes_for,
 )
 from hsmoe.config import StageConfig, full_config, tiny_config
-from hsmoe.network import manifest_parameter_count, parameter_manifest
+from hsmoe.metrics import count_parameters
+from hsmoe.network import SegNet
 
 
 def test_slope_fit_recovers_exponent():
@@ -108,9 +109,8 @@ def _network_n(cfg):
 @pytest.mark.parametrize("cfg_fn", [tiny_config, full_config])
 def test_manifest_matches_closed_form_count(cfg_fn):
     cfg = cfg_fn(num_classes=3)
-    assert manifest_parameter_count(cfg) == _network_n(cfg)
+    assert count_parameters(SegNet(cfg, seed=None)) == _network_n(cfg)
 
 
 def test_full_preset_manifest_names_unique():
-    names = [name for name, _ in parameter_manifest(full_config())]
-    assert len(names) == len(set(names))
+    count_parameters(SegNet(full_config(), seed=None))  # raises on a duplicate name

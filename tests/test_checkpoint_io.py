@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hsmoe import nn, tensor as T
-from hsmoe.checkpoint import CheckpointError, checkpoint_parameter_count, load_checkpoint, load_into, save_checkpoint
+from hsmoe.checkpoint import CheckpointError, load_checkpoint, load_into, save_checkpoint
 from hsmoe.tensor import Tensor
 from hsmoe.volio import VolumeIOError, read_volume, write_volume
 
@@ -77,13 +77,6 @@ def test_load_into_rejects_dtype_mismatch(tmp_path):
 def test_missing_checkpoint_raises(tmp_path):
     with pytest.raises(CheckpointError, match="missing"):
         load_checkpoint(str(tmp_path / "nope"))
-
-
-def test_checkpoint_parameter_count(tmp_path):
-    lin = nn.Linear(5, 4, T.rng(5))
-    base = str(tmp_path / "ckpt")
-    save_checkpoint(list(lin.named_parameters()), base)
-    assert checkpoint_parameter_count(base) == 5 * 4 + 4
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -85,6 +87,26 @@ def test_describe_tiny_parameter_count_matches_counter(capsys):
     assert int(line.split()[1]) == count_parameters(SegNet(tiny_config(), seed=0))
 
 
+def test_describe_full_lists_parameters_without_touching_their_memory():
+    """describe builds the full preset (100M parameters, 800 MB in f64)
+    shape-only; a build that drew or copied values would peak at 0.5-0.8 GB.
+    The child reads its own peak (VmHWM): ru_maxrss, of the child or of its
+    parent's children, keeps the launching process's peak across exec, so
+    inside a large test process it reads that process's size."""
+    script = ("import sys\n"
+              "from hsmoe.cli import main\n"
+              "code = main(['describe', '--preset', 'full'])\n"
+              "print(open('/proc/self/status').read())\n"
+              "sys.exit(code)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "parameters: 100415091" in proc.stdout
+    peak_kb = int(proc.stdout.split("VmHWM:")[1].split()[0])
+    assert peak_kb < 100 * 1024, f"describe --preset full peaked at {peak_kb / 1024:.0f} MB"
+
+
 def test_describe_invalid_monotonicity_is_validation_error(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("network.experts = [4, 3]\nnetwork.base_group_size = 8\n"
@@ -124,8 +146,9 @@ def test_gradcheck_reports_corrupted_gradient(capsys, monkeypatch):
         def bad_tanh(t):
             out = T_.tanh(t)
             node = out.node
-            orig = node.backward_fn
-            node.backward_fn = lambda grad: tuple(gi * 1.01 for gi in orig(grad))
+            if node is not None:  # the finite-difference probes run under no_grad
+                orig = node.backward_fn
+                node.backward_fn = lambda grad: tuple(gi * 1.01 for gi in orig(grad))
             return out
 
         return [grad_check(lambda: weighted_sum_loss(bad_tanh(x)), {"x": x},

@@ -1,4 +1,4 @@
-"""Full network: stem/encoder/decoder shapes, determinism, manifest, gradients."""
+"""Full network: stem/encoder/decoder shapes, determinism, shape-only build, gradients."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from hsmoe import network, tensor as T
 from hsmoe.config import ConfigError, make_network_config, tiny_config
 from hsmoe.gradcheck import grad_check, weighted_sum_loss
-from hsmoe.network import SegNet, Stem, manifest_parameter_count, parameter_manifest
+from hsmoe.network import SegNet, Stem
 from hsmoe.tensor import Tensor
 
 
@@ -82,21 +82,30 @@ def test_determinism_same_seed_identical_logits():
     assert np.array_equal(a, b)
 
 
+def _assert_shape_only_matches_seeded(cfg, seed):
+    """SegNet(cfg, seed=None) has the seeded network's parameter names,
+    shapes, dtypes and order; every drawn value is 0 and every constant
+    initial value (ones, DyT's alpha, the scan's step bias) is unchanged."""
+    seeded = list(SegNet(cfg, seed=seed).named_parameters())
+    other = dict(SegNet(cfg, seed=seed + 1).named_parameters())
+    shape_only = list(SegNet(cfg, seed=None).named_parameters())
+    assert ([(n, p.shape, p.dtype) for n, p in shape_only]
+            == [(n, p.shape, p.dtype) for n, p in seeded])
+    drawn = 0
+    for (name, p), (_, z) in zip(seeded, shape_only):
+        constant = np.array_equal(p.data, other[name].data)
+        drawn += not constant
+        assert np.array_equal(z.data, p.data if constant else np.zeros_like(p.data)), name
+        assert z.requires_grad
+    assert drawn > 0
+
+
 def test_manifest_matches_instantiated_network():
-    cfg = mini_config(num_classes=3)
-    net = SegNet(cfg, seed=5)
-    built = {name: p.shape for name, p in net.named_parameters()}
-    declared = {name: tuple(shape) for name, shape in parameter_manifest(cfg)}
-    assert built == declared
+    _assert_shape_only_matches_seeded(mini_config(num_classes=3), seed=5)
 
 
 def test_manifest_matches_tiny_preset_network():
-    cfg = tiny_config(num_classes=2)
-    net = SegNet(cfg, seed=6)
-    built = {name: p.shape for name, p in net.named_parameters()}
-    declared = {name: tuple(shape) for name, shape in parameter_manifest(cfg)}
-    assert built == declared
-    assert manifest_parameter_count(cfg) == sum(p.size for p in net.parameters())
+    _assert_shape_only_matches_seeded(tiny_config(num_classes=2), seed=6)
 
 
 def test_network_gradient_sampled_subset():

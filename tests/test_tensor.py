@@ -285,3 +285,40 @@ def test_tensor_invariants():
     y = leaf(np.ones((2, 2)))
     T.backward(T.reduce_sum(y))
     assert y.grad.shape == y.shape
+
+
+# ---------------------------------------------------------------------------
+# no_grad
+
+
+def test_no_grad_records_no_node_and_leaves_parameters_alone():
+    w = leaf([[1.0, -2.0], [0.5, 3.0]])
+    x = Tensor(np.array([[1.0, 2.0]]))
+    recorded = T.tanh(T.matmul(x, w))
+    with T.no_grad():
+        out = T.tanh(T.matmul(x, w))
+    assert out.node is None and not out.requires_grad
+    assert np.array_equal(out.data, recorded.data)
+    assert w.requires_grad
+    T.backward(T.reduce_sum(out))  # nothing on the tape: a no-op
+    assert w.grad is None
+
+
+def test_no_grad_nests_and_restores_recording():
+    w = leaf([1.0, 2.0])
+    with T.no_grad():
+        with T.no_grad():
+            assert T.mul(w, 2.0).node is None
+        assert T.mul(w, 2.0).node is None
+    assert T.mul(w, 2.0).node is not None
+
+
+def test_no_grad_restores_recording_after_an_exception():
+    w = leaf([1.0, 2.0])
+    with pytest.raises(RuntimeError, match="left early"):
+        with T.no_grad():
+            raise RuntimeError("left early")
+    out = T.reduce_sum(T.mul(w, 3.0))
+    assert out.node is not None
+    T.backward(out)
+    assert np.array_equal(w.grad, [3.0, 3.0])

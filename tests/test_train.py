@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from hsmoe import tensor as T, train
-from hsmoe.config import TrainConfig, make_network_config
+from hsmoe.config import TrainConfig, make_network_config, tiny_config
 from hsmoe.gradcheck import grad_check, gradient_flow
+from hsmoe.metrics import mdsc
 from hsmoe.network import SegNet
 from hsmoe.tensor import Tensor
 from hsmoe.train import AdamW, TrainingDiverged, adamw_update, cosine_lr, dice_ce_loss, synth_volumes, train_loop
@@ -207,3 +208,43 @@ def test_gradient_flow_reports_each_stacked_expert():
     assert f"{prefix}.w2.5" in report and f"{prefix}.w2" not in report
     dead = sorted(name for name, mag in report.items() if mag == 0.0)
     assert dead == [f"{prefix}.b1.4", f"{prefix}.w1.4"]
+
+
+# ---------------------------------------------------------------------------
+# dtype and inference
+
+
+def test_f32_network_gets_f32_gradients_everywhere():
+    net = SegNet(tiny_config(num_classes=3), seed=0)
+    for _, p in net.named_parameters():
+        p.data = p.data.astype(np.float32)
+    sample = synth_volumes(seed=18, n=1, size=16, classes=3)[0]
+    logits = net(Tensor(sample.image[None].astype(np.float32)))
+    loss = dice_ce_loss(logits, sample.label[None])
+    assert logits.dtype == np.float32 and loss.dtype == np.float32
+    T.backward(loss)
+    wrong = [(name, p.grad.dtype) for name, p in net.named_parameters() if p.grad.dtype != p.dtype]
+    assert wrong == []
+
+
+def test_evaluate_mdsc_records_no_tape_and_training_still_works(monkeypatch):
+    # two experts and slots per stage, so every parameter gets a gradient
+    cfg = make_network_config(num_classes=2, stem_channels=4, experts=(2, 3),
+                              base_group_size=8, slots_per_expert=2,
+                              ssm_state_dim=2, scan_block_size=16)
+    net = SegNet(cfg, seed=19)
+    data = synth_volumes(seed=20, n=2, size=8, classes=2)
+    recorded = []
+    for s in data:  # the same forward with the tape recorded
+        logits = net(Tensor(s.image[None]))
+        assert logits.node is not None
+        recorded.append(mdsc(np.argmax(logits.data, axis=1)[0], s.label, 2))
+    for _, p in net.named_parameters():
+        p.grad = None
+    with monkeypatch.context() as m:
+        m.setattr(T, "TapeNode", lambda *a: pytest.fail("evaluate_mdsc recorded a tape node"))
+        assert train.evaluate_mdsc(net, data) == float(np.mean(recorded))
+    assert all(p.grad is None and p.requires_grad for _, p in net.named_parameters())
+    before = {name: p.data.copy() for name, p in net.named_parameters()}
+    train_loop(net, data, TrainConfig(lr=1e-3, batch_size=2, steps=1, seed=21))
+    assert all(not np.array_equal(p.data, before[name]) for name, p in net.named_parameters())
