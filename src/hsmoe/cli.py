@@ -135,7 +135,10 @@ def parse_config_file(path: str) -> Dict[str, object]:
     return values
 
 
-def build_run_config(config_path: Optional[str]) -> RunConfig:
+def build_run_config(config_path: Optional[str], args=None) -> RunConfig:
+    """The run's settings: defaults, then the config file, then HSMOE_*
+    environment variables, then command-line flags; validated last, so a
+    bad value is rejected wherever it came from."""
     run = RunConfig()
     values = parse_config_file(config_path) if config_path else {}
     for key, value in values.items():
@@ -153,14 +156,6 @@ def build_run_config(config_path: Optional[str]) -> RunConfig:
         run.seed = int(os.environ["HSMOE_SEED"])
     if "HSMOE_THREADS" in os.environ:
         run.threads = int(os.environ["HSMOE_THREADS"])
-    if run.precision not in ("f64", "f32"):
-        raise ConfigError(f"precision must be f64 or f32, got {run.precision!r}")
-    if run.threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {run.threads}")
-    return run
-
-
-def _apply_common_flags(run: RunConfig, args) -> RunConfig:
     for attr in ("seed", "threads", "precision"):
         val = getattr(args, attr, None)
         if val is not None:
@@ -172,6 +167,10 @@ def _apply_common_flags(run: RunConfig, args) -> RunConfig:
         run.num_classes = args.classes
     if getattr(args, "norm", None):
         run.norm = args.norm
+    if run.precision not in ("f64", "f32"):
+        raise ConfigError(f"precision must be f64 or f32, got {run.precision!r}")
+    if run.threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {run.threads}")
     return run
 
 
@@ -429,8 +428,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        run = build_run_config(args.config)
-        run = _apply_common_flags(run, args)
+        run = build_run_config(args.config, args)
         return _COMMANDS[args.command](run, args)
     except (ConfigError, CheckpointError, VolumeIOError, MetricError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -8,8 +8,11 @@ blocks (same O(N) arithmetic, far fewer interpreter steps). The backward
 adjoint ``lam_t = g_t + decay_{t+1} * lam_{t+1}`` is itself a reversed linear
 recurrence, so it reuses the same kernel.
 
+The model's scan is ``selective_scan_fn``, one tape op that discretizes,
+scans and reads out, so the [B,N,d,n] state never becomes a Tensor.
 Discretization keeps the state transition strictly inside (0,1):
-``decay = exp(-softplus(rate) * delta)`` with ``delta = softplus(linear(x))``.
+``decay = exp(delta * A)`` with ``A = -softplus(rate)`` and
+``delta = softplus(linear(x))``.
 """
 
 from __future__ import annotations
@@ -70,6 +73,14 @@ def _scan(a: np.ndarray, u: np.ndarray, block_size: Optional[int]) -> np.ndarray
     return _scan_blocked(a, u, block_size)
 
 
+def _adjoint(a: np.ndarray, g: np.ndarray, block_size: Optional[int]) -> np.ndarray:
+    """The scan's backward: lam_t = g_t + a_{t+1} * lam_{t+1}, a reversed
+    linear recurrence run on the same kernel. lam is dL/d(drive)."""
+    arev = np.flip(a, axis=1)
+    shifted = np.concatenate([np.ones_like(arev[:, :1]), arev[:, :-1]], axis=1)
+    return np.flip(_scan(shifted, np.ascontiguousarray(np.flip(g, axis=1)), block_size), axis=1)
+
+
 def linear_recurrence(decay: Tensor, drive: Tensor, block_size: Optional[int] = 64) -> Tensor:
     """h_t = decay_t * h_{t-1} + drive_t along axis 1, h_0 = 0.
 
@@ -83,36 +94,67 @@ def linear_recurrence(decay: Tensor, drive: Tensor, block_size: Optional[int] = 
     h = _scan(a, drive.data, block_size)
 
     def bwd(g):
-        arev = np.flip(a, axis=1)
-        shifted = np.concatenate([np.ones_like(arev[:, :1]), arev[:, :-1]], axis=1)
-        lam = np.flip(_scan(shifted, np.ascontiguousarray(np.flip(g, axis=1)), block_size), axis=1)
+        lam = _adjoint(a, g, block_size)
         h_prev = np.concatenate([np.zeros_like(h[:, :1]), h[:, :-1]], axis=1)
         return np.ascontiguousarray(lam * h_prev), np.ascontiguousarray(lam)
 
     return T._trace(h, (decay, drive), bwd, "linear_recurrence")
 
 
-def apply_selective_scan(decay: Tensor, input_gain: Tensor, out_map: Tensor,
-                         skip: Tensor, x: Tensor, block_size: Optional[int] = 64) -> Tensor:
-    """Run the recurrence with given discretized tensors and mix the outputs.
+def selective_scan_fn(x: Tensor, delta: Tensor, A: Tensor, B: Tensor, C: Tensor, D: Tensor,
+                      block_size: Optional[int] = 64) -> Tensor:
+    """Discretize, scan and read out as one tape op: [B,N,d] -> [B,N,d].
 
-    decay, input_gain: [B,N,d,n]; out_map: [B,N,n]; skip: [d]; x: [B,N,d].
-    Per channel: h_t = decay_t (.) h_{t-1} + input_gain_t * x_t, then
-    y_t = <out_map_t, h_t> + skip * x_t.
+    x, delta: [B,N,d]; A: [d,n]; B, C: [B,N,n]; D: [d]. Per channel j and
+    state k: h_t = exp(delta_t A) (.) h_{t-1} + (delta_t B_t) x_t, then
+    y_t = <C_t, h_t> + D x_t. The [B,N,d,n] decay and drive are built in
+    place, in the order ``exp(delta*A)`` and ``(delta*B)*x``; only the decay
+    and h are kept for the backward, which returns gradients for all six
+    inputs.
     """
-    B, N, d = x.shape
-    n = decay.shape[-1]
-    drive = T.mul(input_gain, T.reshape(x, (B, N, d, 1)))
-    h = linear_recurrence(decay, drive, block_size)
-    y = T.reduce_sum(T.mul(h, T.reshape(out_map, (B, N, 1, n))), axis=-1)
-    return T.add(y, T.mul(skip, x))
+    got = (x.shape, delta.shape, A.shape, B.shape, C.shape, D.shape)
+    want = None
+    if x.ndim == 3 and x.shape[1] >= 1 and A.ndim == 2:
+        (b, N, d), n = x.shape, A.shape[1]
+        want = ((b, N, d), (b, N, d), (d, n), (b, N, n), (b, N, n), (d,))
+    if got != want:
+        raise T.ShapeError(f"selective_scan: x, delta, A, B, C, D have shapes {got}, expected "
+                           "[B,N,d], [B,N,d], [d,n], [B,N,n], [B,N,n], [d] with N >= 1")
+    dt = delta.data[..., None]  # [B,N,d,1]
+    decay = dt * A.data
+    np.exp(decay, out=decay)
+    drive = dt * B.data[:, :, None, :]
+    drive *= x.data[..., None]
+    h = _scan(decay, drive, block_size)
+    y = np.einsum("btjk,btk->btj", h, C.data)
+    y += D.data * x.data
+
+    def bwd(g):
+        lam = _adjoint(decay, g[..., None] * C.data[:, :, None, :], block_size)
+        # q = dL/d(delta*A) = lam * decay * h_prev, with h_prev = 0 at t = 0
+        q = lam * decay
+        q[:, 0] = 0.0
+        q[:, 1:] *= h[:, :-1]
+        lam_b = np.einsum("btjk,btk->btj", lam, B.data)
+        dx = delta.data * lam_b
+        dx += g * D.data
+        ddelta = np.einsum("btjk,jk->btj", q, A.data)
+        ddelta += x.data * lam_b
+        dA = np.einsum("btjk,btj->jk", q, delta.data)
+        dB = np.einsum("btjk,btj->btk", lam, delta.data * x.data)
+        dC = np.einsum("btj,btjk->btk", g, h)
+        dD = np.sum(g * x.data, axis=(0, 1))
+        return dx, ddelta, dA, dB, dC, dD
+
+    return T._trace(y, (x, delta, A, B, C, D), bwd, "selective_scan")
 
 
 class SSMParams(nn.Module):
-    """Learnable maps producing the input-dependent scan tensors.
+    """Learnable maps producing the input-dependent scan inputs.
 
-    ``decay = exp(-softplus(decay_rate) * delta)`` with per-channel
-    ``delta = softplus(step_proj(x)) > 0`` guarantees decay in (0,1).
+    ``A = -softplus(decay_rate) < 0`` and per-channel
+    ``delta = softplus(step_proj(x)) > 0`` keep the decay exp(delta A)
+    strictly inside (0,1).
     """
 
     def __init__(self, dim: int, state_dim: int, rng: np.random.Generator):
@@ -125,24 +167,18 @@ class SSMParams(nn.Module):
         self.dim = dim
         self.state_dim = state_dim
 
-    def discretize(self, x: Tensor) -> Tuple[Tensor, Tensor, Tensor]:
-        B, N, d = x.shape
-        n = self.state_dim
-        delta = T.softplus(self.step_proj(x))  # [B,N,d]
-        rates = T.softplus(self.decay_rate)  # [d,n]
-        delta_col = T.reshape(delta, (B, N, d, 1))
-        decay = T.exp(T.neg(T.mul(delta_col, rates)))
-        gain = T.mul(delta_col, T.reshape(self.input_map(x), (B, N, 1, n)))
-        out_map = self.output_map(x)
-        return decay, gain, out_map
+    def discretize(self, x: Tensor) -> Tuple[Tensor, Tensor, Tensor, Tensor]:
+        """delta [B,N,d], A [d,n], B [B,N,n] and C [B,N,n] for ``selective_scan_fn``."""
+        delta = T.softplus(self.step_proj(x))
+        A = T.neg(T.softplus(self.decay_rate))
+        return delta, A, self.input_map(x), self.output_map(x)
 
 
 def selective_scan(params: SSMParams, x: Tensor, block_size: Optional[int] = 64) -> Tensor:
     """Input-dependent linear-time scan: [B,N,d] -> [B,N,d]."""
     if x.ndim != 3 or x.shape[-1] != params.dim:
         raise T.ShapeError(f"selective_scan expects [B,N,{params.dim}], got {x.shape}")
-    decay, gain, out_map = params.discretize(x)
-    return apply_selective_scan(decay, gain, out_map, params.skip, x, block_size)
+    return selective_scan_fn(x, *params.discretize(x), params.skip, block_size)
 
 
 class GatedSSM(nn.Module):

@@ -348,13 +348,21 @@ def tanh(a) -> Tensor:
     return _trace(out, (a,), bwd, "tanh")
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) without overflow: with e = exp(-|x|), 1/(1+e) where
+    x >= 0 and e/(1+e) elsewhere, computed over the whole array at once."""
+    e = np.abs(x, out=np.empty_like(x))  # an array even for 0-d x
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    out = np.empty_like(a.data)
-    pos = a.data >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    ez = np.exp(a.data[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    out = _logistic(a.data)
 
     def bwd(g):
         return (g * out * (1.0 - out),)
@@ -368,12 +376,7 @@ def softplus(a) -> Tensor:
     out = np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data)))
 
     def bwd(g):
-        s = np.empty_like(a.data)
-        pos = a.data >= 0
-        s[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-        ez = np.exp(a.data[~pos])
-        s[~pos] = ez / (1.0 + ez)
-        return (g * s,)
+        return (g * _logistic(a.data),)
 
     return _trace(out, (a,), bwd, "softplus")
 

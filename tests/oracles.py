@@ -28,6 +28,30 @@ def scan_naive(decay, drive):
     return out
 
 
+def selective_scan_naive(x, delta, A, B, C, D):
+    """Per-channel, per-state loop of the discretized selective scan (h_0=0):
+    h_t[j,k] = exp(delta_t[j] A[j,k]) h_{t-1}[j,k] + delta_t[j] B_t[k] x_t[j],
+    y_t[j] = sum_k C_t[k] h_t[j,k] + D[j] x_t[j].
+
+    x, delta: [B,N,d]; A: [d,n]; B, C: [B,N,n]; D: [d]. Returns [B,N,d].
+    """
+    x, delta, A, B, C, D = (np.asarray(v, dtype=np.float64) for v in (x, delta, A, B, C, D))
+    nb, N, d = x.shape
+    n = A.shape[1]
+    y = np.zeros((nb, N, d))
+    for b in range(nb):
+        for j in range(d):
+            h = [0.0] * n
+            for t in range(N):
+                acc = D[j] * x[b, t, j]
+                for k in range(n):
+                    h[k] = (math.exp(delta[b, t, j] * A[j, k]) * h[k]
+                            + delta[b, t, j] * B[b, t, k] * x[b, t, j])
+                    acc += C[b, t, k] * h[k]
+                y[b, t, j] = acc
+    return y
+
+
 def hierarchical_moe_naive(x, mask, group_size, slot_emb, router1_w, router1_b,
                            expert_fns1, router2_w, router2_b, expert_fns2):
     """Monolithic loop implementation of the full routing layer.

@@ -54,6 +54,13 @@ def test_config_unknown_key_rejected(tmp_path):
         parse_config_file(str(path))
 
 
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_threads_flag_below_one_is_validation_error(capsys, threads):
+    code, _, err = run_cli(capsys, "describe", "--threads", threads)
+    assert code == EXIT_VALIDATION
+    assert "threads must be >= 1" in err
+
+
 def test_env_overrides_seed(tmp_path, monkeypatch):
     path = tmp_path / "run.cfg"
     path.write_text("seed = 1\n")

@@ -119,7 +119,7 @@ def test_tiny_forward_tape_and_parameter_census():
         if id(t) not in seen and t.node is not None:
             seen.add(id(t))
             stack.extend(t.node.inputs)
-    assert len(seen) <= 650, f"{len(seen)} tape nodes in one tiny forward"
+    assert len(seen) <= 450, f"{len(seen)} tape nodes in one tiny forward"
     assert len(net.parameters()) == 198
 
 

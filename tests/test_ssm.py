@@ -8,28 +8,35 @@ from hsmoe import ssm, tensor as T
 from hsmoe.gradcheck import grad_check, weighted_sum_loss
 from hsmoe.tensor import Tensor
 
-from oracles import scan_naive
+from oracles import scan_naive, selective_scan_naive
+
+
+def _scan_inputs(g, B, N, d, n, requires_grad=False, dtype=np.float64):
+    """x, delta > 0, A < 0, B, C, D for ``selective_scan_fn``."""
+    draws = (g.uniform(-1, 1, (B, N, d)), g.uniform(0.1, 1.0, (B, N, d)),
+             g.uniform(-1.0, -0.1, (d, n)), g.uniform(-1, 1, (B, N, n)),
+             g.uniform(-1, 1, (B, N, n)), g.uniform(-1, 1, (d,)))
+    return [Tensor(v.astype(dtype), requires_grad=requires_grad) for v in draws]
 
 
 def test_memoryless_when_decay_zero():
+    # A = -1e4 with delta >= 0.1: exp(delta*A) underflows to exactly 0
     g = T.rng(0)
-    B, N, d, n = 1, 5, 3, 2
-    x = Tensor(g.uniform(-1, 1, (B, N, d)))
-    gain = Tensor(g.uniform(-1, 1, (B, N, d, n)))
-    cmat = Tensor(g.uniform(-1, 1, (B, N, n)))
-    skip = Tensor(g.uniform(-1, 1, (d,)))
-    decay = Tensor(np.zeros((B, N, d, n)))
-    y = ssm.apply_selective_scan(decay, gain, cmat, skip, x)
-    want = (gain.data * x.data[..., None] * cmat.data[:, :, None, :]).sum(-1) + skip.data * x.data
+    x, delta, A, Bm, C, D = _scan_inputs(g, 1, 5, 3, 2)
+    A = Tensor(np.full((3, 2), -1e4))
+    assert (np.exp(delta.data[..., None] * A.data) == 0).all()
+    y = ssm.selective_scan_fn(x, delta, A, Bm, C, D)
+    gain = delta.data[..., None] * Bm.data[:, :, None, :]
+    want = (gain * x.data[..., None] * C.data[:, :, None, :]).sum(-1) + D.data * x.data
     assert np.allclose(y.data, want, atol=1e-14)
 
 
 def test_cumulative_sum_case():
-    # decay 1, gain 1, out_map 1, skip 0, x 1 -> y_t = t (1-based)
+    # A 0 (decay 1), delta = B = C = x = 1, D 0 -> y_t = t (1-based)
     B, N, d, n = 1, 6, 1, 1
-    ones = Tensor(np.ones((B, N, d, n)))
-    y = ssm.apply_selective_scan(ones, ones, Tensor(np.ones((B, N, n))),
-                                 Tensor(np.zeros(d)), Tensor(np.ones((B, N, d))))
+    ones = Tensor(np.ones((B, N, d)))
+    y = ssm.selective_scan_fn(ones, ones, Tensor(np.zeros((d, n))), Tensor(np.ones((B, N, n))),
+                              Tensor(np.ones((B, N, n))), Tensor(np.zeros(d)))
     assert np.array_equal(y.data[0, :, 0], np.arange(1, N + 1, dtype=np.float64))
 
 
@@ -71,8 +78,10 @@ def test_discretized_decay_strictly_inside_unit_interval():
     g = T.rng(7)
     p = ssm.SSMParams(4, 3, g)
     x = Tensor(g.uniform(-3, 3, (2, 10, 4)))
-    decay, _, _ = p.discretize(x)
-    assert (decay.data > 0).all() and (decay.data < 1).all()
+    delta, A, _, _ = p.discretize(x)
+    assert (delta.data > 0).all() and (A.data < 0).all()
+    decay = np.exp(delta.data[..., None] * A.data)
+    assert (decay > 0).all() and (decay < 1).all()
 
 
 def test_causality_perturbation():
@@ -109,3 +118,63 @@ def test_gated_layer_gradient():
     res = grad_check(lambda: weighted_sum_loss(glayer(x)),
                      dict(glayer.named_parameters()), name="gated_ssm", tol=1e-5)
     assert res.passed, f"max rel err {res.max_rel_err}"
+
+
+@pytest.mark.parametrize("block", [3, 64])
+def test_selective_scan_fn_gradient_every_input(block):
+    # N=8 with block 3: three blocks, the last one padded; block 64: one block
+    g = T.rng(20)
+    inputs = _scan_inputs(g, 2, 8, 3, 2, requires_grad=True)
+    names = ("x", "delta", "A", "B", "C", "D")
+    res = grad_check(lambda: weighted_sum_loss(ssm.selective_scan_fn(*inputs, block_size=block)),
+                     dict(zip(names, inputs)), name="selective_scan", tol=1e-6)
+    assert res.passed, f"max rel err {res.max_rel_err}"
+
+
+@pytest.mark.parametrize("N,block", [(1, 64), (7, 3), (33, 8), (20, None)])
+def test_selective_scan_fn_matches_loop_oracle(N, block):
+    g = T.rng(21 + N)
+    inputs = _scan_inputs(g, 2, N, 3, 4)
+    got = ssm.selective_scan_fn(*inputs, block_size=block).data
+    want = selective_scan_naive(*(t.data for t in inputs))
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_selective_scan_fn_overflow_raises_naming_op():
+    g = T.rng(22)
+    x, delta, A, Bm, C, D = _scan_inputs(g, 1, 6, 2, 2)
+    x = Tensor(np.full(x.shape, 1e308))
+    ones = Tensor(np.ones(Bm.shape))
+    with pytest.raises(T.NumericalError, match="selective_scan"):
+        ssm.selective_scan_fn(x, Tensor(np.ones(x.shape)), Tensor(np.full(A.shape, -1e-3)),
+                              ones, ones, D)
+
+
+def test_selective_scan_fn_f32_in_f32_out():
+    inputs = _scan_inputs(T.rng(23), 2, 9, 3, 2, requires_grad=True, dtype=np.float32)
+    y = ssm.selective_scan_fn(*inputs, block_size=4)
+    assert y.dtype == np.float32
+    T.backward(T.reduce_sum(y))
+    assert all(t.grad.dtype == np.float32 for t in inputs)
+
+
+def test_selective_scan_fn_shape_mismatch_raises():
+    x, delta, A, Bm, C, D = _scan_inputs(T.rng(24), 1, 4, 3, 2)
+    with pytest.raises(T.ShapeError, match="selective_scan"):
+        ssm.selective_scan_fn(x, delta, Tensor(np.ones((2, 3))), Bm, C, D)
+
+
+def test_gated_layer_records_one_scan_node_and_no_state_sized_node():
+    B, N, d, n = 2, 5, 4, 3
+    glayer = ssm.GatedSSM(d, n, T.rng(25))
+    out = glayer(Tensor(T.rng(26).uniform(-1, 1, (B, N, d))))
+    ops, stack, seen = [], [out], set()
+    while stack:
+        t = stack.pop()
+        if id(t) in seen or t.node is None:
+            continue
+        seen.add(id(t))
+        ops.append((t.node.op, t.shape))
+        stack.extend(t.node.inputs)
+    assert [op for op, _ in ops].count("selective_scan") == 1
+    assert all(shape != (B, N, d, n) for _, shape in ops)

@@ -211,6 +211,32 @@ def test_unary_op_gradients(op):
     assert res.passed, f"{op.__name__}: max rel err {res.max_rel_err}"
 
 
+def _logistic_by_masks(x):
+    """The two-branch logistic as sigmoid and softplus's backward computed it
+    with boolean-mask gathers and scatters."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ez = np.exp(x[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_and_softplus_grad_bit_identical_to_masked_branches(dtype):
+    g = T.rng(15)
+    x = np.concatenate([g.uniform(-60, 60, 500), g.normal(0, 3, 500),
+                        [0.0, -0.0, 40.5, -40.5, -745.0, 800.0, 1e-30, -1e-30]]).astype(dtype)
+    for data in (x, x[3:4].reshape(()), np.asarray(-0.0, dtype=dtype)):
+        want = _logistic_by_masks(data.reshape(-1)).reshape(data.shape)
+        got = T.sigmoid(Tensor(data)).data
+        assert got.dtype == dtype and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        xs = Tensor(data.copy(), requires_grad=True)
+        T.backward(T.reduce_sum(T.softplus(xs)))
+        assert xs.grad.dtype == dtype and np.array_equal(xs.grad, want)
+
+
 def test_log_sqrt_gradients_on_positive_inputs():
     g = T.rng(10)
     x = leaf(g.uniform(0.5, 2.0, (2, 4)))
