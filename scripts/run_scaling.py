@@ -6,8 +6,7 @@ prints fitted log-log slopes (linear scaling shows up as slope ~1)."""
 import argparse
 import csv
 
-from hsmoe.bench import (fit_loglog_slope, network_sweep, norm_comparison,
-                         norm_net_comparison, routing_sweep, scan_sweep)
+from hsmoe.bench import fit_loglog_slope, network_sweep, norm_comparison, routing_sweep, scan_sweep
 
 
 def write_csv(rows, path):
@@ -36,11 +35,8 @@ def main():
         print(f"{name:8s} slope {slope:5.3f}  ({path})")
 
     layer_times = norm_comparison(seed=args.seed)
-    net_times = norm_net_comparison(seed=args.seed)
     print(f"norm layers over sweep sizes: dyt {layer_times['dyt']:.2f}ms  "
           f"ln {layer_times['ln']:.2f}ms")
-    print(f"whole-net forward:            dyt {net_times['dyt']:.2f}ms  "
-          f"ln {net_times['ln']:.2f}ms")
 
 
 if __name__ == "__main__":

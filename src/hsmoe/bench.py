@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import tensor as T
-from .config import NetworkConfig, StageConfig, make_network_config
+from .config import StageConfig, make_network_config
 from .network import SegNet
 from .routing import HierarchicalMoE
 from .tensor import Tensor
@@ -125,13 +125,6 @@ def scan_sweep(n_values: Sequence[int], dim: int = 8, state_dim: int = 2,
     return rows
 
 
-def _bench_network_config(norm: str = "dyt") -> NetworkConfig:
-    # wide enough that array work dominates interpreter overhead at small N
-    return make_network_config(num_classes=2, stem_channels=8, experts=(2, 3),
-                               base_group_size=64, slots_per_expert=2,
-                               ssm_state_dim=4, scan_block_size=64, norm=norm)
-
-
 def volume_shapes_for(n_values: Sequence[int]) -> List[Tuple[int, int, int]]:
     """Near-cubic (D,H,W) with D*H*W = N, every extent divisible by 4."""
     shapes = []
@@ -148,10 +141,13 @@ def volume_shapes_for(n_values: Sequence[int]) -> List[Tuple[int, int, int]]:
     return shapes
 
 
-def network_sweep(n_values: Sequence[int], seed: int = 0, repeats: int = 3,
-                  norm: str = "dyt") -> List[Dict]:
+def network_sweep(n_values: Sequence[int], seed: int = 0, repeats: int = 3) -> List[Dict]:
     """End-to-end forward wall time over input token counts (powers of two)."""
-    net = SegNet(_bench_network_config(norm), seed=seed)
+    # wide enough that array work dominates interpreter overhead at small N
+    cfg = make_network_config(num_classes=2, stem_channels=8, experts=(2, 3),
+                              base_group_size=64, slots_per_expert=2,
+                              ssm_state_dim=4, scan_block_size=64)
+    net = SegNet(cfg, seed=seed)
     gen = T.rng(seed + 1)
     rows = []
     for n, shape in zip(n_values, volume_shapes_for(n_values)):
@@ -191,22 +187,3 @@ def norm_comparison(n_values: Sequence[int] = (2 ** 12, 2 ** 13, 2 ** 14), dim: 
             for name in totals:
                 totals[name] += best[name]
     return {k: v * 1e3 for k, v in totals.items()}
-
-
-def norm_net_comparison(n_tokens: int = 2 ** 13, seed: int = 0, rounds: int = 9) -> Dict[str, float]:
-    """Whole-network forward wall time with each block normalization
-    (informational: the norm share of a full forward is small)."""
-    shape = volume_shapes_for([n_tokens])[0]
-    gen = T.rng(seed + 1)
-    x = Tensor(gen.uniform(0, 1, (1, 1) + shape))
-    nets = {norm: SegNet(_bench_network_config(norm), seed=seed) for norm in ("dyt", "ln")}
-    best = {"dyt": math.inf, "ln": math.inf}
-    with T.no_grad():
-        for net in nets.values():
-            net(x)  # warmup
-        for _ in range(rounds):
-            for norm, net in nets.items():
-                t0 = time.perf_counter()
-                net(x)
-                best[norm] = min(best[norm], time.perf_counter() - t0)
-    return {k: v * 1e3 for k, v in best.items()}

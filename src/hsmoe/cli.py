@@ -19,14 +19,14 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import bench as bench_mod
-from .checkpoint import CheckpointError, load_into, save_checkpoint
+from .checkpoint import CheckpointError, load_into
 from .config import ConfigError, NetworkConfig, PRESETS, TrainConfig, make_network_config
 from .metrics import (EmptyMaskError, MetricError, count_parameters, dsc_per_class, hd95,
-                      mdsc, summarize, write_metrics_csv, write_metrics_json)
+                      summarize, write_metrics_csv, write_metrics_json)
 from .network import SegNet
 from .tensor import NumericalError, Tensor, no_grad
 from .train import TrainingDiverged, synth_volumes, train_loop
-from .volio import VolumeIOError, read_volume, write_volume
+from .volio import VolumeIOError, read_volume
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -38,6 +38,15 @@ class DataConfig:
     num_volumes: int = 8
     size: int = 16
     noise_sigma: float = 0.03
+
+    def validate(self) -> "DataConfig":
+        if self.num_volumes < 1:
+            raise ConfigError(f"num_volumes must be >= 1, got {self.num_volumes}")
+        if self.size < 1:
+            raise ConfigError(f"size must be >= 1, got {self.size}")
+        if self.noise_sigma < 0:
+            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        return self
 
 
 @dataclass
@@ -54,6 +63,10 @@ class RunConfig:
 
     def network(self) -> NetworkConfig:
         if self.network_overrides:
+            missing = [f"network.{k}" for k in _REQUIRED_NETWORK_KEYS if k not in self.network_overrides]
+            if missing:
+                raise ConfigError(f"network.* overrides describe a whole network; missing "
+                                  f"{', '.join(missing)}")
             kwargs = dict(num_classes=self.num_classes, norm=self.norm)
             kwargs.update(self.network_overrides)
             return make_network_config(**kwargs)
@@ -92,6 +105,21 @@ _NETWORK_OVERRIDE_KEYS = {
     "network.scan_block_size": ("scan_block_size", int),
     "network.ffn_ratio": ("ffn_ratio", int),
     "network.in_channels": ("in_channels", int),
+}
+_REQUIRED_NETWORK_KEYS = ("stem_channels", "experts", "base_group_size", "slots_per_expert")
+
+# command-line flag -> the setting it overrides
+_FLAG_TARGETS = {
+    "seed": "seed",
+    "threads": "threads",
+    "precision": "precision",
+    "classes": "num_classes",
+    "norm": "norm",
+    "steps": "train.steps",
+    "lr": "train.lr",
+    "batch_size": "train.batch_size",
+    "volumes": "data.num_volumes",
+    "size": "data.size",
 }
 
 
@@ -140,37 +168,34 @@ def build_run_config(config_path: Optional[str], args=None) -> RunConfig:
     environment variables, then command-line flags; validated last, so a
     bad value is rejected wherever it came from."""
     run = RunConfig()
+
+    def assign(target: str, value) -> None:
+        section, _, attr = target.rpartition(".")
+        setattr(getattr(run, section) if section else run, attr, value)
+
     values = parse_config_file(config_path) if config_path else {}
     for key, value in values.items():
         if key in _NETWORK_OVERRIDE_KEYS:
             run.network_overrides[_NETWORK_OVERRIDE_KEYS[key][0]] = value
-            continue
-        target, _ = _SCALAR_KEYS[key]
-        if target.startswith("train."):
-            setattr(run.train, target.split(".", 1)[1], value)
-        elif target.startswith("data."):
-            setattr(run.data, target.split(".", 1)[1], value)
         else:
-            setattr(run, target, value)
+            assign(_SCALAR_KEYS[key][0], value)
     if "HSMOE_SEED" in os.environ:
         run.seed = int(os.environ["HSMOE_SEED"])
     if "HSMOE_THREADS" in os.environ:
         run.threads = int(os.environ["HSMOE_THREADS"])
-    for attr in ("seed", "threads", "precision"):
-        val = getattr(args, attr, None)
-        if val is not None:
-            setattr(run, attr, val)
     if getattr(args, "preset", None):
         run.preset = args.preset
         run.network_overrides.clear()
-    if getattr(args, "classes", None):
-        run.num_classes = args.classes
-    if getattr(args, "norm", None):
-        run.norm = args.norm
+    for flag, target in _FLAG_TARGETS.items():
+        val = getattr(args, flag, None)
+        if val is not None:
+            assign(target, val)
     if run.precision not in ("f64", "f32"):
         raise ConfigError(f"precision must be f64 or f32, got {run.precision!r}")
     if run.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {run.threads}")
+    run.train.validate()
+    run.data.validate()
     return run
 
 
@@ -190,10 +215,10 @@ def cmd_describe(run: RunConfig, args) -> int:
     print(f"slots_per_expert: {cfg.stages[0].slots_per_expert}", file=out)
     print(f"layers_per_stage: {list(cfg.layers_per_stage)}", file=out)
     print(f"norm: {cfg.norm}", file=out)
-    size = args.size
+    size = args.extent
     div = 2 ** cfg.num_stages
-    if size % div:
-        raise ConfigError(f"--size {size} not divisible by {div}")
+    if size < 1 or size % div:
+        raise ConfigError(f"--size {size} must be a positive multiple of {div}")
     print(f"\nstage  channels  spatial@{size}^3  experts  experts_l2  group  slots", file=out)
     for i, s in enumerate(cfg.stages):
         sp = size // 2 ** (i + 1)
@@ -247,8 +272,6 @@ def cmd_bench(run: RunConfig, args) -> int:
         times = bench_mod.norm_comparison(seed=run.seed)
         print(f"norm-layer forward ms over sweep sizes, dyt: {times['dyt']:.2f}  "
               f"ln: {times['ln']:.2f}  (dyt <= ln: {'yes' if times['dyt'] <= times['ln'] else 'no'})")
-        net_times = bench_mod.norm_net_comparison(seed=run.seed)
-        print(f"whole-net forward ms, dyt: {net_times['dyt']:.2f}  ln: {net_times['ln']:.2f}")
     return EXIT_OK
 
 
@@ -259,20 +282,21 @@ def _write_history(history: List[Dict], path: str) -> None:
         writer.writerows(history)
 
 
+def _synth_data(run: RunConfig, cfg: NetworkConfig, seed: int):
+    """The run's synthetic volumes, checked first against the network's
+    input rule, so a size the network cannot take is a validation error."""
+    div = 2 ** cfg.num_stages
+    if run.data.size % div:
+        raise ConfigError(f"data size {run.data.size} not divisible by {div} (2**stages)")
+    return synth_volumes(seed=seed, n=run.data.num_volumes, size=run.data.size,
+                         classes=run.num_classes, noise_sigma=run.data.noise_sigma)
+
+
 def cmd_train(run: RunConfig, args) -> int:
-    for flag, target in (("steps", "steps"), ("lr", "lr"), ("batch_size", "batch_size")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            setattr(run.train, target, val)
-    for flag, target in (("volumes", "num_volumes"), ("size", "size")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            setattr(run.data, target, val)
     cfg = run.network()
     net = SegNet(cfg, seed=run.seed)
     run.train.seed = run.seed
-    data = synth_volumes(seed=run.seed + 1, n=run.data.num_volumes, size=run.data.size,
-                         classes=run.num_classes, noise_sigma=run.data.noise_sigma)
+    data = _synth_data(run, cfg, run.seed + 1)
     history = train_loop(net, data, run.train, checkpoint_path=args.checkpoint)
     _write_history(history, args.history)
     last = history[-1]
@@ -298,10 +322,6 @@ def _eval_case(case_id: str, pred: np.ndarray, gt: np.ndarray, num_classes: int,
 
 
 def cmd_eval(run: RunConfig, args) -> int:
-    for flag, target in (("volumes", "num_volumes"), ("size", "size")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            setattr(run.data, target, val)
     num_classes = run.num_classes
     cases = []
     if args.pred_dir:
@@ -320,8 +340,7 @@ def cmd_eval(run: RunConfig, args) -> int:
         cfg = run.network()
         net = SegNet(cfg, seed=run.seed)
         load_into(net, args.checkpoint)
-        data = synth_volumes(seed=run.seed + 2, n=run.data.num_volumes, size=run.data.size,
-                             classes=num_classes, noise_sigma=run.data.noise_sigma)
+        data = _synth_data(run, cfg, run.seed + 2)
         for i, sample in enumerate(data):
             with no_grad():
                 logits = net(Tensor(sample.image[None]))
@@ -374,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=("tiny", "full"))
     p.add_argument("--classes", type=int)
     p.add_argument("--norm", choices=("dyt", "ln"))
-    p.add_argument("--size", type=int, default=64, help="reference input extent")
+    p.add_argument("--size", type=int, default=64, dest="extent", help="reference input extent")
 
     p = sub.add_parser("gradcheck", parents=[common], help="finite-difference suites per module")
     p.add_argument("--modules", nargs="*", default=None,

@@ -3,7 +3,7 @@ training settings, plus the named presets."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 
@@ -87,6 +87,9 @@ class NetworkConfig:
             raise ConfigError("layers_per_stage entries must be >= 1")
         if self.norm not in ("dyt", "ln"):
             raise ConfigError(f"norm must be 'dyt' or 'ln', got {self.norm!r}")
+        for name in ("in_channels", "stem_channels", "ssm_state_dim", "scan_block_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         experts = [s.num_experts for s in self.stages]
         groups = [s.group_size for s in self.stages]
         if any(a >= b for a, b in zip(experts, experts[1:])):

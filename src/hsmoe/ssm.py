@@ -1,12 +1,11 @@
 """Selective state-space sequence layer: linear-time gated scan.
 
 The core primitive is the first-order linear recurrence
-``h_t = decay_t * h_{t-1} + drive_t`` (h_0 = 0) along axis 1. Two forward
-evaluators share one hand-derived backward: a plain sequential loop and a
-blocked two-pass scan that runs the within-block work vectorized across
-blocks (same O(N) arithmetic, far fewer interpreter steps). The backward
-adjoint ``lam_t = g_t + decay_{t+1} * lam_{t+1}`` is itself a reversed linear
-recurrence, so it reuses the same kernel.
+``h_t = decay_t * h_{t-1} + drive_t`` (h_0 = 0) along axis 1, run by one
+blocked kernel, ``_scan``: O(N) arithmetic in about ``block + N / block``
+interpreter steps, with no buffer of the input's size besides the output.
+The backward adjoint ``lam_t = g_t + decay_{t+1} * lam_{t+1}`` is itself a
+reversed linear recurrence, so it reuses the same kernel.
 
 The model's scan is ``selective_scan_fn``, one tape op that discretizes,
 scans and reads out, so the [B,N,d,n] state never becomes a Tensor.
@@ -17,7 +16,6 @@ Discretization keeps the state transition strictly inside (0,1):
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -26,51 +24,29 @@ from . import nn, tensor as T
 from .tensor import Tensor
 
 
-def _scan_sequential(a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u)
-    h = np.zeros_like(u[:, 0])
-    for t in range(u.shape[1]):
-        h = a[:, t] * h + u[:, t]
-        out[:, t] = h
-    return out
-
-
-def _scan_blocked(a: np.ndarray, u: np.ndarray, block: int) -> np.ndarray:
-    B, N = u.shape[:2]
-    rest = u.shape[2:]
-    nb = math.ceil(N / block)
-    pad = nb * block - N
-    if pad:
-        # identity elements: decay 1, drive 0 (stripped before returning)
-        a = np.concatenate([a, np.ones((B, pad) + rest, dtype=a.dtype)], axis=1)
-        u = np.concatenate([u, np.zeros((B, pad) + rest, dtype=u.dtype)], axis=1)
-    ar = a.reshape(B, nb, block, *rest)
-    ur = u.reshape(B, nb, block, *rest)
-
-    # zero-state response of every block, vectorized across blocks
-    zero_state = np.empty_like(ur)
-    h = np.zeros((B, nb) + rest, dtype=u.dtype)
-    for t in range(block):
-        h = ar[:, :, t] * h + ur[:, :, t]
-        zero_state[:, :, t] = h
-
-    # carry initial states across blocks (superposition: h = cum_decay*init + zero_state)
-    cum_decay = np.cumprod(ar, axis=2)
-    init = np.empty((B, nb) + rest, dtype=u.dtype)
-    carry = np.zeros((B,) + rest, dtype=u.dtype)
-    for b in range(nb):
-        init[:, b] = carry
-        carry = cum_decay[:, b, -1] * carry + zero_state[:, b, -1]
-
-    out = zero_state + cum_decay * init[:, :, None]
-    out = out.reshape(B, nb * block, *rest)
-    return np.ascontiguousarray(out[:, :N]) if pad else out
-
-
 def _scan(a: np.ndarray, u: np.ndarray, block_size: Optional[int]) -> np.ndarray:
-    if block_size is None or u.shape[1] <= block_size:
-        return _scan_sequential(a, u)
-    return _scan_blocked(a, u, block_size)
+    """h_t = a_t * h_{t-1} + u_t along axis 1, h_0 = 0, in blocks of
+    ``min(block_size, N)`` steps (all N steps when ``block_size`` is None).
+
+    The first loop runs every block from a zero state at once, one offset
+    within the block per step, through strided views; the last block may be
+    short. The second adds each block's carry, ``cumprod(a) * h`` of the
+    previous block's last state, in place. With one block it runs zero times.
+    """
+    N = u.shape[1]
+    block = N if block_size is None else min(block_size, N)
+    out = np.empty_like(u)
+    h = u[:, ::block].copy()  # the state of every block at offset 0
+    out[:, ::block] = h
+    for t in range(1, block):
+        hk = h[:, :(N - 1 - t) // block + 1]  # the blocks long enough to reach offset t
+        hk *= a[:, t::block]
+        hk += u[:, t::block]
+        out[:, t::block] = hk
+    for start in range(block, N, block):
+        rows = slice(start, start + block)
+        out[:, rows] += np.cumprod(a[:, rows], axis=1) * out[:, start - 1:start]
+    return out
 
 
 def _adjoint(a: np.ndarray, g: np.ndarray, block_size: Optional[int]) -> np.ndarray:

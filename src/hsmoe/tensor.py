@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -102,9 +102,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -306,26 +303,6 @@ def neg(a) -> Tensor:
         return (-g,)
 
     return _trace(-a.data, (a,), bwd, "neg")
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-
-    def bwd(g):
-        return (g * out,)
-
-    return _trace(out, (a,), bwd, "exp")
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.log(a.data)
-
-    def bwd(g):
-        return (g / a.data,)
-
-    return _trace(out, (a,), bwd, "log")
 
 
 def sqrt(a) -> Tensor:
@@ -553,24 +530,6 @@ def index(a, key) -> Tensor:
         return (full,)
 
     return _trace(np.ascontiguousarray(out), (a,), bwd, "index", check_finite=False)
-
-
-def gather(a, idx: np.ndarray, axis: int) -> Tensor:
-    """take_along_axis with an integer index array; duplicates accumulate on backward."""
-    a = as_tensor(a)
-    idx = np.asarray(idx)
-    if idx.ndim != a.ndim:
-        raise ShapeError(f"gather: index rank {idx.ndim} must match input rank {a.ndim}")
-    out = np.take_along_axis(a.data, idx, axis=axis)
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        grids = list(np.indices(idx.shape))
-        grids[axis] = idx
-        np.add.at(full, tuple(grids), g)
-        return (full,)
-
-    return _trace(out, (a,), bwd, "gather", check_finite=False)
 
 
 def masked_fill(a, keep: np.ndarray, value: float) -> Tensor:

@@ -55,8 +55,7 @@ def dice_ce_loss(logits: Tensor, labels: np.ndarray, eps: float = 1e-5) -> Tenso
     dice = T.sub(1.0, T.div(T.mul(inter, 2.0), T.add(T.add(pred_sum, gt_sum), eps)))
     dice_term = T.reduce_mean(dice)
     logp = T.log_softmax(logits, axis=1)
-    picked = T.gather(logp, labels[:, None], axis=1)
-    ce_term = T.neg(T.reduce_mean(picked))
+    ce_term = T.neg(T.reduce_mean(T.reduce_sum(T.mul(target, logp), axis=1)))
     return T.add(dice_term, ce_term)
 
 

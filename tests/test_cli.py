@@ -128,6 +128,85 @@ def test_unknown_flag_is_validation_error(capsys):
     assert code == EXIT_VALIDATION
 
 
+_LAYOUT = ("network.stem_channels = 4\nnetwork.experts = [2, 3]\n"
+           "network.base_group_size = 8\nnetwork.slots_per_expert = 1\n")
+
+
+def _assert_validation_error(code, err, *fragments):
+    assert code == EXIT_VALIDATION, err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+    for fragment in fragments:
+        assert fragment in err, err
+
+
+@pytest.mark.parametrize("command", ["describe", "train", "eval"])
+def test_partial_network_override_names_missing_keys(tmp_path, capsys, command):
+    path = tmp_path / "part.cfg"
+    path.write_text("network.scan_block_size = 0\n")
+    extra = ["--checkpoint", str(tmp_path / "ck")] if command == "eval" else []
+    code, _, err = run_cli(capsys, command, "--config", str(path), *extra)
+    _assert_validation_error(code, err, "network.stem_channels", "network.experts",
+                             "network.base_group_size", "network.slots_per_expert")
+
+
+@pytest.mark.parametrize("key", ["scan_block_size", "ssm_state_dim", "in_channels", "stem_channels"])
+@pytest.mark.parametrize("command", ["describe", "train"])
+def test_network_width_below_one_is_validation_error(tmp_path, capsys, key, command):
+    path = tmp_path / "bad.cfg"
+    path.write_text(_LAYOUT + f"network.{key} = 0\n")
+    code, _, err = run_cli(capsys, command, "--config", str(path))
+    _assert_validation_error(code, err, "must be >= 1, got 0")
+
+
+@pytest.mark.parametrize("key", ["scan_block_size", "ssm_state_dim", "in_channels", "stem_channels"])
+def test_network_config_validate_rejects_zero_widths(key):
+    from dataclasses import replace
+    from hsmoe.config import tiny_config
+
+    with pytest.raises(ConfigError, match=f"{key} must be >= 1"):
+        replace(tiny_config(), **{key: 0}).validate()
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["train", "--volumes", "0"], "num_volumes must be >= 1"),
+    (["train", "--size", "0"], "size must be >= 1"),
+    (["train", "--size", "8"], "data size 8 not divisible by 16"),
+    (["train", "--steps", "0"], "steps must be >= 1"),
+    (["train", "--lr", "0"], "lr must be > 0"),
+    (["train", "--batch-size", "0"], "batch_size must be >= 1"),
+    (["train", "--classes", "0"], "num_classes must be >= 2"),
+    (["eval", "--checkpoint", "ck", "--volumes", "0"], "num_volumes must be >= 1"),
+    (["eval", "--checkpoint", "ck", "--size", "0"], "size must be >= 1"),
+])
+def test_bad_run_flag_is_validation_error(capsys, argv, fragment):
+    code, _, err = run_cli(capsys, *argv)
+    _assert_validation_error(code, err, fragment)
+
+
+@pytest.mark.parametrize("size", ["0", "-16", "24"])
+def test_describe_size_must_be_positive_multiple(capsys, size):
+    code, _, err = run_cli(capsys, "describe", "--size", size)
+    _assert_validation_error(code, err, "must be a positive multiple of 16")
+
+
+def test_negative_noise_sigma_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "noise.cfg"
+    path.write_text("data.noise_sigma = -1\n")
+    code, _, err = run_cli(capsys, "train", "--config", str(path))
+    _assert_validation_error(code, err, "noise_sigma must be >= 0")
+
+
+def test_run_flags_merge_in_build_run_config():
+    args = cli.build_parser().parse_args(["train", "--steps", "7", "--lr", "0.5", "--batch-size", "3",
+                                          "--volumes", "5", "--size", "32", "--classes", "4"])
+    run = build_run_config(None, args)
+    assert (run.train.steps, run.train.lr, run.train.batch_size) == (7, 0.5, 3)
+    assert (run.data.num_volumes, run.data.size, run.num_classes) == (5, 32, 4)
+    # describe's --size is the echoed reference extent, not the data size
+    run = build_run_config(None, cli.build_parser().parse_args(["describe", "--size", "32"]))
+    assert run.data.size == cli.DataConfig().size
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 

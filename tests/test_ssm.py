@@ -1,5 +1,7 @@
 """Selective scan: recurrence semantics, blocked-vs-naive equivalence,
-causality, and gradients of the hand-written backward."""
+causality, memory, and gradients of the hand-written backward."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +65,29 @@ def test_scan_equivalence_100_random_cases():
         got = ssm.linear_recurrence(Tensor(a), Tensor(u), block_size=8).data
         worst = max(worst, float(np.max(np.abs(got - scan_naive(a, u)))))
     assert worst < 1e-10, f"max abs diff {worst}"
+
+
+@pytest.mark.parametrize("N,block", [(1, 64), (1, None), (17, None), (17, 17), (17, 64)])
+def test_one_block_scan_equals_naive_recurrence_exactly(N, block):
+    g = T.rng(100 + N)
+    a = g.uniform(0.0, 1.0, (2, N, 3, 2))
+    u = g.uniform(-1, 1, (2, N, 3, 2))
+    assert np.array_equal(ssm._scan(a, u, block), scan_naive(a, u))
+
+
+def test_scan_peak_memory_stays_near_its_output():
+    # no input-sized buffer besides the output, padded last block included
+    g = T.rng(101)
+    for N in (4096, 4000):
+        a = g.uniform(0.1, 0.9, (1, N, 8, 8))
+        u = g.uniform(-1, 1, (1, N, 8, 8))
+        tracemalloc.start()
+        try:
+            ssm._scan(a, u, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * u.nbytes, f"N={N}: peak {peak / u.nbytes:.2f}x the output"
 
 
 def test_linear_recurrence_gradient():

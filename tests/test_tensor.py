@@ -202,7 +202,7 @@ def test_binary_op_gradients(op):
     assert res.passed, f"{op.__name__}: max rel err {res.max_rel_err}"
 
 
-@pytest.mark.parametrize("op", [T.exp, T.tanh, T.sigmoid, T.softplus, T.neg])
+@pytest.mark.parametrize("op", [T.tanh, T.sigmoid, T.softplus, T.neg])
 def test_unary_op_gradients(op):
     g = T.rng(9)
     x = leaf(g.uniform(-1, 1, (2, 4)))
@@ -237,13 +237,11 @@ def test_sigmoid_and_softplus_grad_bit_identical_to_masked_branches(dtype):
         assert xs.grad.dtype == dtype and np.array_equal(xs.grad, want)
 
 
-def test_log_sqrt_gradients_on_positive_inputs():
+def test_sqrt_gradient_on_positive_inputs():
     g = T.rng(10)
     x = leaf(g.uniform(0.5, 2.0, (2, 4)))
-    for op in (T.log, T.sqrt):
-        res = grad_check(lambda: weighted_sum_loss(op(x)), {"x": x},
-                         name=op.__name__, tol=1e-6)
-        assert res.passed, f"{op.__name__}: max rel err {res.max_rel_err}"
+    res = grad_check(lambda: weighted_sum_loss(T.sqrt(x)), {"x": x}, name="sqrt", tol=1e-6)
+    assert res.passed, f"sqrt: max rel err {res.max_rel_err}"
 
 
 def test_shape_op_gradients():
@@ -260,16 +258,6 @@ def test_shape_op_gradients():
     assert res.passed, f"max rel err {res.max_rel_err}"
 
 
-def test_gather_forward_and_gradient():
-    x = leaf([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    idx = np.array([[2], [0]])
-    out = T.gather(x, idx, axis=1)
-    assert np.array_equal(out.data, [[3.0], [4.0]])
-    res = grad_check(lambda: weighted_sum_loss(T.gather(x, idx, axis=1)), {"x": x},
-                     name="gather", tol=1e-6)
-    assert res.passed
-
-
 def test_masked_fill_blocks_gradient_on_filled_entries():
     x = leaf([1.0, 2.0, 3.0])
     keep = np.array([True, False, True])
@@ -284,9 +272,9 @@ def test_masked_fill_blocks_gradient_on_filled_entries():
 
 
 def test_overflow_is_surfaced_not_propagated():
-    x = Tensor(np.array([1000.0]))
+    x = Tensor(np.array([1e200]))
     with pytest.raises(NumericalError):
-        T.exp(x)
+        T.mul(x, x)
 
 
 def test_division_blowup_is_surfaced():
