@@ -164,4 +164,8 @@ class TrainConfig:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.checkpoint_every is not None and self.checkpoint_every < 1:
+            raise ConfigError(f"checkpoint_every must be >= 1, got {self.checkpoint_every}")
         return self

@@ -209,46 +209,58 @@ def _conv3d_out_extent(n: int, k: int, stride: int, pad: int) -> int:
     return (n + 2 * pad - k) // stride + 1
 
 
-def _taps(k: int, stride: int, out_sp: Tuple[int, int, int]) -> Iterator[Tuple[slice, slice, slice]]:
-    """Per kernel offset (i, j, l), in row-major order, the strided slice of a
-    padded volume's three spatial axes that the offset reads for every output
-    voxel."""
-    for i, j, l in itertools.product(range(k), repeat=3):
-        yield tuple(slice(o, o + stride * n, stride) for o, n in zip((i, j, l), out_sp))
-
-
 def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor], stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of [B,C,D,H,W] with weight [O,C,k,k,k].
 
-    Tap-major im2col: the input is zero-padded channel-major as [C,B,Dp,Hp,Wp],
-    each of the k^3 kernel offsets copies its strided slice into one contiguous
-    block of ``cols`` [k^3*C, B*S] (S output voxels per sample), and the output
-    is one matmul with the weight laid out as [O, k^3*C]. Backward forms
-    dW = g cols^T and, only when ``x`` requires grad, scatter-adds each
-    offset's block of W^T g back through the same slices; an input that
-    needs no gradient (the raw image at the stem) gets none computed.
+    Only the height and width offsets are lowered by im2col; the depth
+    offsets are matmuls on overlapping views (MEC, Cho & Brand, arXiv
+    1706.06873). The input is zero-padded depth-major as [C, s*P, B, Hp, Wp],
+    with s the stride and P = Do + (k-1)//s, so padded depth r*s + ph is row r
+    of phase ph. Each of the k^2 (j, l) offsets copies its strided slice of
+    the first min(s, k) phases into ``cols`` [k^2*C, phases, P, B*Ho*Wo].
+    Depth offset i reads rows i//s .. i//s+Do-1 of phase i % s, a strided
+    view of ``cols`` that BLAS takes as it is, and the output is
+    sum_i W_i @ view_i with W_i = weight[:, :, i] laid out as [O, k^2*C].
+    Backward forms dW_i = g view_i^T and, only when ``x`` requires grad, for
+    each phase one matmul of its stacked W_i^T against copies of g shifted in
+    depth, scatter-added back through the k^2 slices; an input that needs no
+    gradient (the raw image at the stem) gets none computed.
     """
     if x.ndim != 5:
         raise ShapeError(f"conv3d expects [B,C,D,H,W], got {x.shape}")
     O, C, k = weight.shape[0], weight.shape[1], weight.shape[2]
     if x.shape[1] != C:
         raise ShapeError(f"conv3d: input channels {x.shape[1]} != weight channels {C}")
-    B = x.shape[0]
-    spatial = x.shape[2:]
-    out_sp = tuple(_conv3d_out_extent(n, k, stride, padding) for n in spatial)
+    B, (D, H, W) = x.shape[0], x.shape[2:]
+    out_sp = tuple(_conv3d_out_extent(n, k, stride, padding) for n in (D, H, W))
     if any(n <= 0 for n in out_sp):
         raise ShapeError(f"conv3d: kernel {k} (stride {stride}, pad {padding}) does not fit input {x.shape}")
+    Do, Ho, Wo = out_sp
+    s, p = stride, padding
+    phases, P = min(s, k), Do + (k - 1) // s
+    R, N = k * k * C, B * Ho * Wo
 
-    inner = (slice(None), slice(None)) + tuple(slice(padding, padding + n) for n in spatial)
-    xp = np.zeros((C, B) + tuple(n + 2 * padding for n in spatial), dtype=x.dtype)
-    xp[inner] = x.data.transpose(1, 0, 2, 3, 4)
-    taps = list(_taps(k, stride, out_sp))
-    cols = np.empty((len(taps), C, B) + out_sp, dtype=x.dtype)
-    for t, window in enumerate(taps):
-        cols[t] = xp[(Ellipsis,) + window]
-    cols = cols.reshape(len(taps) * C, -1)
-    wmat = weight.data.transpose(0, 2, 3, 4, 1).reshape(O, -1)  # [O, k^3*C], tap-major like cols
-    out = np.ascontiguousarray((wmat @ cols).reshape((O, B) + out_sp).transpose(1, 0, 2, 3, 4))
+    # s*P rows can reach up to s-1 past the padded depth; those rows stay zero
+    xp = np.zeros((C, max(s * P, D + 2 * p), B, H + 2 * p, W + 2 * p), dtype=x.dtype)
+    inner = (slice(None), slice(p, p + D), slice(None), slice(p, p + H), slice(p, p + W))
+    xp[inner] = x.data.transpose(1, 2, 0, 3, 4)
+    windows = [(Ellipsis, slice(j, j + s * Ho, s), slice(l, l + s * Wo, s))
+               for j, l in itertools.product(range(k), repeat=2)]
+
+    def phase_rows(a):  # [C, P, phases, B, Hp, Wp] view of a padded volume
+        return a[:, :s * P].reshape((C, P, s) + a.shape[2:])[:, :, :phases]
+
+    rows = phase_rows(xp)
+    cols = np.empty((k * k, C, phases, P, B, Ho, Wo), dtype=x.dtype)
+    for t, window in enumerate(windows):
+        cols[t] = rows[window].transpose(0, 2, 1, 3, 4, 5)
+    cols = cols.reshape(R, phases, P, N)
+    views = [cols[:, i % s, i // s:i // s + Do].reshape(R, Do * N) for i in range(k)]
+    wmats = weight.data.transpose(2, 0, 3, 4, 1).reshape(k, O, R)  # W_i, (j, l, c)-major like cols
+    out = wmats[0] @ views[0]
+    for i in range(1, k):
+        out += wmats[i] @ views[i]
+    out = np.ascontiguousarray(out.reshape(O, Do, B, Ho, Wo).transpose(2, 0, 1, 3, 4))
     if bias is not None:
         out = out + bias.data.reshape(1, O, 1, 1, 1)
 
@@ -256,15 +268,27 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor], stride: int = 1, p
     xp_shape = xp.shape  # the closure keeps the shape, not the padded copy
 
     def bwd(g):
-        gmat = g.transpose(1, 0, 2, 3, 4).reshape(O, -1)  # [O, B*S]
-        dw = np.ascontiguousarray((gmat @ cols.T).reshape(O, k, k, k, C).transpose(0, 4, 1, 2, 3))
+        B, _, Do, Ho, Wo = g.shape
+        N = B * Ho * Wo
+        gmat = g.transpose(1, 2, 0, 3, 4).reshape(O, Do * N)  # [O, Do*B*Ho*Wo], columns like the views
+        dw = np.stack([gmat @ view.T for view in views])  # [k, O, k^2*C]
+        dw = np.ascontiguousarray(dw.reshape(k, O, k, k, C).transpose(1, 4, 0, 2, 3))
         dx = None
         if x.requires_grad:
-            dcols = (wmat.T @ gmat).reshape((len(taps), C, B) + out_sp)
+            dcols = np.empty((phases, R, P * N), dtype=gmat.dtype)
+            for ph in range(phases):
+                taps = wmats[ph::s]  # W_i for i = ph + s*m; tap m reads rows m .. m+Do-1
+                shifted = np.zeros((len(taps), O, P, N), dtype=gmat.dtype)
+                for m in range(len(taps)):
+                    shifted[m, :, m:m + Do] = gmat.reshape(O, Do, N)
+                np.matmul(taps.transpose(2, 0, 1).reshape(R, -1), shifted.reshape(-1, P * N), out=dcols[ph])
+            dcols = dcols.reshape(phases, k * k, C, P, B, Ho, Wo)
             dxp = np.zeros(xp_shape, dtype=dcols.dtype)
-            for t, window in enumerate(taps):
-                dxp[(Ellipsis,) + window] += dcols[t]
-            dx = np.ascontiguousarray(dxp[inner].transpose(1, 0, 2, 3, 4))
+            drows = phase_rows(dxp)
+            for t, window in enumerate(windows):
+                target = drows[window]  # a view, so += adds into dxp
+                target += dcols[:, t].transpose(1, 2, 0, 3, 4, 5)
+            dx = np.ascontiguousarray(dxp[inner].transpose(2, 0, 1, 3, 4))
         if bias is None:
             return dx, dw
         return dx, dw, gmat.sum(axis=1)

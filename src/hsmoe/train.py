@@ -65,17 +65,36 @@ def dice_ce_loss(logits: Tensor, labels: np.ndarray, eps: float = 1e-5) -> Tenso
 
 def adamw_update(value: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
                  t: int, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0) -> None:
-    """One moment update with bias correction and decoupled decay, in place."""
+                 eps: float = 1e-8, weight_decay: float = 0.0,
+                 scratch: Optional[np.ndarray] = None) -> None:
+    """One moment update with bias correction and decoupled decay, in place.
+
+    ``scratch`` is a [2, *value.shape] buffer of value's dtype (allocated
+    when not given); every step writes into it or into value, m and v. The
+    operations run in the order of the textbook form
+    ``value -= lr*m_hat / (sqrt(v_hat) + eps)`` then
+    ``value -= lr*weight_decay*value``, so the results are bit-identical to it.
+    """
+    if scratch is None:
+        scratch = np.empty((2,) + value.shape, dtype=value.dtype)
+    a, b = scratch[0, ...], scratch[1, ...]  # arrays even for 0-d values
+    np.multiply(grad, 1.0 - beta1, out=a)
     m *= beta1
-    m += (1.0 - beta1) * grad
+    m += a
+    np.multiply(grad, 1.0 - beta2, out=a)
+    a *= grad
     v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    v += a
+    np.divide(m, 1.0 - beta1 ** t, out=a)
+    a *= lr
+    np.divide(v, 1.0 - beta2 ** t, out=b)
+    np.sqrt(b, out=b)
+    b += eps
+    a /= b
+    value -= a
     if weight_decay:
-        value -= lr * weight_decay * value
+        np.multiply(value, lr * weight_decay, out=a)
+        value -= a
 
 
 class AdamW:
@@ -91,14 +110,19 @@ class AdamW:
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.named_params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.named_params}
+        self._scratch = np.empty(0)  # shared by every update; grows to the largest tensor
 
     def step(self, lr: float) -> None:
         self.t += 1
         for name, p in self.named_params:
             if p.grad is None:
                 continue
+            n = p.data.size
+            if self._scratch.size < 2 * n or self._scratch.dtype != p.data.dtype:
+                self._scratch = np.empty(2 * n, dtype=p.data.dtype)
             adamw_update(p.data, p.grad, self.m[name], self.v[name], self.t, lr,
-                         self.betas[0], self.betas[1], self.eps, self.weight_decay)
+                         self.betas[0], self.betas[1], self.eps, self.weight_decay,
+                         self._scratch[:2 * n].reshape((2,) + p.data.shape))
 
     def zero_grad(self) -> None:
         for _, p in self.named_params:

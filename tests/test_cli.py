@@ -196,6 +196,19 @@ def test_negative_noise_sigma_is_validation_error(tmp_path, capsys):
     _assert_validation_error(code, err, "noise_sigma must be >= 0")
 
 
+@pytest.mark.parametrize("line,fragment", [
+    ("train.weight_decay = -1", "weight_decay must be >= 0"),
+    ("train.checkpoint_every = 0", "checkpoint_every must be >= 1"),
+    ("train.checkpoint_every = -3", "checkpoint_every must be >= 1"),
+])
+def test_bad_train_config_value_is_validation_error(tmp_path, capsys, line, fragment):
+    path = tmp_path / "train.cfg"
+    path.write_text(line + "\n")
+    code, _, err = run_cli(capsys, "train", "--config", str(path), "--steps", "2", "--volumes", "1",
+                           "--batch-size", "1")
+    _assert_validation_error(code, err, fragment)
+
+
 def test_run_flags_merge_in_build_run_config():
     args = cli.build_parser().parse_args(["train", "--steps", "7", "--lr", "0.5", "--batch-size", "3",
                                           "--volumes", "5", "--size", "32", "--classes", "4"])

@@ -1,6 +1,7 @@
 """Linear / FFN / DyT / LayerNorm / conv3d contracts and gradients."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,17 +254,19 @@ def test_conv3d_gradient():
     assert res.passed, f"max rel err {res.max_rel_err}"
 
 
-CONV_GRID = [(s, k, p) for s in (1, 2) for k in (1, 2, 3) for p in (0, 1)]
+# stride 3 leaves a depth phase no tap reads when k < 3; each case also runs with B in (1, 2)
+CONV_GRID = [(s, k, p) for s in (1, 2, 3) for k in (1, 2, 3) for p in (0, 1, 2)]
 
 
 @pytest.mark.parametrize("stride,k,pad", CONV_GRID)
 def test_conv3d_matches_naive_oracle(stride, k, pad):
     g = T.rng(30)
-    x = g.uniform(-1, 1, (2, 3, 6, 5, 4))  # B=2, C=3, odd and even extents
-    w = g.uniform(-1, 1, (2, 3, k, k, k))  # O=2
-    b = g.uniform(-1, 1, 2)
-    out = nn.conv3d(Tensor(x), Tensor(w), Tensor(b), stride, pad)
-    np.testing.assert_allclose(out.data, conv3d_naive(x, w, b, stride, pad), rtol=0, atol=1e-12)
+    for B in (1, 2):
+        x = g.uniform(-1, 1, (B, 3, 6, 5, 4))  # C=3, odd and even extents
+        w = g.uniform(-1, 1, (2, 3, k, k, k))  # O=2
+        b = g.uniform(-1, 1, 2)
+        out = nn.conv3d(Tensor(x), Tensor(w), Tensor(b), stride, pad)
+        np.testing.assert_allclose(out.data, conv3d_naive(x, w, b, stride, pad), rtol=0, atol=1e-12)
 
 
 def _unread_input_mask(spatial, k, stride, pad):
@@ -280,16 +283,17 @@ def _unread_input_mask(spatial, k, stride, pad):
 @pytest.mark.parametrize("stride,k,pad", CONV_GRID)
 def test_conv3d_input_gradient(stride, k, pad):
     conv = nn.Conv3d(2, 3, k, T.rng(31), stride=stride, padding=pad)
-    x = Tensor(T.rng(32).uniform(-1, 1, (2, 2, 6, 5, 4)), requires_grad=True)
-    params = dict(conv.named_parameters())
-    params["x"] = x
-    res = grad_check(lambda: weighted_sum_loss(conv(x)), params, name="conv3d", tol=1e-6)
-    assert res.passed, f"max rel err {res.max_rel_err}"
-    # voxels no window reads (stride 2 with (n + 2p - k) % 2 != 0, or k < stride) get exactly zero
-    unread = _unread_input_mask(x.shape[2:], k, stride, pad)
-    assert np.all(x.grad[:, :, unread] == 0.0)
-    if (stride, k, pad) in ((2, 3, 0), (2, 1, 1)):
-        assert unread.any()
+    for B in (1, 2):
+        x = Tensor(T.rng(32).uniform(-1, 1, (B, 2, 6, 5, 4)), requires_grad=True)
+        params = dict(conv.named_parameters())
+        params["x"] = x
+        res = grad_check(lambda: weighted_sum_loss(conv(x)), params, name="conv3d", tol=1e-6)
+        assert res.passed, f"B={B}: max rel err {res.max_rel_err}"
+        # voxels no window reads ((n + 2p - k) % stride != 0, or k < stride) get exactly zero
+        unread = _unread_input_mask(x.shape[2:], k, stride, pad)
+        assert np.all(x.grad[:, :, unread] == 0.0)
+        if (stride, k, pad) in ((2, 3, 0), (2, 1, 1), (3, 1, 0), (3, 2, 0)):
+            assert unread.any()
 
 
 def test_conv3d_skips_input_gradient_when_not_required():
@@ -307,6 +311,21 @@ def test_conv3d_skips_input_gradient_when_not_required():
     assert np.array_equal(grads[False][2], grads[True][2])
     out = conv(Tensor(data))
     assert out.node.backward_fn(np.ones(out.shape))[0] is None  # not computed, not just dropped
+
+
+def test_conv3d_no_grad_peak_memory():
+    # im2col copies only the k^2 height/width offsets; depth offsets are views
+    g = T.rng(37)
+    x = Tensor(g.uniform(-1, 1, (1, 16, 24, 24, 24)))
+    conv = nn.Conv3d(16, 8, 3, T.rng(38), padding=1)
+    with T.no_grad():
+        tracemalloc.start()
+        try:
+            conv(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 15 * x.data.nbytes, f"peak {peak / x.data.nbytes:.1f}x the input"
 
 
 @pytest.mark.parametrize("x_requires_grad", [False, True])

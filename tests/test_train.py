@@ -101,6 +101,38 @@ def test_adamw_decoupled_decay_shrinks_params():
     assert abs(value[0] - (1.0 - 0.5 * 0.1)) < 1e-15
 
 
+def _adamw_textbook(value, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+    """AdamW as written before the in-place form, with a temporary per operation."""
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    if weight_decay:
+        value -= lr * weight_decay * value
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adamw_in_place_is_bit_identical_to_textbook_form(dtype):
+    g = T.rng(61)
+    shapes = [(3, 4), (), (50,), (2, 3, 2), (7,)]  # 0-d; sizes that grow the shared scratch and that reuse it
+    params = [Tensor(g.uniform(-1, 1, sh).astype(dtype), requires_grad=True) for sh in shapes]
+    ref = [(p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)) for p in params]
+    opt = AdamW([(f"p{i}", p) for i, p in enumerate(params)], weight_decay=1e-2)
+    for step in range(1, 21):
+        for p in params:
+            p.grad = g.standard_normal(p.shape).astype(dtype)
+        opt.step(lr=0.05 / step)
+        for p, (value, m, v) in zip(params, ref):
+            _adamw_textbook(value, p.grad, m, v, step, 0.05 / step, weight_decay=1e-2)
+    for i, (p, (value, m, v)) in enumerate(zip(params, ref)):
+        assert p.data.dtype == dtype
+        assert np.array_equal(p.data, value), f"p{i}"
+        assert np.array_equal(opt.m[f"p{i}"], m) and np.array_equal(opt.v[f"p{i}"], v), f"p{i}"
+
+
 def test_lr_zero_keeps_loss_constant():
     net = mini_net(seed=3)
     sample = synth_volumes(seed=4, n=1, size=8, classes=2)[0]
