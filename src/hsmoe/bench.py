@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import tensor as T
-from .config import StageConfig, make_network_config
+from .config import ConfigError, StageConfig, make_network_config
 from .network import SegNet
 from .routing import HierarchicalMoE
 from .tensor import Tensor
@@ -131,12 +131,12 @@ def volume_shapes_for(n_values: Sequence[int]) -> List[Tuple[int, int, int]]:
     for n in n_values:
         exp = int(round(math.log2(n)))
         if 2 ** exp != n:
-            raise ValueError(f"token count {n} must be a power of two")
+            raise ConfigError(f"token count {n} must be a power of two")
         a = exp // 3
         rem = exp - 3 * a
         dims = [2 ** (a + (1 if i < rem else 0)) for i in range(3)]
         if min(dims) < 4:
-            raise ValueError(f"token count {n} too small for a 2-stage network")
+            raise ConfigError(f"token count {n} too small for a 2-stage network")
         shapes.append(tuple(sorted(dims, reverse=True)))
     return shapes
 

@@ -2,8 +2,9 @@
 
 Configuration comes from an optional ``key = value`` file (dotted keys,
 unknown keys rejected), environment overrides HSMOE_SEED / HSMOE_THREADS,
-then command-line flags, in increasing precedence. Exit codes: 0 success,
-1 validation error, 2 runtime/numerical failure.
+then command-line flags, in increasing precedence. Each subcommand accepts
+only the flags it reads. Exit codes: 0 success, 1 validation error (usage
+errors included), 2 runtime/numerical failure.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ import numpy as np
 from . import bench as bench_mod
 from .checkpoint import CheckpointError, load_into
 from .config import ConfigError, NetworkConfig, PRESETS, TrainConfig, make_network_config
-from .metrics import (EmptyMaskError, MetricError, count_parameters, dsc_per_class, hd95,
-                      summarize, write_metrics_csv, write_metrics_json)
+from .metrics import (EmptyMaskError, MetricError, _check_labels, count_parameters, dsc_per_class,
+                      hd95, summarize, write_metrics_csv, write_metrics_json)
 from .network import SegNet
+from .suites import MODULE_SUITES
 from .tensor import NumericalError, Tensor, no_grad
 from .train import TrainingDiverged, synth_volumes, train_loop
 from .volio import VolumeIOError, read_volume
@@ -108,19 +110,9 @@ _NETWORK_OVERRIDE_KEYS = {
 }
 _REQUIRED_NETWORK_KEYS = ("stem_channels", "experts", "base_group_size", "slots_per_expert")
 
-# command-line flag -> the setting it overrides
-_FLAG_TARGETS = {
-    "seed": "seed",
-    "threads": "threads",
-    "precision": "precision",
-    "classes": "num_classes",
-    "norm": "norm",
-    "steps": "train.steps",
-    "lr": "train.lr",
-    "batch_size": "train.batch_size",
-    "volumes": "data.num_volumes",
-    "size": "data.size",
-}
+_ENV_KEYS = {"HSMOE_SEED": "seed", "HSMOE_THREADS": "threads"}
+
+_PRECISIONS = {"f64": np.float64, "f32": np.float32}
 
 
 def _convert(raw: str, kind) -> object:
@@ -166,31 +158,25 @@ def parse_config_file(path: str) -> Dict[str, object]:
 def build_run_config(config_path: Optional[str], args=None) -> RunConfig:
     """The run's settings: defaults, then the config file, then HSMOE_*
     environment variables, then command-line flags; validated last, so a
-    bad value is rejected wherever it came from."""
+    bad value is rejected wherever it came from. A flag's dest is the config
+    key it overrides, so flags apply through the same table as file values.
+    A ``--preset`` flag replaces any explicit network layout from the file."""
     run = RunConfig()
-
-    def assign(target: str, value) -> None:
-        section, _, attr = target.rpartition(".")
-        setattr(getattr(run, section) if section else run, attr, value)
-
     values = parse_config_file(config_path) if config_path else {}
+    values.update((key, _convert(os.environ[var], _SCALAR_KEYS[key][1]))
+                  for var, key in _ENV_KEYS.items() if var in os.environ)
+    flags = {key: value for key, value in (vars(args) if args else {}).items()
+             if key in _SCALAR_KEYS and value is not None}
+    if "network.preset" in flags:
+        values = {key: value for key, value in values.items() if key not in _NETWORK_OVERRIDE_KEYS}
+    values.update(flags)
     for key, value in values.items():
         if key in _NETWORK_OVERRIDE_KEYS:
             run.network_overrides[_NETWORK_OVERRIDE_KEYS[key][0]] = value
         else:
-            assign(_SCALAR_KEYS[key][0], value)
-    if "HSMOE_SEED" in os.environ:
-        run.seed = int(os.environ["HSMOE_SEED"])
-    if "HSMOE_THREADS" in os.environ:
-        run.threads = int(os.environ["HSMOE_THREADS"])
-    if getattr(args, "preset", None):
-        run.preset = args.preset
-        run.network_overrides.clear()
-    for flag, target in _FLAG_TARGETS.items():
-        val = getattr(args, flag, None)
-        if val is not None:
-            assign(target, val)
-    if run.precision not in ("f64", "f32"):
+            section, _, attr = _SCALAR_KEYS[key][0].rpartition(".")
+            setattr(getattr(run, section) if section else run, attr, value)
+    if run.precision not in _PRECISIONS:
         raise ConfigError(f"precision must be f64 or f32, got {run.precision!r}")
     if run.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {run.threads}")
@@ -244,7 +230,13 @@ def cmd_gradcheck(run: RunConfig, args) -> int:
 
 
 def cmd_bench(run: RunConfig, args) -> int:
+    if not 0 <= args.min_exp <= args.max_exp:
+        raise ConfigError(f"need 0 <= --min-exp <= --max-exp, got {args.min_exp} and {args.max_exp}")
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
     n_values = [2 ** k for k in range(args.min_exp, args.max_exp + 1)]
+    if args.network_out:
+        bench_mod.volume_shapes_for(n_values)  # reject sizes the network cannot take before any sweep
     rows = bench_mod.routing_sweep(n_values, group_size=args.group_size, seed=run.seed,
                                    repeats=args.repeats)
     header = ["N", "K", "E", "S", "G", "wall_ms", "est_flops",
@@ -282,21 +274,30 @@ def _write_history(history: List[Dict], path: str) -> None:
         writer.writerows(history)
 
 
-def _synth_data(run: RunConfig, cfg: NetworkConfig, seed: int):
-    """The run's synthetic volumes, checked first against the network's
-    input rule, so a size the network cannot take is a validation error."""
+def _net_and_data(run: RunConfig, data_seed: int):
+    """The run's seeded network and synthetic volumes, in the run's precision.
+    The data size is checked first against the network's input rule, so a
+    size the network cannot take is a validation error. Parameters and images
+    are drawn in f64 and then cast, so f32 holds the f64 draw rounded, and an
+    f64 run casts nothing."""
+    cfg = run.network()
     div = 2 ** cfg.num_stages
     if run.data.size % div:
         raise ConfigError(f"data size {run.data.size} not divisible by {div} (2**stages)")
-    return synth_volumes(seed=seed, n=run.data.num_volumes, size=run.data.size,
+    dtype = _PRECISIONS[run.precision]
+    data = synth_volumes(seed=data_seed, n=run.data.num_volumes, size=run.data.size,
                          classes=run.num_classes, noise_sigma=run.data.noise_sigma)
+    for sample in data:
+        sample.image = sample.image.astype(dtype, copy=False)
+    net = SegNet(cfg, seed=run.seed)
+    for p in net.parameters():
+        p.data = p.data.astype(dtype, copy=False)
+    return net, data
 
 
 def cmd_train(run: RunConfig, args) -> int:
-    cfg = run.network()
-    net = SegNet(cfg, seed=run.seed)
+    net, data = _net_and_data(run, run.seed + 1)
     run.train.seed = run.seed
-    data = _synth_data(run, cfg, run.seed + 1)
     history = train_loop(net, data, run.train, checkpoint_path=args.checkpoint)
     _write_history(history, args.history)
     last = history[-1]
@@ -310,6 +311,10 @@ def cmd_train(run: RunConfig, args) -> int:
 
 def _eval_case(case_id: str, pred: np.ndarray, gt: np.ndarray, num_classes: int,
                spacing) -> List[Dict]:
+    try:
+        _check_labels(pred, gt, num_classes)
+    except MetricError as err:
+        raise MetricError(f"{case_id}: {err}") from err
     rows = []
     for c in range(1, num_classes):
         try:
@@ -337,10 +342,8 @@ def cmd_eval(run: RunConfig, args) -> int:
     else:
         if not args.checkpoint:
             raise ConfigError("eval needs --checkpoint (or --pred-dir/--gt-dir)")
-        cfg = run.network()
-        net = SegNet(cfg, seed=run.seed)
+        net, data = _net_and_data(run, run.seed + 2)
         load_into(net, args.checkpoint)
-        data = _synth_data(run, cfg, run.seed + 2)
         for i, sample in enumerate(data):
             with no_grad():
                 logits = net(Tensor(sample.image[None]))
@@ -377,29 +380,38 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="key = value config file")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--threads", type=int, default=None)
-    common.add_argument("--precision", choices=("f64", "f32"), default=None)
+def _key_flag(parser: argparse.ArgumentParser, flag: str, key: str, **kwargs) -> None:
+    """``flag`` overrides config key ``key``: the key is its dest, and its
+    value converts as the config file's value does."""
+    parser.add_argument(flag, dest=key, type=_SCALAR_KEYS[key][1], help=f"sets {key}", **kwargs)
 
-    parser = _Parser(prog="hsmoe", parents=[common],
-                     description="hierarchical soft-MoE segmentation toolkit")
+
+def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand accepts exactly the flags it reads, each defined once
+    on a parent parser; the top-level parser takes only the subcommand."""
+    config, seed, threads, precision, network, data = (_Parser(add_help=False) for _ in range(6))
+    config.add_argument("--config", metavar="FILE", help="key = value config file")
+    _key_flag(seed, "--seed", "seed", metavar="N")
+    _key_flag(threads, "--threads", "threads", metavar="N")
+    _key_flag(precision, "--precision", "precision", choices=tuple(_PRECISIONS))
+    _key_flag(network, "--preset", "network.preset", choices=tuple(PRESETS))
+    _key_flag(network, "--classes", "network.num_classes", metavar="C")
+    _key_flag(network, "--norm", "network.norm", choices=("dyt", "ln"))
+    _key_flag(data, "--volumes", "data.num_volumes", metavar="N")
+    _key_flag(data, "--size", "data.size", metavar="S")
+
+    parser = _Parser(prog="hsmoe", description="hierarchical soft-MoE segmentation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("describe", parents=[common],
+    p = sub.add_parser("describe", parents=[config, network],
                        help="echo schedules, stage shapes, parameter count")
-    p.add_argument("--preset", choices=("tiny", "full"))
-    p.add_argument("--classes", type=int)
-    p.add_argument("--norm", choices=("dyt", "ln"))
     p.add_argument("--size", type=int, default=64, dest="extent", help="reference input extent")
 
-    p = sub.add_parser("gradcheck", parents=[common], help="finite-difference suites per module")
-    p.add_argument("--modules", nargs="*", default=None,
-                   help="subset of: tensor_core nn_prims ssm_scan routing block network")
+    p = sub.add_parser("gradcheck", help="finite-difference suites per module")
+    p.add_argument("--modules", nargs="+", choices=tuple(MODULE_SUITES), metavar="MODULE",
+                   help=f"subset of: {' '.join(MODULE_SUITES)}")
 
-    p = sub.add_parser("bench", parents=[common], help="scaling sweeps and cost accounting")
+    p = sub.add_parser("bench", parents=[config, seed], help="scaling sweeps and cost accounting")
     p.add_argument("--out", default="bench_routing.csv")
     p.add_argument("--network-out", default=None)
     p.add_argument("--compare-norms", action="store_true")
@@ -408,24 +420,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-size", type=int, default=256)
     p.add_argument("--repeats", type=int, default=3)
 
-    p = sub.add_parser("train", parents=[common], help="train on synthetic volumes")
-    p.add_argument("--preset", choices=("tiny", "full"))
-    p.add_argument("--classes", type=int)
-    p.add_argument("--norm", choices=("dyt", "ln"))
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--volumes", type=int, default=None)
-    p.add_argument("--size", type=int, default=None)
+    p = sub.add_parser("train", parents=[config, seed, precision, network, data],
+                       help="train on synthetic volumes")
+    _key_flag(p, "--steps", "train.steps", metavar="N")
+    _key_flag(p, "--lr", "train.lr", metavar="LR")
+    _key_flag(p, "--batch-size", "train.batch_size", metavar="B")
     p.add_argument("--history", default="history.csv")
     p.add_argument("--checkpoint", default="checkpoint")
 
-    p = sub.add_parser("eval", parents=[common], help="metrics from a checkpoint or label volumes")
-    p.add_argument("--preset", choices=("tiny", "full"))
-    p.add_argument("--classes", type=int)
-    p.add_argument("--norm", choices=("dyt", "ln"))
-    p.add_argument("--volumes", type=int, default=None)
-    p.add_argument("--size", type=int, default=None)
+    p = sub.add_parser("eval", parents=[config, seed, threads, precision, network, data],
+                       help="metrics from a checkpoint or label volumes")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--pred-dir", default=None)
     p.add_argument("--gt-dir", default=None)
@@ -447,7 +451,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        run = build_run_config(args.config, args)
+        run = build_run_config(getattr(args, "config", None), args)
         return _COMMANDS[args.command](run, args)
     except (ConfigError, CheckpointError, VolumeIOError, MetricError) as err:
         print(f"error: {err}", file=sys.stderr)

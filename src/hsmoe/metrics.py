@@ -42,7 +42,7 @@ def _check_labels(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> Tuple[n
     return pred, gt
 
 
-def dsc_per_class(pred: np.ndarray, gt: np.ndarray, cls: int, num_classes: int | None = None) -> float:
+def dsc_per_class(pred: np.ndarray, gt: np.ndarray, cls: int) -> float:
     """2|P∩G| / (|P|+|G|); both structures empty counts as a perfect 1.0."""
     pred = np.asarray(pred)
     gt = np.asarray(gt)

@@ -1,5 +1,6 @@
 """CLI contracts: config parsing, describe echoes, exit codes, pipelines."""
 
+import argparse
 import csv
 import json
 import os
@@ -56,7 +57,7 @@ def test_config_unknown_key_rejected(tmp_path):
 
 @pytest.mark.parametrize("threads", ["0", "-5"])
 def test_threads_flag_below_one_is_validation_error(capsys, threads):
-    code, _, err = run_cli(capsys, "describe", "--threads", threads)
+    code, _, err = run_cli(capsys, "eval", "--threads", threads)
     assert code == EXIT_VALIDATION
     assert "threads must be >= 1" in err
 
@@ -66,6 +67,58 @@ def test_env_overrides_seed(tmp_path, monkeypatch):
     path.write_text("seed = 1\n")
     monkeypatch.setenv("HSMOE_SEED", "99")
     assert build_run_config(str(path)).seed == 99
+
+
+def test_bad_env_value_is_validation_error(capsys, monkeypatch):
+    monkeypatch.setenv("HSMOE_THREADS", "two")
+    code, _, err = run_cli(capsys, "eval", "--checkpoint", "ck")
+    _assert_validation_error(code, err, "bad value 'two'")
+
+
+# ---------------------------------------------------------------------------
+# flags: each subcommand accepts exactly the flags it reads
+
+
+_NETWORK_FLAGS = {"--preset", "--classes", "--norm"}
+_DATA_FLAGS = {"--volumes", "--size"}
+_FLAGS = {
+    "describe": {"--config", "--size"} | _NETWORK_FLAGS,
+    "gradcheck": {"--modules"},
+    "bench": {"--config", "--seed", "--out", "--network-out", "--compare-norms", "--min-exp",
+              "--max-exp", "--group-size", "--repeats"},
+    "train": {"--config", "--seed", "--precision", "--steps", "--lr", "--batch-size", "--history",
+              "--checkpoint"} | _NETWORK_FLAGS | _DATA_FLAGS,
+    "eval": {"--config", "--seed", "--threads", "--precision", "--checkpoint", "--pred-dir",
+             "--gt-dir", "--out", "--json-out"} | _NETWORK_FLAGS | _DATA_FLAGS,
+}
+
+
+def _flag_set(parser):
+    return {opt for action in parser._actions for opt in action.option_strings} - {"-h", "--help"}
+
+
+def test_each_subcommand_accepts_exactly_the_flags_it_reads():
+    parser = cli.build_parser()
+    assert _flag_set(parser) == set()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {name: _flag_set(p) for name, p in sub.choices.items()} == _FLAGS
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "5", "train"],
+    ["--threads", "3", "describe"],
+    ["--precision", "f32", "train"],
+    ["--config", "/nonexistent", "describe"],
+    ["describe", "--seed", "1"],
+    ["describe", "--threads", "2"],
+    ["gradcheck", "--seed", "1"],
+    ["gradcheck", "--config", "run.cfg"],
+    ["bench", "--precision", "f32"],
+    ["train", "--threads", "2"],
+])
+def test_flag_a_command_does_not_read_is_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    _assert_validation_error(code, err)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +179,26 @@ def test_describe_invalid_monotonicity_is_validation_error(tmp_path, capsys):
 def test_unknown_flag_is_validation_error(capsys):
     code, _, err = run_cli(capsys, "describe", "--nope")
     assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["--norm", "ln"], "norm: ln"),
+    (["--size", "32"], "spatial@32^3"),
+])
+def test_describe_flag_shows_in_echo(capsys, argv, line):
+    code, out, _ = run_cli(capsys, "describe", *argv)
+    assert code == EXIT_OK
+    assert line in out
+
+
+def test_describe_classes_flag_sizes_the_head(capsys):
+    counts = []
+    for classes in ("2", "5"):
+        code, out, _ = run_cli(capsys, "describe", "--classes", classes)
+        assert code == EXIT_OK
+        counts.append(int(out.split("parameters:")[1].split()[0]))
+    # the 1x1x1 head maps the stem's 8 channels to one logit per class
+    assert counts[1] - counts[0] == 3 * (8 + 1)
 
 
 _LAYOUT = ("network.stem_channels = 4\nnetwork.experts = [2, 3]\n"
@@ -220,6 +293,23 @@ def test_run_flags_merge_in_build_run_config():
     assert run.data.size == cli.DataConfig().size
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_every_setting_flag_sets_its_config_key(tmp_path, command):
+    flags = ["--seed", "9", "--precision", "f32", "--preset", "full", "--classes", "4",
+             "--norm", "ln", "--volumes", "5", "--size", "32"]
+    flags += ["--threads", "3"] if command == "eval" else []
+    run = build_run_config(None, cli.build_parser().parse_args([command, *flags]))
+    assert (run.seed, run.precision, run.preset, run.num_classes, run.norm,
+            run.data.num_volumes, run.data.size) == (9, "f32", "full", 4, "ln", 5, 32)
+    assert run.threads == (3 if command == "eval" else 1)
+    # a --preset flag replaces the file's explicit layout
+    path = tmp_path / "layout.cfg"
+    path.write_text(_LAYOUT)
+    assert build_run_config(str(path)).network_overrides
+    args = cli.build_parser().parse_args([command, "--config", str(path), "--preset", "tiny"])
+    assert not build_run_config(args.config, args).network_overrides
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 
@@ -259,6 +349,15 @@ def test_gradcheck_reports_corrupted_gradient(capsys, monkeypatch):
     assert "nn_prims/corrupted_tanh" in out and "FAIL" in out
 
 
+@pytest.mark.parametrize("argv,fragment", [
+    (["--modules", "bogus"], "invalid choice: 'bogus'"),
+    (["--modules"], "expected at least one argument"),
+])
+def test_gradcheck_bad_modules_is_usage_error(capsys, argv, fragment):
+    code, _, err = run_cli(capsys, "gradcheck", *argv)
+    _assert_validation_error(code, err, fragment)
+
+
 # ---------------------------------------------------------------------------
 # bench
 
@@ -280,6 +379,60 @@ def test_bench_csv_schema_and_slope(tmp_path, capsys):
     first = rows[0]
     assert int(first["N"]) == 256 and int(first["K"]) == 256
     assert int(first["assign_flops_grouped"]) == int(first["assign_flops_global"])
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["--min-exp", "12", "--max-exp", "10"], "need 0 <= --min-exp <= --max-exp"),
+    (["--min-exp", "-1", "--max-exp", "2"], "need 0 <= --min-exp <= --max-exp"),
+    (["--repeats", "0"], "--repeats must be >= 1"),
+    (["--min-exp", "3", "--max-exp", "4", "--network-out", "n.csv"], "too small for a 2-stage network"),
+])
+def test_bench_bad_sweep_flag_is_validation_error(tmp_path, capsys, argv, fragment):
+    code, _, err = run_cli(capsys, "bench", "--out", str(tmp_path / "r.csv"), *argv)
+    _assert_validation_error(code, err, fragment)
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_bench_flags_reach_the_sweeps(tmp_path, capsys, monkeypatch):
+    """Sweep timings do not show the seed or the repeat count, so the sweeps
+    are replaced by recorders of what the command passed them."""
+    from hsmoe import bench
+
+    calls = {}
+
+    def recorder(name, rows):
+        def sweep(n_values, **kwargs):
+            calls[name] = dict(kwargs, n_values=list(n_values))
+            return rows
+        return sweep
+
+    row = {"N": 1, "K": 1, "E": 1, "S": 1, "G": 1, "wall_ms": 1.0, "est_flops": 1,
+           "assign_flops_grouped": 1, "assign_flops_global": 1}
+    monkeypatch.setattr(bench, "routing_sweep", recorder("routing", [row, dict(row, N=2, wall_ms=2.0)]))
+    monkeypatch.setattr(bench, "network_sweep",
+                        recorder("network", [{"N": 1, "shape": "1", "wall_ms": 1.0},
+                                             {"N": 2, "shape": "2", "wall_ms": 2.0}]))
+
+    def norm_comparison(seed):
+        calls["norms"] = {"seed": seed}
+        return {"dyt": 1.0, "ln": 2.0}
+
+    monkeypatch.setattr(bench, "norm_comparison", norm_comparison)
+    path = tmp_path / "seed.cfg"
+    path.write_text("seed = 4\n")
+    code, out, _ = run_cli(capsys, "bench", "--config", str(path), "--out", str(tmp_path / "r.csv"),
+                           "--min-exp", "6", "--max-exp", "7", "--group-size", "32", "--repeats", "2")
+    assert code == EXIT_OK
+    assert calls == {"routing": {"n_values": [64, 128], "group_size": 32, "seed": 4, "repeats": 2}}
+    code, out, _ = run_cli(capsys, "bench", "--config", str(path), "--seed", "8",
+                           "--out", str(tmp_path / "r.csv"), "--min-exp", "6", "--max-exp", "6",
+                           "--network-out", str(tmp_path / "n.csv"), "--compare-norms")
+    assert code == EXIT_OK
+    assert calls["routing"]["seed"] == 8 and calls["routing"]["repeats"] == 3
+    assert calls["network"] == {"n_values": [64], "seed": 8, "repeats": 3}
+    assert calls["norms"] == {"seed": 8}
+    assert "network log-log slope" in out and "dyt <= ln: yes" in out
+    assert (tmp_path / "n.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +466,47 @@ def test_train_eval_roundtrip(tmp_path, capsys):
     assert {r["case_id"] for r in rows} == {"case000", "case001"}
 
 
+def test_train_eval_f32_roundtrip(tmp_path, capsys):
+    ckpt = str(tmp_path / "ck32")
+    small = ["--classes", "2", "--volumes", "1", "--size", "16"]
+    code, _, err = run_cli(capsys, "train", "--precision", "f32", "--steps", "2", "--batch-size", "1",
+                           *small, "--history", str(tmp_path / "h.csv"), "--checkpoint", ckpt)
+    assert code == EXIT_OK, err
+    manifest = json.loads(open(ckpt + ".json").read())
+    assert {entry["dtype"] for entry in manifest["params"]} == {"f32"}
+    out = ["--out", str(tmp_path / "m.csv"), "--json-out", str(tmp_path / "m.json")]
+    code, _, err = run_cli(capsys, "eval", "--precision", "f32", "--checkpoint", ckpt, *small, *out)
+    assert code == EXIT_OK, err
+    code, _, err = run_cli(capsys, "eval", "--checkpoint", ckpt, *small, *out)
+    _assert_validation_error(code, err, "dtype mismatch")
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_precision_casts_network_and_data(precision):
+    """Every parameter, image and gradient takes the run's dtype; the values
+    are the f64 draw, cast, so f64 runs are the unchanged draw."""
+    from hsmoe.config import tiny_config
+    from hsmoe.network import SegNet
+    from hsmoe.train import dice_ce_loss, synth_volumes
+
+    dtype = cli._PRECISIONS[precision]
+    run = build_run_config(None, cli.build_parser().parse_args(
+        ["train", "--precision", precision, "--classes", "2", "--volumes", "2"]))
+    net, data = cli._net_and_data(run, data_seed=1)
+    ref = SegNet(tiny_config(num_classes=2), seed=0)
+    ref_data = synth_volumes(seed=1, n=2, size=16, classes=2)
+    for (name, p), (_, q) in zip(net.named_parameters(), ref.named_parameters()):
+        assert p.data.dtype == dtype, name
+        assert np.array_equal(p.data, q.data.astype(dtype)), name
+    for sample, ref_sample in zip(data, ref_data):
+        assert sample.image.dtype == dtype
+        assert np.array_equal(sample.image, ref_sample.image.astype(dtype))
+    logits = net(T.Tensor(np.stack([s.image for s in data])))
+    T.backward(dice_ce_loss(logits, np.stack([s.label for s in data])))
+    for name, p in net.named_parameters():
+        assert p.grad is not None and p.grad.dtype == dtype, name
+
+
 def test_eval_missing_checkpoint_is_clear_error(capsys):
     code, _, err = run_cli(capsys, "eval", "--preset", "tiny", "--checkpoint", "/nonexistent/ck")
     assert code == EXIT_VALIDATION
@@ -340,6 +534,27 @@ def test_eval_identical_pred_gt_fixture(tmp_path, capsys):
     summary = json.loads(open(mjson).read())
     assert summary["mdsc"] == 1.0
     assert summary["mhd95"] == 0.0
+
+
+@pytest.mark.parametrize("volume", ["pred", "gt"])
+def test_eval_class_id_outside_range_names_the_volume(tmp_path, capsys, volume):
+    dirs = {kind: tmp_path / kind for kind in ("pred", "gt")}
+    for path in dirs.values():
+        path.mkdir()
+    for name in ("a", "b"):
+        lab = np.zeros((4, 4, 4), dtype=np.int64)
+        lab[1:3, 1:3, 1:3] = 1
+        write_volume(str(dirs["gt"] / name), lab, dtype="u8")
+        if name == "b" and volume == "pred":
+            lab[0, 0, 0] = 7
+        write_volume(str(dirs["pred"] / name), lab, dtype="u8")
+    if volume == "gt":
+        lab[0, 0, 0] = 7
+        write_volume(str(dirs["gt"] / "b"), lab, dtype="u8")
+    code, _, err = run_cli(capsys, "eval", "--classes", "2", "--pred-dir", str(dirs["pred"]),
+                           "--gt-dir", str(dirs["gt"]), "--out", str(tmp_path / "m.csv"),
+                           "--json-out", str(tmp_path / "m.json"))
+    _assert_validation_error(code, err, f"b: {volume} contains class ids outside [0, 2)")
 
 
 def test_threads_flag_gives_same_eval_results(tmp_path, capsys):
