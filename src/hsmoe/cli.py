@@ -232,6 +232,8 @@ def cmd_gradcheck(run: RunConfig, args) -> int:
 def cmd_bench(run: RunConfig, args) -> int:
     if not 0 <= args.min_exp <= args.max_exp:
         raise ConfigError(f"need 0 <= --min-exp <= --max-exp, got {args.min_exp} and {args.max_exp}")
+    if args.min_exp == args.max_exp:
+        raise ConfigError(f"need --min-exp < --max-exp (a slope needs two sizes), got {args.min_exp} for both")
     if args.repeats < 1:
         raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
     n_values = [2 ** k for k in range(args.min_exp, args.max_exp + 1)]
@@ -448,9 +450,12 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+            flag = argv[0].split("=", 1)[0]
+            raise ConfigError(f"{flag} goes after the subcommand, as in 'hsmoe <command> {flag} ...'")
+        args = build_parser().parse_args(argv)
         run = build_run_config(getattr(args, "config", None), args)
         return _COMMANDS[args.command](run, args)
     except (ConfigError, CheckpointError, VolumeIOError, MetricError) as err:

@@ -21,7 +21,6 @@ class StageConfig:
     slots_per_expert: int
     num_experts_l2: Optional[int] = None  # defaults to 2 * num_experts
     ffn_ratio: int = 2
-    activation: str = "gelu"
 
     def __post_init__(self):
         if self.num_experts_l2 is None:

@@ -1,4 +1,4 @@
-"""Neural building blocks: linear maps, expert FFNs, normalizations, 3D convs.
+"""Neural building blocks: linear maps, GELU, normalizations, 3D convs.
 
 Parameters are ``Tensor`` leaves registered on ``Module`` attributes; names are
 the dotted attribute paths, unique per network, which is what checkpointing
@@ -63,27 +63,11 @@ class Linear(Module):
         self.weight = Tensor(_uniform_init(rng, (in_dim, out_dim), in_dim), requires_grad=True)
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
         self.in_dim = in_dim
-        self.out_dim = out_dim
-
-    @classmethod
-    def over(cls, weight: Tensor, bias: Tensor) -> "Linear":
-        """A Linear computing with existing weight [in,out] and bias [out]
-        tensors (shared, not copied)."""
-        lin = cls.__new__(cls)
-        lin.weight, lin.bias = weight, bias
-        lin.in_dim, lin.out_dim = weight.shape
-        return lin
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"Linear: trailing dim {x.shape[-1]} != in_dim {self.in_dim} (input {x.shape})")
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = T.reshape(x, (1, -1))
-        out = T.add(T.matmul(x, self.weight), self.bias)
-        if squeeze:
-            out = T.reshape(out, (self.out_dim,))
-        return out
+        return T.add(T.matmul(x, self.weight), self.bias)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -120,43 +104,6 @@ def gelu(x: Tensor) -> Tensor:
         return (dx,)
 
     return T._trace(out, (x,), bwd, "gelu")
-
-
-_ACTIVATIONS = {
-    "gelu": gelu,
-    "tanh": T.tanh,
-    "identity": lambda x: x,
-}
-
-
-def activation_fn(name: str):
-    """The traced activation function called ``name``."""
-    if name not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {name!r}; choose from {sorted(_ACTIVATIONS)}")
-    return _ACTIVATIONS[name]
-
-
-class FeedForward(Module):
-    """Width-preserving expert FFN: Linear(d -> r*d) -> activation -> Linear(r*d -> d)."""
-
-    def __init__(self, dim: int, rng: np.random.Generator, ratio: int = 2, activation: str = "gelu"):
-        activation_fn(activation)
-        self.lin1 = Linear(dim, ratio * dim, rng)
-        self.lin2 = Linear(ratio * dim, dim, rng)
-        self.dim = dim
-        self.activation = activation
-
-    @classmethod
-    def over(cls, lin1: Linear, lin2: Linear, activation: str) -> "FeedForward":
-        """A FeedForward computing with existing layers (shared, not copied)."""
-        ffn = cls.__new__(cls)
-        ffn.lin1, ffn.lin2 = lin1, lin2
-        ffn.dim = lin1.in_dim
-        ffn.activation = activation
-        return ffn
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.lin2(activation_fn(self.activation)(self.lin1(x)))
 
 
 class DynamicTanh(Module):

@@ -141,26 +141,21 @@ def combine(slot_out: Tensor, weights: Tensor, n_tokens: int) -> Tensor:
 
 
 class ExpertBank(nn.Module):
-    """E width-preserving expert FFNs (Linear d->r*d, activation, Linear
-    r*d->d) stored as stacked parameters w1 [E,d,r*d], b1 [E,1,r*d],
-    w2 [E,r*d,d], b2 [E,1,d].
+    """E width-preserving expert FFNs (Linear d->r*d, GELU, Linear r*d->d)
+    stored as stacked parameters w1 [E,d,r*d], b1 [E,1,r*d], w2 [E,r*d,d],
+    b2 [E,1,d].
 
     Calling the bank on [..., d] runs every expert on every token with one
-    broadcast matmul per linear and returns [E, ..., d]. ``len``, iteration
-    and ``bank[e]`` give expert e as an ``nn.FeedForward`` whose weights are
-    numpy views of slice e (an index past the end raises IndexError): writes
-    to their data change the bank, they do not require grad, and they are
-    not parameters of the bank.
+    broadcast matmul per linear and returns [E, ..., d]; expert e is slice e
+    of each stack.
     """
 
-    def __init__(self, num: int, dim: int, rng: np.random.Generator, ratio: int = 2,
-                 activation: str = "gelu"):
-        nn.activation_fn(activation)
+    def __init__(self, num: int, dim: int, rng: np.random.Generator, ratio: int = 2):
         hidden = ratio * dim
         w1 = np.zeros((num, dim, hidden))
         w2 = np.zeros((num, hidden, dim))
         if rng is not None:  # without a generator the stacks stay lazily zeroed
-            for e in range(num):  # per-expert draw order, as separate FeedForwards draw
+            for e in range(num):  # per-expert draw order: w1[e], then w2[e]
                 w1[e] = nn._uniform_init(rng, (dim, hidden), dim)
                 w2[e] = nn._uniform_init(rng, (hidden, dim), hidden)
         self.w1 = Tensor(w1, requires_grad=True)
@@ -168,22 +163,15 @@ class ExpertBank(nn.Module):
         self.w2 = Tensor(w2, requires_grad=True)
         self.b2 = Tensor(np.zeros((num, 1, dim)), requires_grad=True)
         self.dim = dim
-        self.activation = activation
 
     def __len__(self) -> int:
         return self.w1.shape[0]
-
-    def __getitem__(self, e: int) -> nn.FeedForward:
-        return nn.FeedForward.over(
-            nn.Linear.over(Tensor(self.w1.data[e]), Tensor(self.b1.data[e, 0])),
-            nn.Linear.over(Tensor(self.w2.data[e]), Tensor(self.b2.data[e, 0])),
-            self.activation)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.dim:
             raise ShapeError(f"ExpertBank: trailing dim {x.shape[-1]} != {self.dim} (input {x.shape})")
         tokens = T.reshape(x, (1, -1, self.dim))
-        hidden = nn.activation_fn(self.activation)(T.add(T.matmul(tokens, self.w1), self.b1))
+        hidden = nn.gelu(T.add(T.matmul(tokens, self.w1), self.b1))
         out = T.add(T.matmul(hidden, self.w2), self.b2)  # [E, L, d]
         return T.reshape(out, (len(self),) + x.shape)
 
@@ -204,9 +192,9 @@ class HierarchicalMoE(nn.Module):
         self.slot_emb = Tensor(nn.uniform(rng, (cfg.num_experts, cfg.slots_per_expert, d), -bound, bound),
                                requires_grad=True)
         self.router1 = nn.Linear(d, cfg.num_experts, rng)
-        self.experts1 = ExpertBank(cfg.num_experts, d, rng, cfg.ffn_ratio, cfg.activation)
+        self.experts1 = ExpertBank(cfg.num_experts, d, rng, cfg.ffn_ratio)
         self.router2 = nn.Linear(d, cfg.num_experts_l2, rng)
-        self.experts2 = ExpertBank(cfg.num_experts_l2, d, rng, cfg.ffn_ratio, cfg.activation)
+        self.experts2 = ExpertBank(cfg.num_experts_l2, d, rng, cfg.ffn_ratio)
         self.cfg = cfg
 
     def __call__(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:

@@ -25,9 +25,11 @@ from .tensor import Tensor
 
 
 def _scan(a: np.ndarray, u: np.ndarray, block_size: Optional[int]) -> np.ndarray:
-    """h_t = a_t * h_{t-1} + u_t along axis 1, h_0 = 0, in blocks of
+    """h_t = a_{t-1} * h_{t-1} + u_t along axis 1, h_0 = u_0, in blocks of
     ``min(block_size, N)`` steps (all N steps when ``block_size`` is None).
 
+    ``a`` holds the N-1 transitions: ``a[:, t-1]`` carries h_{t-1} into h_t,
+    so a caller passes ``decay[:, 1:]`` (decay_0 multiplies the zero state).
     The first loop runs every block from a zero state at once, one offset
     within the block per step, through strided views; the last block may be
     short. The second adds each block's carry, ``cumprod(a) * h`` of the
@@ -40,21 +42,20 @@ def _scan(a: np.ndarray, u: np.ndarray, block_size: Optional[int]) -> np.ndarray
     out[:, ::block] = h
     for t in range(1, block):
         hk = h[:, :(N - 1 - t) // block + 1]  # the blocks long enough to reach offset t
-        hk *= a[:, t::block]
+        hk *= a[:, t - 1::block]
         hk += u[:, t::block]
         out[:, t::block] = hk
     for start in range(block, N, block):
-        rows = slice(start, start + block)
-        out[:, rows] += np.cumprod(a[:, rows], axis=1) * out[:, start - 1:start]
+        out[:, start:start + block] += (np.cumprod(a[:, start - 1:start - 1 + block], axis=1)
+                                        * out[:, start - 1:start])
     return out
 
 
 def _adjoint(a: np.ndarray, g: np.ndarray, block_size: Optional[int]) -> np.ndarray:
     """The scan's backward: lam_t = g_t + a_{t+1} * lam_{t+1}, a reversed
-    linear recurrence run on the same kernel. lam is dL/d(drive)."""
-    arev = np.flip(a, axis=1)
-    shifted = np.concatenate([np.ones_like(arev[:, :1]), arev[:, :-1]], axis=1)
-    return np.flip(_scan(shifted, np.ascontiguousarray(np.flip(g, axis=1)), block_size), axis=1)
+    linear recurrence run on the same kernel through reversed views, with
+    a_N .. a_1 as its transitions. lam is dL/d(drive)."""
+    return _scan(a[:, :0:-1], g[:, ::-1], block_size)[:, ::-1]
 
 
 def linear_recurrence(decay: Tensor, drive: Tensor, block_size: Optional[int] = 64) -> Tensor:
@@ -67,7 +68,7 @@ def linear_recurrence(decay: Tensor, drive: Tensor, block_size: Optional[int] = 
     if decay.ndim < 2 or decay.shape[1] < 1:
         raise T.ShapeError(f"linear_recurrence needs [B, N, ...] with N >= 1, got {decay.shape}")
     a = decay.data
-    h = _scan(a, drive.data, block_size)
+    h = _scan(a[:, 1:], drive.data, block_size)
 
     def bwd(g):
         lam = _adjoint(a, g, block_size)
@@ -101,7 +102,7 @@ def selective_scan_fn(x: Tensor, delta: Tensor, A: Tensor, B: Tensor, C: Tensor,
     np.exp(decay, out=decay)
     drive = dt * B.data[:, :, None, :]
     drive *= x.data[..., None]
-    h = _scan(decay, drive, block_size)
+    h = _scan(decay[:, 1:], drive, block_size)
     y = np.einsum("btjk,btk->btj", h, C.data)
     y += D.data * x.data
 

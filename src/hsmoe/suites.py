@@ -17,7 +17,7 @@ from .blocks import EncoderBlock, GatedSpatialConv
 from .config import StageConfig, make_network_config
 from .gradcheck import CheckResult, grad_check, weighted_sum_loss
 from .network import SegNet
-from .routing import HierarchicalMoE
+from .routing import ExpertBank, HierarchicalMoE
 from .tensor import Tensor
 
 
@@ -40,7 +40,7 @@ def tensor_core_suite() -> List[CheckResult]:
 
 def nn_prims_suite() -> List[CheckResult]:
     g = T.rng(102)
-    ffn = nn.FeedForward(3, g)
+    ffn = ExpertBank(1, 3, g)
     dyt = nn.DynamicTanh(3)
     ln = nn.LayerNorm(3)
     conv = nn.Conv3d(2, 2, 2, g, padding=1)

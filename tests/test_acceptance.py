@@ -30,16 +30,17 @@ def _report(criterion: int, detail: str) -> None:
     print(f"[criterion {criterion:2d}] PASS: {detail}")
 
 
+def _expert_fns(bank):
+    return [ffn_closure(bank.w1.data[e], bank.b1.data[e, 0], bank.w2.data[e], bank.b2.data[e, 0], "gelu")
+            for e in range(len(bank))]
+
+
 def _run_layer_oracle(layer: HierarchicalMoE, x, mask=None):
-    fns1 = [ffn_closure(f.lin1.weight.data, f.lin1.bias.data,
-                        f.lin2.weight.data, f.lin2.bias.data, f.activation)
-            for f in layer.experts1]
-    fns2 = [ffn_closure(f.lin1.weight.data, f.lin1.bias.data,
-                        f.lin2.weight.data, f.lin2.bias.data, f.activation)
-            for f in layer.experts2]
     return hierarchical_moe_naive(x, mask, layer.cfg.group_size, layer.slot_emb.data,
-                                  layer.router1.weight.data, layer.router1.bias.data, fns1,
-                                  layer.router2.weight.data, layer.router2.bias.data, fns2)
+                                  layer.router1.weight.data, layer.router1.bias.data,
+                                  _expert_fns(layer.experts1),
+                                  layer.router2.weight.data, layer.router2.bias.data,
+                                  _expert_fns(layer.experts2))
 
 
 def test_criterion_1_routing_oracle_equivalence():

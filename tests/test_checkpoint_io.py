@@ -7,12 +7,13 @@ import pytest
 
 from hsmoe import nn, tensor as T
 from hsmoe.checkpoint import CheckpointError, load_checkpoint, load_into, save_checkpoint
+from hsmoe.routing import ExpertBank
 from hsmoe.tensor import Tensor
 from hsmoe.volio import VolumeIOError, read_volume, write_volume
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
-    ffn = nn.FeedForward(3, T.rng(0))
+    ffn = ExpertBank(1, 3, T.rng(0))
     base = str(tmp_path / "ckpt")
     save_checkpoint(list(ffn.named_parameters()), base)
     values = load_checkpoint(base)
@@ -39,14 +40,14 @@ def test_checkpoint_manifest_schema(tmp_path):
 
 
 def test_load_into_restores_and_checks(tmp_path):
-    a = nn.FeedForward(3, T.rng(2))
+    a = ExpertBank(1, 3, T.rng(2))
     base = str(tmp_path / "ckpt")
     save_checkpoint(list(a.named_parameters()), base)
-    b = nn.FeedForward(3, T.rng(3))
+    b = ExpertBank(1, 3, T.rng(3))
     load_into(b, base)
     for (_, pa), (_, pb) in zip(a.named_parameters(), b.named_parameters()):
         assert np.array_equal(pa.data, pb.data)
-    wrong = nn.FeedForward(4, T.rng(4))
+    wrong = ExpertBank(1, 4, T.rng(4))
     with pytest.raises(CheckpointError):
         load_into(wrong, base)
 

@@ -118,7 +118,10 @@ def test_each_subcommand_accepts_exactly_the_flags_it_reads():
 ])
 def test_flag_a_command_does_not_read_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
-    _assert_validation_error(code, err)
+    if argv[0].startswith("-"):  # placed before the subcommand: the error names the flag
+        _assert_validation_error(code, err, argv[0], "after the subcommand")
+    else:
+        _assert_validation_error(code, err)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +389,7 @@ def test_bench_csv_schema_and_slope(tmp_path, capsys):
     (["--min-exp", "-1", "--max-exp", "2"], "need 0 <= --min-exp <= --max-exp"),
     (["--repeats", "0"], "--repeats must be >= 1"),
     (["--min-exp", "3", "--max-exp", "4", "--network-out", "n.csv"], "too small for a 2-stage network"),
+    (["--min-exp", "8", "--max-exp", "8"], "need --min-exp < --max-exp"),
 ])
 def test_bench_bad_sweep_flag_is_validation_error(tmp_path, capsys, argv, fragment):
     code, _, err = run_cli(capsys, "bench", "--out", str(tmp_path / "r.csv"), *argv)
@@ -425,11 +429,11 @@ def test_bench_flags_reach_the_sweeps(tmp_path, capsys, monkeypatch):
     assert code == EXIT_OK
     assert calls == {"routing": {"n_values": [64, 128], "group_size": 32, "seed": 4, "repeats": 2}}
     code, out, _ = run_cli(capsys, "bench", "--config", str(path), "--seed", "8",
-                           "--out", str(tmp_path / "r.csv"), "--min-exp", "6", "--max-exp", "6",
+                           "--out", str(tmp_path / "r.csv"), "--min-exp", "6", "--max-exp", "7",
                            "--network-out", str(tmp_path / "n.csv"), "--compare-norms")
     assert code == EXIT_OK
     assert calls["routing"]["seed"] == 8 and calls["routing"]["repeats"] == 3
-    assert calls["network"] == {"n_values": [64], "seed": 8, "repeats": 3}
+    assert calls["network"] == {"n_values": [64, 128], "seed": 8, "repeats": 3}
     assert calls["norms"] == {"seed": 8}
     assert "network log-log slope" in out and "dyt <= ln: yes" in out
     assert (tmp_path / "n.csv").exists()

@@ -1,4 +1,4 @@
-"""Linear / FFN / DyT / LayerNorm / conv3d contracts and gradients."""
+"""Linear / expert FFN / DyT / LayerNorm / conv3d contracts and gradients."""
 
 import math
 import tracemalloc
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hsmoe import nn, tensor as T
 from hsmoe.gradcheck import grad_check, weighted_sum_loss
+from hsmoe.routing import ExpertBank
 from hsmoe.tensor import ShapeError, Tensor
 from oracles import conv3d_naive
 
@@ -44,22 +45,22 @@ def test_linear_dim_mismatch():
 
 
 def test_ffn_zero_weights_propagates_bias():
-    ffn = nn.FeedForward(3, T.rng(4))
+    ffn = ExpertBank(1, 3, T.rng(4))
     for p in ffn.parameters():
         p.data[:] = 0.0
-    ffn.lin2.bias.data[:] = 0.25
+    ffn.b2.data[:] = 0.25
     out = ffn(Tensor(T.rng(5).uniform(-1, 1, (2, 3))))
     assert np.allclose(out.data, 0.25)
 
 
 def test_ffn_preserves_shape():
-    ffn = nn.FeedForward(4, T.rng(6))
+    ffn = ExpertBank(1, 4, T.rng(6))
     x = Tensor(T.rng(7).uniform(-1, 1, (2, 3, 5, 4)))
-    assert ffn(x).shape == (2, 3, 5, 4)
+    assert ffn(x).shape == (1, 2, 3, 5, 4)
 
 
 def test_ffn_gradient():
-    ffn = nn.FeedForward(3, T.rng(8))
+    ffn = ExpertBank(1, 3, T.rng(8))
     x = Tensor(T.rng(9).uniform(-1, 1, (2, 3)))
     params = dict(ffn.named_parameters())
     res = grad_check(lambda: weighted_sum_loss(ffn(x)), params, name="ffn", tol=1e-6)
@@ -362,7 +363,7 @@ def test_named_parameters_unique_and_complete():
     class Wrap(nn.Module):
         def __init__(self):
             self.a = nn.Linear(2, 3, T.rng(24))
-            self.blocks = [nn.FeedForward(3, T.rng(25)), nn.FeedForward(3, T.rng(26))]
+            self.blocks = [ExpertBank(1, 3, T.rng(25)), ExpertBank(1, 3, T.rng(26))]
 
     names = [n for n, _ in Wrap().named_parameters()]
     assert len(names) == len(set(names))

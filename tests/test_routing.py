@@ -16,19 +16,20 @@ from hsmoe.tensor import ShapeError, Tensor
 from oracles import ffn_closure, hierarchical_moe_naive
 
 
-def make_layer(dim=2, experts=2, group=2, slots=1, seed=0, activation="gelu") -> HierarchicalMoE:
-    cfg = StageConfig(dim=dim, num_experts=experts, group_size=group, slots_per_expert=slots,
-                      activation=activation)
+def make_layer(dim=2, experts=2, group=2, slots=1, seed=0) -> HierarchicalMoE:
+    cfg = StageConfig(dim=dim, num_experts=experts, group_size=group, slots_per_expert=slots)
     return HierarchicalMoE(cfg, T.rng(seed))
 
 
+def expert_fns(bank: ExpertBank) -> list:
+    """Oracle closures over each expert's slice of the bank's stacks."""
+    return [ffn_closure(bank.w1.data[e], bank.b1.data[e, 0], bank.w2.data[e], bank.b2.data[e, 0], "gelu")
+            for e in range(len(bank))]
+
+
 def run_oracle(layer: HierarchicalMoE, x, mask=None):
-    fns1 = [ffn_closure(f.lin1.weight.data, f.lin1.bias.data,
-                        f.lin2.weight.data, f.lin2.bias.data, f.activation)
-            for f in layer.experts1]
-    fns2 = [ffn_closure(f.lin1.weight.data, f.lin1.bias.data,
-                        f.lin2.weight.data, f.lin2.bias.data, f.activation)
-            for f in layer.experts2]
+    fns1 = expert_fns(layer.experts1)
+    fns2 = expert_fns(layer.experts2)
     return hierarchical_moe_naive(
         x, mask, layer.cfg.group_size, layer.slot_emb.data,
         layer.router1.weight.data, layer.router1.bias.data, fns1,
@@ -137,32 +138,23 @@ def test_dispatch_rows_of_valid_tokens_sum_to_one(n, k, e, s):
 
 
 def test_bank_draws_match_separate_feedforwards():
+    # expert by expert, w1[e] then w2[e], as separate FFNs would draw; biases start at zero
     bank = ExpertBank(3, 2, T.rng(40), ratio=2)
     rng = T.rng(40)
-    ffns = [nn.FeedForward(2, rng, 2) for _ in range(3)]
-    for e, ffn in enumerate(ffns):
-        assert np.array_equal(bank.w1.data[e], ffn.lin1.weight.data)
-        assert np.array_equal(bank.b1.data[e, 0], ffn.lin1.bias.data)
-        assert np.array_equal(bank.w2.data[e], ffn.lin2.weight.data)
-        assert np.array_equal(bank.b2.data[e, 0], ffn.lin2.bias.data)
+    for e in range(3):
+        assert np.array_equal(bank.w1.data[e], nn._uniform_init(rng, (2, 4), 2))
+        assert np.array_equal(bank.w2.data[e], nn._uniform_init(rng, (4, 2), 4))
+    assert not bank.b1.data.any() and not bank.b2.data.any()
 
 
-def test_bank_views_write_through_and_are_not_parameters():
+def test_layer_parameters_are_routers_and_expert_stacks():
     layer = make_layer(dim=2, experts=2, group=2, slots=1, seed=41)
     names = [n for n, _ in layer.named_parameters()]
     assert names == ["slot_emb", "router1.weight", "router1.bias",
                      "experts1.w1", "experts1.b1", "experts1.w2", "experts1.b2",
                      "router2.weight", "router2.bias",
                      "experts2.w1", "experts2.b1", "experts2.w2", "experts2.b2"]
-    assert len(layer.experts1) == 2 and len(list(layer.experts2)) == 4
-    layer.experts1[1].lin1.weight.data[:] = 7.0
-    layer.experts2[3].lin2.bias.data[:] = -3.0
-    assert np.all(layer.experts1.w1.data[1] == 7.0)
-    assert not np.any(layer.experts1.w1.data[0] == 7.0)
-    assert np.all(layer.experts2.b2.data[3] == -3.0)
-    assert np.all(layer.experts2.b2.data[:3] == 0.0)
-    with pytest.raises(IndexError):
-        layer.experts1[2]
+    assert len(layer.experts1) == 2 and len(layer.experts2) == 4
 
 
 def test_bank_expert_view_matches_slice_of_bank_output():
@@ -172,8 +164,8 @@ def test_bank_expert_view_matches_slice_of_bank_output():
     x = Tensor(T.rng(45).uniform(-1, 1, (2, 3, 5, 4)))
     out = bank(x)
     assert out.shape == (3, 2, 3, 5, 4)
-    for e, expert in enumerate(bank):
-        assert np.max(np.abs(expert(x).data - out.data[e])) < 1e-12
+    for e, fn in enumerate(expert_fns(bank)):
+        assert np.max(np.abs(fn(x.data) - out.data[e])) < 1e-12
 
 
 def test_f32_layer_with_padding_stays_f32():
@@ -199,7 +191,7 @@ def test_level1_single_expert_is_plain_ffn():
     layer = make_layer(dim=3, experts=1, group=2, slots=2, seed=8)
     slots = Tensor(T.rng(9).uniform(-1, 1, (1, 2, 2, 3)))
     out = level1_route(slots, layer.router1, layer.experts1)
-    want = layer.experts1[0](slots).data
+    want = expert_fns(layer.experts1)[0](slots.data)
     assert np.allclose(out.data, want, atol=1e-15)
 
 
@@ -209,28 +201,21 @@ def test_level1_zero_router_uniform_mixture():
     layer.router1.bias.data[:] = 0.0
     slots = Tensor(T.rng(11).uniform(-1, 1, (2, 2, 3, 3)))
     out = level1_route(slots, layer.router1, layer.experts1)
-    want = sum(f(slots).data for f in layer.experts1) / 3.0
+    want = sum(f(slots.data) for f in expert_fns(layer.experts1)) / 3.0
     assert np.allclose(out.data, want, atol=1e-14)
 
 
-def test_level1_closed_form_with_identity_experts():
+def test_level1_closed_form_two_experts():
+    # a constant gate p = softmax(router bias) mixes the experts: p0 f0(x) + p1 f1(x)
     d = 3
-    cfg = StageConfig(dim=d, num_experts=2, group_size=2, slots_per_expert=2,
-                      activation="identity")
-    layer = HierarchicalMoE(cfg, T.rng(12))
-    for scale, ffn in zip((1.0, 2.0), layer.experts1):
-        ffn.lin1.weight.data[:] = 0.0
-        ffn.lin1.weight.data[:d, :d] = np.eye(d)
-        ffn.lin1.bias.data[:] = 0.0
-        ffn.lin2.weight.data[:] = 0.0
-        ffn.lin2.weight.data[:d, :d] = scale * np.eye(d)
-        ffn.lin2.bias.data[:] = 0.0
+    layer = make_layer(dim=d, experts=2, group=2, slots=2, seed=12)
     layer.router1.weight.data[:] = 0.0
     layer.router1.bias.data[:] = [0.3, -0.8]
     p = np.exp([0.3, -0.8]) / np.exp([0.3, -0.8]).sum()
     slots = Tensor(T.rng(13).uniform(-1, 1, (1, 2, 4, d)))
     out = level1_route(slots, layer.router1, layer.experts1)
-    assert np.allclose(out.data, (p[0] + 2.0 * p[1]) * slots.data, atol=1e-14)
+    f0, f1 = expert_fns(layer.experts1)
+    assert np.allclose(out.data, p[0] * f0(slots.data) + p[1] * f1(slots.data), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +227,7 @@ def test_level2_single_expert_is_plain_ffn():
     layer = HierarchicalMoE(cfg, T.rng(14))
     seq = Tensor(T.rng(15).uniform(-1, 1, (1, 4, 2)))
     out = level2_route(seq, layer.router2, layer.experts2)
-    assert np.allclose(out.data, layer.experts2[0](seq).data, atol=1e-15)
+    assert np.allclose(out.data, expert_fns(layer.experts2)[0](seq.data), atol=1e-15)
 
 
 def test_level2_zero_router_uniform_mixture():
@@ -251,7 +236,7 @@ def test_level2_zero_router_uniform_mixture():
     layer.router2.bias.data[:] = 0.0
     seq = Tensor(T.rng(17).uniform(-1, 1, (1, 4, 2)))
     out = level2_route(seq, layer.router2, layer.experts2)
-    want = sum(f(seq).data for f in layer.experts2) / len(layer.experts2)
+    want = sum(f(seq.data) for f in expert_fns(layer.experts2)) / len(layer.experts2)
     assert np.allclose(out.data, want, atol=1e-14)
 
 
@@ -259,9 +244,7 @@ def test_level2_matches_nested_loop_to_1e12():
     layer = make_layer(dim=2, experts=1, group=2, slots=2, seed=18)  # E2=2, G*M=4
     seq = Tensor(T.rng(19).uniform(-1, 1, (1, 4, 2)))
     out = level2_route(seq, layer.router2, layer.experts2)
-    fns = [ffn_closure(f.lin1.weight.data, f.lin1.bias.data,
-                       f.lin2.weight.data, f.lin2.bias.data, f.activation)
-           for f in layer.experts2]
+    fns = expert_fns(layer.experts2)
     want = np.zeros((1, 4, 2))
     for i in range(4):
         logits = seq.data[0, i] @ layer.router2.weight.data + layer.router2.bias.data

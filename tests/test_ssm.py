@@ -72,7 +72,7 @@ def test_one_block_scan_equals_naive_recurrence_exactly(N, block):
     g = T.rng(100 + N)
     a = g.uniform(0.0, 1.0, (2, N, 3, 2))
     u = g.uniform(-1, 1, (2, N, 3, 2))
-    assert np.array_equal(ssm._scan(a, u, block), scan_naive(a, u))
+    assert np.array_equal(ssm._scan(a[:, 1:], u, block), scan_naive(a, u))
 
 
 def test_scan_peak_memory_stays_near_its_output():
@@ -83,11 +83,26 @@ def test_scan_peak_memory_stays_near_its_output():
         u = g.uniform(-1, 1, (1, N, 8, 8))
         tracemalloc.start()
         try:
-            ssm._scan(a, u, 64)
+            ssm._scan(a[:, 1:], u, 64)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * u.nbytes, f"N={N}: peak {peak / u.nbytes:.2f}x the output"
+
+
+def test_adjoint_peak_memory_stays_near_its_output():
+    # the reversed scan reads the decay and the gradient through views
+    g = T.rng(102)
+    for N in (4096, 4000):
+        a = g.uniform(0.1, 0.9, (1, N, 8, 8))
+        grad = g.uniform(-1, 1, (1, N, 8, 8))
+        tracemalloc.start()
+        try:
+            ssm._adjoint(a, grad, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * grad.nbytes, f"N={N}: peak {peak / grad.nbytes:.2f}x the output"
 
 
 def test_linear_recurrence_gradient():
