@@ -3,8 +3,8 @@
 Configuration comes from an optional ``key = value`` file (dotted keys,
 unknown keys rejected), environment overrides HSMOE_SEED / HSMOE_THREADS,
 then command-line flags, in increasing precedence. Each subcommand accepts
-only the flags it reads. Exit codes: 0 success, 1 validation error (usage
-errors included), 2 runtime/numerical failure.
+only the flags, and file keys, it reads. Exit codes: 0 success, 1 validation
+error (usage errors included), 2 runtime/numerical failure.
 """
 
 from __future__ import annotations
@@ -159,10 +159,15 @@ def build_run_config(config_path: Optional[str], args=None) -> RunConfig:
     """The run's settings: defaults, then the config file, then HSMOE_*
     environment variables, then command-line flags; validated last, so a
     bad value is rejected wherever it came from. A flag's dest is the config
-    key it overrides, so flags apply through the same table as file values.
+    key it overrides, so flags apply through the same table as file values,
+    and a file key is rejected unless the subcommand has a flag of its section.
     A ``--preset`` flag replaces any explicit network layout from the file."""
     run = RunConfig()
     values = parse_config_file(config_path) if config_path else {}
+    read = {key.split(".")[0] for key in vars(args) if key in _SCALAR_KEYS} if args else None
+    ignored = [key for key in values if read is not None and key.split(".")[0] not in read]
+    if ignored:
+        raise ConfigError(f"{config_path}: 'hsmoe {args.command}' does not read {', '.join(ignored)}")
     values.update((key, _convert(os.environ[var], _SCALAR_KEYS[key][1]))
                   for var, key in _ENV_KEYS.items() if var in os.environ)
     flags = {key: value for key, value in (vars(args) if args else {}).items()

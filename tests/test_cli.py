@@ -69,6 +69,24 @@ def test_env_overrides_seed(tmp_path, monkeypatch):
     assert build_run_config(str(path)).seed == 99
 
 
+@pytest.mark.parametrize("command,text,keys", [
+    ("train", "threads = 4\n", "threads"),
+    ("describe", "seed = 3\nprecision = f32\nnetwork.norm = ln\n", "seed, precision"),
+])
+def test_config_key_the_subcommand_ignores_is_validation_error(tmp_path, capsys, command, text, keys):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, command, "--config", str(path))
+    _assert_validation_error(code, err, f"'hsmoe {command}' does not read {keys}")
+
+
+def test_env_settings_stay_ambient_for_every_subcommand(capsys, monkeypatch):
+    monkeypatch.setenv("HSMOE_SEED", "3")
+    monkeypatch.setenv("HSMOE_THREADS", "2")
+    code, out, _ = run_cli(capsys, "describe")
+    assert code == EXIT_OK and "parameters:" in out
+
+
 def test_bad_env_value_is_validation_error(capsys, monkeypatch):
     monkeypatch.setenv("HSMOE_THREADS", "two")
     code, _, err = run_cli(capsys, "eval", "--checkpoint", "ck")

@@ -1,6 +1,8 @@
 """Dice / HD95 / sensitivity-specificity / parameter counting, against
 brute-force oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +145,77 @@ def test_hd95_symmetric_by_construction():
     if not (a.any() and b.any()):
         a[0, 0, 0] = b[1, 1, 1] = True
     assert hd95(a, b) == hd95(b, a)
+
+
+# ---------------------------------------------------------------------------
+# HD95 nearest neighbours: bit for bit against the difference-array brute force
+
+
+def _brute_min_dists(src, dst):
+    """The difference-array loop HD95 used before the matmul candidates."""
+    out = np.empty(len(src))
+    chunk = max(1, 2_000_000 // max(len(dst), 1))
+    for i in range(0, len(src), chunk):
+        d2 = ((src[i:i + chunk, None, :] - dst[None, :, :]) ** 2).sum(-1)
+        out[i:i + chunk] = np.sqrt(d2.min(axis=1))
+    return out
+
+
+def _assert_bitwise_brute(a, b, spacing):
+    sp = np.asarray(spacing, dtype=np.float64)
+    P = metrics.surface_voxels(a) * sp
+    G = metrics.surface_voxels(b) * sp
+    pooled = []
+    for src, dst in ((P, G), (G, P)):
+        want = _brute_min_dists(src, dst)
+        assert np.array_equal(metrics._directed_min_dists(src, dst), want)
+        pooled.append(want)
+    pooled = np.sort(np.concatenate(pooled))
+    assert hd95(a, b, spacing) == pooled[math.ceil(0.95 * len(pooled)) - 1]
+
+
+def _ball(shape, centre, radius):
+    grid = np.indices(shape) - np.reshape(centre, (3, 1, 1, 1))
+    return (grid ** 2).sum(0) <= radius ** 2
+
+
+def test_hd95_exact_ties_unit_spacing_match_bruteforce_bitwise():
+    # one voxel against the 30 voxels at distance exactly 5: (5,0,0) and
+    # (3,4,0) up to sign and order, so every candidate of that row ties
+    a = np.zeros((13, 13, 13), dtype=bool)
+    a[6, 6, 6] = True
+    shell = (np.indices(a.shape) - 6) ** 2
+    b = shell.sum(0) == 25
+    assert b.sum() == 30
+    _assert_bitwise_brute(a, b, (1.0, 1.0, 1.0))
+    g = T.rng(7)
+    for _ in range(5):
+        _assert_bitwise_brute(g.uniform(size=(12, 12, 12)) > 0.5,
+                              g.uniform(size=(12, 12, 12)) > 0.6, (1.0, 1.0, 1.0))
+    _assert_bitwise_brute(_ball((20, 20, 20), (9, 9, 9), 6), _ball((20, 20, 20), (10, 9, 8), 6),
+                          (1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("spacing", [(0.7, 1.3, 2.1), (0.5, 0.5, 3.0), (1.1, 0.9, 1.0)])
+def test_hd95_near_ties_scaled_spacing_match_bruteforce_bitwise(spacing):
+    g = T.rng(8)
+    for _ in range(4):
+        _assert_bitwise_brute(g.uniform(size=(10, 14, 9)) > 0.55,
+                              g.uniform(size=(10, 14, 9)) > 0.5, spacing)
+    _assert_bitwise_brute(_ball((24, 24, 24), (11, 12, 11), 8), _ball((24, 24, 24), (12, 11, 12), 7),
+                          spacing)
+
+
+@pytest.mark.parametrize("budget", [None, 9_999])
+def test_hd95_over_many_chunks_matches_bruteforce_bitwise(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(metrics, "_CHUNK_SCORES", budget)
+    a = _ball((40, 40, 40), (19, 19, 20), 15)
+    b = _ball((40, 40, 40), (20, 19, 19), 14)
+    rows = metrics._CHUNK_SCORES // len(metrics.surface_voxels(b))
+    assert 1 <= rows < len(metrics.surface_voxels(a)) // 4  # more than four chunks
+    _assert_bitwise_brute(a, b, (1.0, 1.0, 1.0))
+    _assert_bitwise_brute(a, b, (0.7, 1.3, 2.1))
 
 
 # ---------------------------------------------------------------------------
