@@ -32,13 +32,6 @@ def to_volume(seq: Tensor, spatial: Tuple[int, int, int]) -> Tensor:
     return T.permute(T.reshape(seq, (B, D, H, W, C)), (0, 4, 1, 2, 3))
 
 
-def norm_channels(norm: nn.Module, x: Tensor) -> Tensor:
-    """Apply a trailing-dim normalization module over the channel axis of a
-    [B,C,D,H,W] volume."""
-    B, C, D, H, W = x.shape
-    return to_volume(norm(to_tokens(x)), (D, H, W))
-
-
 class GatedSpatialConv(nn.Module):
     """conv_out(conv_main(x) * sigmoid(conv_gate(x))) + x, channel-preserving.
 

@@ -462,7 +462,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             raise ConfigError(f"{flag} goes after the subcommand, as in 'hsmoe <command> {flag} ...'")
         args = build_parser().parse_args(argv)
         run = build_run_config(getattr(args, "config", None), args)
-        return _COMMANDS[args.command](run, args)
+        # an overflow raises NumericalError from the op's finiteness check;
+        # numpy's own RuntimeWarning before it would only repeat the error
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](run, args)
     except (ConfigError, CheckpointError, VolumeIOError, MetricError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION

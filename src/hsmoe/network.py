@@ -3,7 +3,8 @@
 Encoder: strided stem (halves each spatial extent), then per stage a block
 stack followed by a downsampling conv that halves space and doubles channels.
 Decoder: transposed-conv upsampling, skip concatenation, two refining convs
-per stage; the head undoes the stem stride and projects to class logits.
+per stage; the head undoes the stem stride and projects to class logits, as
+one transposed conv composed from its two linear layers.
 
 Input extents must be divisible by 2**num_stages so every halving is exact;
 this is validated up front rather than hidden behind implicit padding.
@@ -16,7 +17,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import nn, tensor as T
-from .blocks import EncoderBlock, norm_channels
+from .blocks import EncoderBlock
 from .config import ConfigError, NetworkConfig
 from .tensor import Tensor
 
@@ -51,6 +52,7 @@ class UpBlock(nn.Module):
     gain collapses spatial variance across the upsampling chain, while
     LayerNorm rescales to unit variance at every stage. The DyT/LN selector
     applies to the encoder block normalizations, which sit on residual paths.
+    Each LayerNorm runs over the volume's channel axis, with no token layout.
     """
 
     def __init__(self, channels: int, rng: np.random.Generator):
@@ -65,8 +67,8 @@ class UpBlock(nn.Module):
         if u.shape != skip.shape:
             raise ConfigError(f"decoder skip shape {skip.shape} does not match upsampled {u.shape}")
         h = T.concatenate([skip, u], axis=1)
-        h = nn.gelu(norm_channels(self.norm1, self.conv1(h)))
-        return nn.gelu(norm_channels(self.norm2, self.conv2(h)))
+        h = nn.gelu(self.norm1(self.conv1(h), axis=1))
+        return nn.gelu(self.norm2(self.conv2(h), axis=1))
 
 
 class SegNet(nn.Module):
@@ -119,7 +121,16 @@ class SegNet(nn.Module):
         h = feats[-1]
         for i in range(len(self.ups) - 1, -1, -1):
             h = self.ups[i](feats[i], h)
-        return self.head_conv(self.head_up(h))
+        # head_conv(head_up(h)) as one transposed conv with weight W_t W_1^T and
+        # bias W_1 b_t + b_1, traced so both layers keep their gradients; the
+        # [B, stem_channels, D, H, W] map is never built
+        up, conv = self.head_up, self.head_conv
+        C, S = up.weight.shape[:2]
+        K = conv.weight.shape[0]
+        w1 = T.reshape(conv.weight, (K, S))
+        weight = T.reshape(T.matmul(w1, T.reshape(up.weight, (C, S, 8))), (C, K, 2, 2, 2))
+        bias = T.add(T.reshape(T.matmul(w1, T.reshape(up.bias, (S, 1))), (K,)), conv.bias)
+        return nn.conv_transpose3d(h, weight, bias)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.decoder_forward(self.encoder_forward(x))

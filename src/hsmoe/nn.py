@@ -120,11 +120,26 @@ class DynamicTanh(Module):
         self.dim = dim
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.mul(self.w, T.tanh(T.mul(self.alpha, x))), self.b)
+        """One tape op ("dyt") in the order of the traced composition, so its
+        values are bit-identical to it; only t = tanh(alpha * x) is kept for
+        the backward."""
+        x = T.as_tensor(x)
+        w, b, alpha = self.w.data, self.b.data, self.alpha.data
+        t = np.tanh(alpha * x.data)
+        out = w * t
+        out += b
+
+        def bwd(g):
+            lead = tuple(range(g.ndim - 1))
+            dpre = g * w
+            dpre *= 1.0 - t * t  # the gradient at alpha * x
+            return dpre * alpha, (g * t).sum(axis=lead), g.sum(axis=lead), np.sum(dpre * x.data)
+
+        return T._trace(out, (x, self.w, self.b, self.alpha), bwd, "dyt")
 
 
 class LayerNorm(Module):
-    """Per-vector standardization over the trailing dim, then affine. eps=1e-5."""
+    """Per-vector standardization over one axis, then affine. eps=1e-5."""
 
     def __init__(self, dim: int, eps: float = 1e-5):
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
@@ -132,12 +147,34 @@ class LayerNorm(Module):
         self.eps = eps
         self.dim = dim
 
-    def __call__(self, x: Tensor) -> Tensor:
-        mu = T.reduce_mean(x, axis=-1, keepdims=True)
-        centered = T.sub(x, mu)
-        var = T.reduce_mean(T.mul(centered, centered), axis=-1, keepdims=True)
-        normed = T.div(centered, T.sqrt(T.add(var, self.eps)))
-        return T.add(T.mul(normed, self.gamma), self.beta)
+    def __call__(self, x: Tensor, axis: int = -1) -> Tensor:
+        """Normalize over ``axis`` (the tokens' trailing one, or 1, the
+        channels of a volume) as one tape op ("layernorm"). It keeps the
+        traced composition's order (mean, centre, mean square, divide by
+        sqrt(var + eps), scale, shift), so along the trailing axis its values
+        are bit-identical to it."""
+        x = T.as_tensor(x)
+        axis %= x.ndim
+        if x.shape[axis] != self.dim:
+            raise ShapeError(f"LayerNorm: axis {axis} of {x.shape} != dim {self.dim}")
+        affine = (self.dim,) + (1,) * (x.ndim - 1 - axis)
+        gamma = self.gamma.data.reshape(affine)
+        normed = x.data - np.mean(x.data, axis=axis, keepdims=True)
+        std = np.sqrt(np.mean(normed * normed, axis=axis, keepdims=True) + self.eps)
+        normed /= std
+        out = normed * gamma
+        out += self.beta.data.reshape(affine)
+
+        def bwd(g):
+            others = tuple(i for i in range(g.ndim) if i != axis)
+            dn = g * gamma
+            dx = normed * np.mean(dn * normed, axis=axis, keepdims=True)
+            np.subtract(dn, dx, out=dx)
+            dx -= np.mean(dn, axis=axis, keepdims=True)
+            dx /= std
+            return dx, (g * normed).sum(axis=others), g.sum(axis=others)
+
+        return T._trace(out, (x, self.gamma, self.beta), bwd, "layernorm")
 
 
 def make_norm(kind: str, dim: int) -> Module:
@@ -209,7 +246,7 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor], stride: int = 1, p
         out += wmats[i] @ views[i]
     out = np.ascontiguousarray(out.reshape(O, Do, B, Ho, Wo).transpose(2, 0, 1, 3, 4))
     if bias is not None:
-        out = out + bias.data.reshape(1, O, 1, 1, 1)
+        out += bias.data.reshape(1, O, 1, 1, 1)
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     xp_shape = xp.shape  # the closure keeps the shape, not the padded copy
@@ -259,26 +296,47 @@ class Conv3d(Module):
         return conv3d(x, self.weight, self.bias, self.stride, self.padding)
 
 
-class ConvTranspose3d(Module):
-    """Transposed conv with kernel 2, stride 2 (exact x2 upsampling, no overlap).
+def conv_transpose3d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Transposed conv, kernel 2 and stride 2 (exact x2 upsampling), of
+    [B,C,D,H,W] with weight [C,O,2,2,2] and bias [O], as one tape op.
 
-    Composed from traced primitives, so gradients come from the tape.
+    One matmul W^T [O*8, C] @ x [B, C, D*H*W] gives each of the 8 output
+    sub-lattices as a contiguous [B,O,D,H,W] block, written by strided
+    assignment into the [B,O,D,2,H,2,W,2] output. The backward copies g once
+    into that layout, g_m; then dx = W g_m and dW = sum_b x_b g_m,b^T.
     """
+    if x.ndim != 5 or x.shape[1] != weight.shape[0]:
+        raise ShapeError(f"conv_transpose3d: expected [B,{weight.shape[0]},D,H,W], got {x.shape}")
+    B, C, D, H, W = x.shape
+    O = weight.shape[1]
+    wmat = weight.data.reshape(C, O * 8)
+    xm = x.data.reshape(B, C, D * H * W)
+    mixed = np.matmul(wmat.T, xm).reshape(B, O, 2, 2, 2, D, H, W)
+    out = np.empty((B, O, D, 2, H, 2, W, 2), dtype=mixed.dtype)
+    lattices = list(itertools.product(range(2), repeat=3))
+    for a, b, c in lattices:
+        out[:, :, :, a, :, b, :, c] = mixed[:, :, a, b, c]
+    out += bias.data.reshape(1, O, 1, 1, 1, 1, 1, 1)
+
+    def bwd(g):
+        gv = g.reshape(B, O, D, 2, H, 2, W, 2)
+        gm = np.empty((B, O, 2, 2, 2, D, H, W), dtype=g.dtype)
+        for a, b, c in lattices:
+            gm[:, :, a, b, c] = gv[:, :, :, a, :, b, :, c]
+        gm = gm.reshape(B, O * 8, D * H * W)
+        dx = np.matmul(wmat, gm).reshape(x.shape)
+        dw = np.matmul(xm, gm.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+        return dx, dw, g.sum(axis=(0, 2, 3, 4))
+
+    return T._trace(out.reshape(B, O, 2 * D, 2 * H, 2 * W), (x, weight, bias), bwd, "conv_transpose3d")
+
+
+class ConvTranspose3d(Module):
+    """Transposed conv with kernel 2, stride 2 (exact x2 upsampling, no overlap)."""
 
     def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator):
         self.weight = Tensor(_uniform_init(rng, (in_ch, out_ch, 2, 2, 2), in_ch), requires_grad=True)
         self.bias = Tensor(np.zeros(out_ch), requires_grad=True)
-        self.in_ch = in_ch
-        self.out_ch = out_ch
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim != 5 or x.shape[1] != self.in_ch:
-            raise ShapeError(f"ConvTranspose3d: expected [B,{self.in_ch},D,H,W], got {x.shape}")
-        B, C, D, H, W = x.shape
-        O = self.out_ch
-        flat = T.reshape(T.permute(x, (0, 2, 3, 4, 1)), (B, D * H * W, C))
-        mixed = T.matmul(flat, T.reshape(self.weight, (C, O * 8)))
-        blocks = T.reshape(mixed, (B, D, H, W, O, 2, 2, 2))
-        interleaved = T.permute(blocks, (0, 4, 1, 5, 2, 6, 3, 7))
-        out = T.reshape(interleaved, (B, O, 2 * D, 2 * H, 2 * W))
-        return T.add(out, T.reshape(self.bias, (O, 1, 1, 1)))
+        return conv_transpose3d(x, self.weight, self.bias)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -368,6 +369,17 @@ def test_gradcheck_reports_corrupted_gradient(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "gradcheck", "--modules", "nn_prims")
     assert code == EXIT_RUNTIME
     assert "nn_prims/corrupted_tanh" in out and "FAIL" in out
+
+
+def test_diverging_train_prints_only_the_contract_error(capsys):
+    # an overflow is reported once, as the NumericalError; numpy's
+    # RuntimeWarning must not reach stderr before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, "train", "--size", "16", "--volumes", "2", "--batch-size", "2",
+                               "--steps", "6", "--lr", "1e12")
+    assert code == EXIT_RUNTIME
+    assert err.startswith("numerical failure: ") and "Warning" not in err
 
 
 @pytest.mark.parametrize("argv,fragment", [

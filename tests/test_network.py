@@ -69,6 +69,33 @@ def test_zero_head_gives_uniform_class_probabilities():
     assert np.allclose(probs.data, 0.5)
 
 
+def test_composed_head_matches_the_two_head_layers():
+    net = SegNet(mini_config(num_classes=3), seed=11)
+    net.head_up.bias.data[:] = T.rng(12).uniform(-1, 1, net.head_up.bias.shape)
+    net.head_conv.bias.data[:] = T.rng(13).uniform(-1, 1, net.head_conv.bias.shape)
+    with T.no_grad():
+        feats = [Tensor(f.data, requires_grad=True)
+                 for f in net.encoder_forward(Tensor(T.rng(14).uniform(0, 1, (2, 1, 8, 8, 8))))]
+    head = [net.head_up.weight, net.head_up.bias, net.head_conv.weight, net.head_conv.bias]
+
+    def uncomposed(feats):
+        h = feats[-1]
+        for i in range(len(net.ups) - 1, -1, -1):
+            h = net.ups[i](feats[i], h)
+        return net.head_conv(net.head_up(h))
+
+    results = []
+    for forward in (net.decoder_forward, uncomposed):
+        net.zero_grad()
+        logits = forward(feats)
+        T.backward(weighted_sum_loss(logits))
+        results.append((logits.data, [p.grad for p in head]))
+    (composed, grads), (want, want_grads) = results
+    assert np.max(np.abs(composed - want)) <= 1e-13 * np.max(np.abs(want))
+    for g, w in zip(grads, want_grads):
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
 def test_indivisible_extent_rejected():
     net = SegNet(mini_config(), seed=3)
     with pytest.raises(ConfigError, match="divisible"):

@@ -110,19 +110,33 @@ def test_gelu_float32_gradient_stays_float32():
 
 
 def test_tiny_forward_tape_and_parameter_census():
+    from collections import Counter
+
     from hsmoe.config import tiny_config
     from hsmoe.network import SegNet
 
-    net = SegNet(tiny_config(num_classes=3), seed=0)
-    out = net(Tensor(T.rng(53).uniform(0, 1, (4, 1, 16, 16, 16))))
-    seen, stack = set(), [out]
+    cfg = tiny_config(num_classes=3)
+    net = SegNet(cfg, seed=0)
+    x = Tensor(T.rng(53).uniform(0, 1, (4, 1, 16, 16, 16)))
+    out = net(x)
+    seen, stack, ops = set(), [out], Counter()
     while stack:
         t = stack.pop()
         if id(t) not in seen and t.node is not None:
             seen.add(id(t))
+            ops[t.node.op] += 1
             stack.extend(t.node.inputs)
-    assert len(seen) <= 450, f"{len(seen)} tape nodes in one tiny forward"
+            # the head's stem_channels-wide full-resolution map is never built
+            assert t.shape != (4, cfg.stem_channels) + x.shape[2:]
+    assert len(seen) <= 330, f"{len(seen)} tape nodes in one tiny forward"
     assert len(net.parameters()) == 198
+    # one node per norm call: two per encoder layer (DyT or LN), two LNs per decoder stage
+    encoder_norms = 2 * sum(cfg.layers_per_stage)
+    decoder_norms = 2 * (cfg.num_stages - 1)
+    assert ops["dyt"] == (encoder_norms if cfg.norm == "dyt" else 0)
+    assert ops["layernorm"] == decoder_norms + (encoder_norms if cfg.norm == "ln" else 0)
+    assert ops["conv_transpose3d"] == cfg.num_stages  # the decoder's upsamplings and the head
+    assert not {"sqrt", "tanh", "div", "sub"} & set(ops)
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +192,30 @@ def test_dyt_boundedness(value):
     assert (out >= lo - 1e-12).all() and (out <= hi + 1e-12).all()
 
 
+def _dyt_composed(dyt, x):
+    return T.add(T.mul(dyt.w, T.tanh(T.mul(dyt.alpha, x))), dyt.b)
+
+
+def test_dyt_is_one_op_bit_identical_to_composition():
+    dyt = nn.DynamicTanh(4)
+    dyt.alpha.data[...] = 0.7
+    dyt.w.data[:] = T.rng(14).uniform(-2, 2, 4)
+    dyt.b.data[:] = T.rng(15).uniform(-1, 1, 4)
+    x = Tensor(T.rng(16).normal(0, 3, (2, 5, 4)), requires_grad=True)
+    out = dyt(x)
+    assert out.node.op == "dyt" and out.node.inputs == (x, dyt.w, dyt.b, dyt.alpha)
+    assert np.array_equal(out.data, _dyt_composed(dyt, x).data)
+
+
 def test_dyt_gradient():
     dyt = nn.DynamicTanh(3)
-    x = Tensor(T.rng(12).uniform(-1, 1, (2, 3)))
-    res = grad_check(lambda: weighted_sum_loss(dyt(x)), dict(dyt.named_parameters()),
-                     name="dyt", tol=1e-6)
+    dyt.alpha.data[...] = 0.8
+    dyt.w.data[:] = [1.5, -0.5, 0.7]
+    x = Tensor(T.rng(12).uniform(-2, 2, (2, 4, 3)), requires_grad=True)
+    params = dict(dyt.named_parameters())
+    assert "alpha" in params
+    params["x"] = x
+    res = grad_check(lambda: weighted_sum_loss(dyt(x)), params, name="dyt", tol=1e-6)
     assert res.passed, f"max rel err {res.max_rel_err}"
 
 
@@ -211,6 +244,44 @@ def test_layernorm_gradient():
     params["x"] = x
     res = grad_check(lambda: weighted_sum_loss(ln(x)), params, name="layernorm", tol=1e-6)
     assert res.passed, f"max rel err {res.max_rel_err}"
+
+
+def _layernorm_composed(ln, x):
+    mu = T.reduce_mean(x, axis=-1, keepdims=True)
+    centered = T.sub(x, mu)
+    var = T.reduce_mean(T.mul(centered, centered), axis=-1, keepdims=True)
+    normed = T.div(centered, T.sqrt(T.add(var, ln.eps)))
+    return T.add(T.mul(normed, ln.gamma), ln.beta)
+
+
+def _perturbed_layernorm(dim, seed):
+    ln = nn.LayerNorm(dim)
+    ln.gamma.data[:] = T.rng(seed).uniform(0.5, 1.5, dim)
+    ln.beta.data[:] = T.rng(seed + 1).uniform(-1, 1, dim)
+    return ln
+
+
+def test_layernorm_is_one_op_bit_identical_to_composition():
+    for dim in (3, 8, 40):  # numpy sums 8 or more elements pairwise
+        ln = _perturbed_layernorm(dim, 60)
+        x = Tensor(T.rng(62).normal(1, 3, (2, 5, dim)), requires_grad=True)
+        out = ln(x)
+        assert out.node.op == "layernorm" and out.node.inputs == (x, ln.gamma, ln.beta)
+        assert np.array_equal(out.data, _layernorm_composed(ln, x).data)
+
+
+def test_layernorm_channel_axis_of_a_volume():
+    ln = _perturbed_layernorm(3, 63)
+    x = Tensor(T.rng(65).uniform(-1, 1, (2, 3, 2, 3, 2)), requires_grad=True)
+    tokens = Tensor(x.data.transpose(0, 2, 3, 4, 1))
+    want = ln(tokens).data.transpose(0, 4, 1, 2, 3)
+    np.testing.assert_allclose(ln(x, axis=1).data, want, rtol=0, atol=1e-14)
+    params = dict(ln.named_parameters())
+    params["x"] = x
+    res = grad_check(lambda: weighted_sum_loss(ln(x, axis=1)), params, name="layernorm", tol=1e-6)
+    assert res.passed, f"max rel err {res.max_rel_err}"
+    with pytest.raises(ShapeError):
+        ln(x, axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +419,46 @@ def test_conv_transpose_doubles_extents():
     up = nn.ConvTranspose3d(3, 2, T.rng(21))
     out = up(Tensor(np.zeros((2, 3, 2, 3, 4))))
     assert out.shape == (2, 2, 4, 6, 8)
+    with pytest.raises(ShapeError):
+        up(Tensor(np.zeros((2, 2, 2, 3, 4))))
+
+
+def test_conv_transpose_writes_one_block_per_input_voxel():
+    g = T.rng(27)
+    x, w, b = g.uniform(-1, 1, (2, 3, 2, 3, 4)), g.uniform(-1, 1, (3, 2, 2, 2, 2)), g.uniform(-1, 1, 2)
+    out = nn.conv_transpose3d(Tensor(x), Tensor(w), Tensor(b))
+    assert out.node is None
+    # out[b, o, 2d+i, 2h+j, 2w+l] = sum_c x[b, c, d, h, w] w[c, o, i, j, l] + bias[o]
+    want = np.einsum("bcdhw,coijl->bodihjwl", x, w).reshape(2, 2, 4, 6, 8) + b.reshape(2, 1, 1, 1)
+    np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-14)
 
 
 def test_conv_transpose_gradient():
-    up = nn.ConvTranspose3d(2, 2, T.rng(22))
-    x = Tensor(T.rng(23).uniform(-1, 1, (1, 2, 2, 2, 2)), requires_grad=True)
+    up = nn.ConvTranspose3d(3, 2, T.rng(22))
+    up.bias.data[:] = [0.3, -0.2]
+    x = Tensor(T.rng(23).uniform(-1, 1, (2, 3, 2, 3, 2)), requires_grad=True)
     params = dict(up.named_parameters())
     params["x"] = x
     res = grad_check(lambda: weighted_sum_loss(up(x)), params, name="conv_transpose", tol=1e-6)
     assert res.passed, f"max rel err {res.max_rel_err}"
+    out = up(x)
+    assert out.node.op == "conv_transpose3d" and out.node.inputs == (x, up.weight, up.bias)
+
+
+@pytest.mark.parametrize("layer", ["conv_transpose", "layernorm", "dyt"])
+def test_one_op_layers_keep_float32(layer):
+    x = Tensor(T.rng(28).uniform(-1, 1, (2, 3, 2, 2, 2)).astype(np.float32), requires_grad=True)
+    module, call = {
+        "conv_transpose": (nn.ConvTranspose3d(3, 2, T.rng(29)), lambda m: m(x)),
+        "layernorm": (nn.LayerNorm(3), lambda m: m(x, axis=1)),
+        "dyt": (nn.DynamicTanh(2), lambda m: m(x)),
+    }[layer]
+    for p in module.parameters():
+        p.data = p.data.astype(np.float32)
+    out = call(module)
+    assert out.dtype == np.float32
+    T.backward(T.reduce_sum(T.mul(out, out)))
+    assert all(p.grad.dtype == np.float32 for p in module.parameters() + [x])
 
 
 def test_named_parameters_unique_and_complete():
