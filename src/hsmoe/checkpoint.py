@@ -60,7 +60,8 @@ def load_checkpoint(base: str) -> Dict[str, np.ndarray]:
                               f"it stores each routing level's experts stacked ({_FORMAT})")
     if manifest.get("format") != _FORMAT:
         raise CheckpointError(f"unrecognized checkpoint format: {manifest.get('format')!r}")
-    blob = open(bin_path, "rb").read()
+    with open(bin_path, "rb") as fh:
+        blob = fh.read()
     out = {}
     for entry in manifest["params"]:
         dt = np.dtype(_DTYPES[entry["dtype"]])

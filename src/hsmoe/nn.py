@@ -193,8 +193,9 @@ def _conv3d_out_extent(n: int, k: int, stride: int, pad: int) -> int:
     return (n + 2 * pad - k) // stride + 1
 
 
-def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor], stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of [B,C,D,H,W] with weight [O,C,k,k,k].
+def _correlate(x: np.ndarray, weight: np.ndarray, stride: int, padding: int) -> Tuple[np.ndarray, list]:
+    """Cross-correlation of [B,C,D,H,W] with weight [O,C,k,k,k]; returns the
+    output [B,O,Do,Ho,Wo] and the k depth views that ``_weight_grad`` reads.
 
     Only the height and width offsets are lowered by im2col; the depth
     offsets are matmuls on overlapping views (MEC, Cho & Brand, arXiv
@@ -205,16 +206,8 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor], stride: int = 1, p
     Depth offset i reads rows i//s .. i//s+Do-1 of phase i % s, a strided
     view of ``cols`` that BLAS takes as it is, and the output is
     sum_i W_i @ view_i with W_i = weight[:, :, i] laid out as [O, k^2*C].
-    Backward forms dW_i = g view_i^T and, only when ``x`` requires grad, for
-    each phase one matmul of its stacked W_i^T against copies of g shifted in
-    depth, scatter-added back through the k^2 slices; an input that needs no
-    gradient (the raw image at the stem) gets none computed.
     """
-    if x.ndim != 5:
-        raise ShapeError(f"conv3d expects [B,C,D,H,W], got {x.shape}")
-    O, C, k = weight.shape[0], weight.shape[1], weight.shape[2]
-    if x.shape[1] != C:
-        raise ShapeError(f"conv3d: input channels {x.shape[1]} != weight channels {C}")
+    O, C, k = weight.shape[:3]
     B, (D, H, W) = x.shape[0], x.shape[2:]
     out_sp = tuple(_conv3d_out_extent(n, k, stride, padding) for n in (D, H, W))
     if any(n <= 0 for n in out_sp):
@@ -226,56 +219,66 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor], stride: int = 1, p
 
     # s*P rows can reach up to s-1 past the padded depth; those rows stay zero
     xp = np.zeros((C, max(s * P, D + 2 * p), B, H + 2 * p, W + 2 * p), dtype=x.dtype)
-    inner = (slice(None), slice(p, p + D), slice(None), slice(p, p + H), slice(p, p + W))
-    xp[inner] = x.data.transpose(1, 2, 0, 3, 4)
-    windows = [(Ellipsis, slice(j, j + s * Ho, s), slice(l, l + s * Wo, s))
-               for j, l in itertools.product(range(k), repeat=2)]
-
-    def phase_rows(a):  # [C, P, phases, B, Hp, Wp] view of a padded volume
-        return a[:, :s * P].reshape((C, P, s) + a.shape[2:])[:, :, :phases]
-
-    rows = phase_rows(xp)
+    xp[:, p:p + D, :, p:p + H, p:p + W] = x.transpose(1, 2, 0, 3, 4)
+    rows = xp[:, :s * P].reshape((C, P, s) + xp.shape[2:])[:, :, :phases]  # [C, P, phases, B, Hp, Wp]
     cols = np.empty((k * k, C, phases, P, B, Ho, Wo), dtype=x.dtype)
-    for t, window in enumerate(windows):
-        cols[t] = rows[window].transpose(0, 2, 1, 3, 4, 5)
+    for t, (j, l) in enumerate(itertools.product(range(k), repeat=2)):
+        cols[t] = rows[..., j:j + s * Ho:s, l:l + s * Wo:s].transpose(0, 2, 1, 3, 4, 5)
     cols = cols.reshape(R, phases, P, N)
     views = [cols[:, i % s, i // s:i // s + Do].reshape(R, Do * N) for i in range(k)]
-    wmats = weight.data.transpose(2, 0, 3, 4, 1).reshape(k, O, R)  # W_i, (j, l, c)-major like cols
+    wmats = weight.transpose(2, 0, 3, 4, 1).reshape(k, O, R)  # W_i, (j, l, c)-major like cols
     out = wmats[0] @ views[0]
     for i in range(1, k):
         out += wmats[i] @ views[i]
-    out = np.ascontiguousarray(out.reshape(O, Do, B, Ho, Wo).transpose(2, 0, 1, 3, 4))
+    return np.ascontiguousarray(out.reshape(O, Do, B, Ho, Wo).transpose(2, 0, 1, 3, 4)), views
+
+
+def _weight_grad(g: np.ndarray, views: list) -> np.ndarray:
+    """The gradient [O,C,k,k,k] of a ``_correlate`` weight from its output's
+    gradient g [B,O,Do,Ho,Wo] and the depth views it returned: dW_i = g view_i^T."""
+    k, O = len(views), g.shape[1]
+    gmat = g.transpose(1, 2, 0, 3, 4).reshape(O, -1)  # [O, Do*B*Ho*Wo], columns like the views
+    dw = np.stack([gmat @ view.T for view in views])  # [k, O, k^2*C]
+    return np.ascontiguousarray(dw.reshape(k, O, k, k, -1).transpose(1, 4, 0, 2, 3))
+
+
+def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor], stride: int = 1, padding: int = 0) -> Tensor:
+    """Cross-correlation of [B,C,D,H,W] with weight [O,C,k,k,k], lowered by
+    ``_correlate``, as one tape op.
+
+    The backward forms dW by ``_weight_grad`` and, only when ``x`` requires
+    grad, dx as the transposed conv (Dumoulin & Visin, arXiv 1603.07285): a
+    stride-1, unpadded correlation with the flipped, transposed weight of
+    ``spread``, g placed ``stride`` apart from offset k-1-p in a zero volume of
+    extent n+k-1 per axis. Entries of g that fall outside it (p > k-1) belong
+    to windows that read only padding and are dropped. An input that needs no
+    gradient (the raw image at the stem) gets none computed.
+    """
+    if x.ndim != 5:
+        raise ShapeError(f"conv3d expects [B,C,D,H,W], got {x.shape}")
+    O, C, k = weight.shape[:3]
+    if x.shape[1] != C:
+        raise ShapeError(f"conv3d: input channels {x.shape[1]} != weight channels {C}")
+    out, views = _correlate(x.data, weight.data, stride, padding)
     if bias is not None:
         out += bias.data.reshape(1, O, 1, 1, 1)
-
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    xp_shape = xp.shape  # the closure keeps the shape, not the padded copy
 
     def bwd(g):
-        B, _, Do, Ho, Wo = g.shape
-        N = B * Ho * Wo
-        gmat = g.transpose(1, 2, 0, 3, 4).reshape(O, Do * N)  # [O, Do*B*Ho*Wo], columns like the views
-        dw = np.stack([gmat @ view.T for view in views])  # [k, O, k^2*C]
-        dw = np.ascontiguousarray(dw.reshape(k, O, k, k, C).transpose(1, 4, 0, 2, 3))
         dx = None
         if x.requires_grad:
-            dcols = np.empty((phases, R, P * N), dtype=gmat.dtype)
-            for ph in range(phases):
-                taps = wmats[ph::s]  # W_i for i = ph + s*m; tap m reads rows m .. m+Do-1
-                shifted = np.zeros((len(taps), O, P, N), dtype=gmat.dtype)
-                for m in range(len(taps)):
-                    shifted[m, :, m:m + Do] = gmat.reshape(O, Do, N)
-                np.matmul(taps.transpose(2, 0, 1).reshape(R, -1), shifted.reshape(-1, P * N), out=dcols[ph])
-            dcols = dcols.reshape(phases, k * k, C, P, B, Ho, Wo)
-            dxp = np.zeros(xp_shape, dtype=dcols.dtype)
-            drows = phase_rows(dxp)
-            for t, window in enumerate(windows):
-                target = drows[window]  # a view, so += adds into dxp
-                target += dcols[:, t].transpose(1, 2, 0, 3, 4, 5)
-            dx = np.ascontiguousarray(dxp[inner].transpose(2, 0, 1, 3, 4))
-        if bias is None:
-            return dx, dw
-        return dx, dw, gmat.sum(axis=1)
+            spread = np.zeros(x.shape[:1] + (O,) + tuple(n + k - 1 for n in x.shape[2:]), dtype=g.dtype)
+            src, dst, off = [Ellipsis], [Ellipsis], k - 1 - padding
+            for n, m in zip(spread.shape[2:], g.shape[2:]):  # keep the m with 0 <= m*stride + off < n
+                lo = max(0, -(off // stride))
+                hi = max(lo, min(m, -((off - n) // stride)))
+                src.append(slice(lo, hi))
+                dst.append(slice(lo * stride + off, hi * stride + off, stride))
+            spread[tuple(dst)] = g[tuple(src)]
+            flipped = weight.data.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
+            dx = _correlate(spread, flipped, 1, 0)[0]
+        dw = _weight_grad(g, views)
+        return (dx, dw) if bias is None else (dx, dw, g.sum(axis=(0, 2, 3, 4)))
 
     return T._trace(out, inputs, bwd, "conv3d")
 
@@ -302,8 +305,10 @@ def conv_transpose3d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     One matmul W^T [O*8, C] @ x [B, C, D*H*W] gives each of the 8 output
     sub-lattices as a contiguous [B,O,D,H,W] block, written by strided
-    assignment into the [B,O,D,2,H,2,W,2] output. The backward copies g once
-    into that layout, g_m; then dx = W g_m and dW = sum_b x_b g_m,b^T.
+    assignment into the [B,O,D,2,H,2,W,2] output. It is the adjoint of the
+    k2/s2 correlation, so the backward is that correlation: dx =
+    ``_correlate(g, W, 2, 0)``, and dW is ``_weight_grad`` of x against its
+    depth views.
     """
     if x.ndim != 5 or x.shape[1] != weight.shape[0]:
         raise ShapeError(f"conv_transpose3d: expected [B,{weight.shape[0]},D,H,W], got {x.shape}")
@@ -313,20 +318,13 @@ def conv_transpose3d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     xm = x.data.reshape(B, C, D * H * W)
     mixed = np.matmul(wmat.T, xm).reshape(B, O, 2, 2, 2, D, H, W)
     out = np.empty((B, O, D, 2, H, 2, W, 2), dtype=mixed.dtype)
-    lattices = list(itertools.product(range(2), repeat=3))
-    for a, b, c in lattices:
+    for a, b, c in itertools.product(range(2), repeat=3):
         out[:, :, :, a, :, b, :, c] = mixed[:, :, a, b, c]
     out += bias.data.reshape(1, O, 1, 1, 1, 1, 1, 1)
 
     def bwd(g):
-        gv = g.reshape(B, O, D, 2, H, 2, W, 2)
-        gm = np.empty((B, O, 2, 2, 2, D, H, W), dtype=g.dtype)
-        for a, b, c in lattices:
-            gm[:, :, a, b, c] = gv[:, :, :, a, :, b, :, c]
-        gm = gm.reshape(B, O * 8, D * H * W)
-        dx = np.matmul(wmat, gm).reshape(x.shape)
-        dw = np.matmul(xm, gm.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
-        return dx, dw, g.sum(axis=(0, 2, 3, 4))
+        dx, views = _correlate(g, weight.data, 2, 0)
+        return dx, _weight_grad(x.data, views), g.sum(axis=(0, 2, 3, 4))
 
     return T._trace(out.reshape(B, O, 2 * D, 2 * H, 2 * W), (x, weight, bias), bwd, "conv_transpose3d")
 

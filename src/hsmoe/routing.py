@@ -3,7 +3,7 @@
 Pipeline: partition the token sequence into contiguous groups, softly assign
 each group's tokens to per-expert slots (dispatch weights from a per-token
 softmax over all expert-slot pairs), run a dense mixture of experts over the
-slots (group-pooled gate), refine the flattened slot sequence with a second
+slots (group-pooled gate), refine every slot of every group with a second
 dense mixture (per-position gate), then map slots back to tokens with the
 same dispatch weights and drop the padding.
 
@@ -117,11 +117,12 @@ def level1_route(slots: Tensor, router: nn.Linear, experts: ExpertBank) -> Tenso
     return _mix(experts(slots), T.reshape(gate, (B, G, 1, len(experts))))
 
 
-def level2_route(seq: Tensor, router: nn.Linear, experts: ExpertBank) -> Tensor:
-    """Dense second-level mixture with a per-position gate over the flattened
-    slot sequence [B, G*M, d]; enables cross-group refinement."""
-    gate = T.softmax(router(seq), axis=-1)  # [B,L,E2]
-    return _mix(experts(seq), gate)
+def level2_route(slots: Tensor, router: nn.Linear, experts: ExpertBank) -> Tensor:
+    """Dense second-level mixture with a per-position gate: router and experts
+    are shared by every slot of every group and act on the trailing axis, so
+    it runs on [B,G,M,d] as it is."""
+    gate = T.softmax(router(slots), axis=-1)  # [B,G,M,E2]
+    return _mix(experts(slots), gate)
 
 
 def combine(slot_out: Tensor, weights: Tensor, n_tokens: int) -> Tensor:
@@ -133,9 +134,6 @@ def combine(slot_out: Tensor, weights: Tensor, n_tokens: int) -> Tensor:
     B, G, M, d = slot_out.shape
     if weights.shape[:2] != (B, G) or weights.shape[3] != M:
         raise ShapeError(f"combine: weights {weights.shape} inconsistent with slots {slot_out.shape}")
-    K = weights.shape[2]
-    if n_tokens > G * K:
-        raise ShapeError(f"combine: cannot produce {n_tokens} tokens from {G * K} positions")
     mixed = T.matmul(weights, slot_out)  # [B,G,K,d]
     return ungroup(mixed, n_tokens)
 
@@ -201,9 +199,7 @@ class HierarchicalMoE(nn.Module):
         B, N, d = x.shape
         cfg = self.cfg
         grouped, valid = group_and_pad(x, mask, cfg.group_size)
-        G = grouped.shape[1]
-        M = cfg.slots_per_group
         slots, weights = slot_assign(grouped, valid, self.slot_emb)
-        y1 = level1_route(T.reshape(slots, (B, G, M, d)), self.router1, self.experts1)
-        y2 = level2_route(T.reshape(y1, (B, G * M, d)), self.router2, self.experts2)
-        return combine(T.reshape(y2, (B, G, M, d)), weights, N)
+        y1 = level1_route(T.reshape(slots, (B, grouped.shape[1], cfg.slots_per_group, d)),
+                          self.router1, self.experts1)
+        return combine(level2_route(y1, self.router2, self.experts2), weights, N)

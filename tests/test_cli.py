@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -493,7 +494,7 @@ def test_train_eval_roundtrip(tmp_path, capsys):
                            "--seed", "3", "--volumes", "2", "--size", "16",
                            "--checkpoint", ckpt, "--out", mcsv, "--json-out", mjson)
     assert code == EXIT_OK, out
-    summary = json.loads(open(mjson).read())
+    summary = json.loads(pathlib.Path(mjson).read_text())
     assert "mdsc" in summary and "per_class" in summary
     with open(mcsv) as fh:
         rows = list(csv.DictReader(fh))
@@ -506,7 +507,7 @@ def test_train_eval_f32_roundtrip(tmp_path, capsys):
     code, _, err = run_cli(capsys, "train", "--precision", "f32", "--steps", "2", "--batch-size", "1",
                            *small, "--history", str(tmp_path / "h.csv"), "--checkpoint", ckpt)
     assert code == EXIT_OK, err
-    manifest = json.loads(open(ckpt + ".json").read())
+    manifest = json.loads(pathlib.Path(ckpt + ".json").read_text())
     assert {entry["dtype"] for entry in manifest["params"]} == {"f32"}
     out = ["--out", str(tmp_path / "m.csv"), "--json-out", str(tmp_path / "m.json")]
     code, _, err = run_cli(capsys, "eval", "--precision", "f32", "--checkpoint", ckpt, *small, *out)
@@ -565,7 +566,7 @@ def test_eval_identical_pred_gt_fixture(tmp_path, capsys):
                            "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir),
                            "--out", mcsv, "--json-out", mjson)
     assert code == EXIT_OK
-    summary = json.loads(open(mjson).read())
+    summary = json.loads(pathlib.Path(mjson).read_text())
     assert summary["mdsc"] == 1.0
     assert summary["mhd95"] == 0.0
 
@@ -609,5 +610,5 @@ def test_threads_flag_gives_same_eval_results(tmp_path, capsys):
                              "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir),
                              "--out", mcsv, "--json-out", str(tmp_path / f"m{threads}.json"))
         assert code == EXIT_OK
-        outs.append(open(mcsv).read())
+        outs.append(pathlib.Path(mcsv).read_text())
     assert outs[0] == outs[1]

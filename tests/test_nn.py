@@ -128,7 +128,7 @@ def test_tiny_forward_tape_and_parameter_census():
             stack.extend(t.node.inputs)
             # the head's stem_channels-wide full-resolution map is never built
             assert t.shape != (4, cfg.stem_channels) + x.shape[2:]
-    assert len(seen) <= 330, f"{len(seen)} tape nodes in one tiny forward"
+    assert len(seen) == 321, f"{len(seen)} tape nodes in one tiny forward"
     assert len(net.parameters()) == 198
     # one node per norm call: two per encoder layer (DyT or LN), two LNs per decoder stage
     encoder_norms = 2 * sum(cfg.layers_per_stage)
@@ -366,6 +366,51 @@ def test_conv3d_input_gradient(stride, k, pad):
         assert np.all(x.grad[:, :, unread] == 0.0)
         if (stride, k, pad) in ((2, 3, 0), (2, 1, 1), (3, 1, 0), (3, 2, 0)):
             assert unread.any()
+
+
+def _rel(a, b):
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+# the grid plus windows wholly in padding (p > k-1) at strides 1, 2 and 3
+@pytest.mark.parametrize("stride,k,pad", CONV_GRID + [(1, 1, 3), (2, 3, 4), (3, 2, 3)])
+def test_conv3d_gradients_are_its_adjoint(stride, k, pad):
+    # conv3d is bilinear in (x, W), so <conv3d(x, W), g> = <x, dx> = <W, dW> up to rounding
+    g = T.rng(39)
+    for B in (1, 2):
+        x = Tensor(g.uniform(-1, 1, (B, 3, 6, 5, 4)), requires_grad=True)
+        w = Tensor(g.uniform(-1, 1, (2, 3, k, k, k)), requires_grad=True)
+        out = nn.conv3d(x, w, None, stride, pad)
+        gout = g.uniform(-1, 1, out.shape)
+        dx, dw = out.node.backward_fn(gout)
+        y = np.vdot(out.data, gout)
+        assert _rel(y, np.vdot(x.data, dx)) <= 1e-12
+        assert _rel(y, np.vdot(w.data, dw)) <= 1e-12
+
+
+def test_conv_transpose_gradients_are_its_adjoint():
+    g = T.rng(40)
+    x = Tensor(g.uniform(-1, 1, (2, 3, 2, 3, 4)), requires_grad=True)
+    w = Tensor(g.uniform(-1, 1, (3, 2, 2, 2, 2)), requires_grad=True)
+    b = Tensor(np.zeros(2), requires_grad=True)
+    out = nn.conv_transpose3d(x, w, b)
+    gout = g.uniform(-1, 1, out.shape)
+    dx, dw, db = out.node.backward_fn(gout)
+    y = np.vdot(out.data, gout)
+    assert _rel(y, np.vdot(x.data, dx)) <= 1e-12
+    assert _rel(y, np.vdot(w.data, dw)) <= 1e-12
+    np.testing.assert_allclose(db, gout.sum(axis=(0, 2, 3, 4)), rtol=1e-13)
+
+
+def test_conv_transpose_is_the_stride2_conv_input_gradient():
+    g = T.rng(41)
+    w = g.uniform(-1, 1, (2, 3, 2, 2, 2))  # conv3d: O=2, C=3
+    x = Tensor(g.uniform(-1, 1, (2, 3, 6, 4, 8)), requires_grad=True)
+    out = nn.conv3d(x, Tensor(w), None, 2, 0)
+    gout = g.uniform(-1, 1, out.shape)
+    dx = out.node.backward_fn(gout)[0]
+    up = nn.conv_transpose3d(Tensor(gout), Tensor(w), Tensor(np.zeros(3)))
+    np.testing.assert_allclose(up.data, dx, rtol=0, atol=1e-13)
 
 
 def test_conv3d_skips_input_gradient_when_not_required():
