@@ -16,7 +16,7 @@ import numpy as np
 from . import tensor as T
 from .config import ConfigError, StageConfig, make_network_config
 from .network import SegNet
-from .routing import HierarchicalMoE
+from .routing import FFN_RATIO, HierarchicalMoE
 from .tensor import Tensor
 
 
@@ -60,7 +60,7 @@ def routing_layer_flops(n_tokens: int, stage: StageConfig) -> int:
     groups = math.ceil(n_tokens / stage.group_size)
     padded = groups * stage.group_size
     dispatch = 3 * 2 * padded * M * d  # logits, slot aggregation, combine
-    ffn_macs = 2 * stage.ffn_ratio * d * d  # two linears per FFN
+    ffn_macs = 2 * FFN_RATIO * d * d  # two linears per FFN
     positions = groups * M
     experts = 2 * positions * (stage.num_experts + stage.num_experts_l2) * ffn_macs
     routers = 2 * (groups * d * stage.num_experts + positions * d * stage.num_experts_l2)
@@ -125,8 +125,15 @@ def scan_sweep(n_values: Sequence[int], dim: int = 8, state_dim: int = 2,
     return rows
 
 
+# network_sweep's network: wide enough that array work dominates interpreter
+# overhead at small N
+SWEEP_NETWORK = make_network_config(num_classes=2, stem_channels=8, experts=(2, 3),
+                                    base_group_size=64, slots_per_expert=2,
+                                    ssm_state_dim=4, scan_block_size=64)
+
+
 def volume_shapes_for(n_values: Sequence[int]) -> List[Tuple[int, int, int]]:
-    """Near-cubic (D,H,W) with D*H*W = N, every extent divisible by 4."""
+    """Near-cubic (D,H,W) with D*H*W = N, every extent one SWEEP_NETWORK takes."""
     shapes = []
     for n in n_values:
         exp = int(round(math.log2(n)))
@@ -135,19 +142,14 @@ def volume_shapes_for(n_values: Sequence[int]) -> List[Tuple[int, int, int]]:
         a = exp // 3
         rem = exp - 3 * a
         dims = [2 ** (a + (1 if i < rem else 0)) for i in range(3)]
-        if min(dims) < 4:
-            raise ConfigError(f"token count {n} too small for a 2-stage network")
+        SWEEP_NETWORK.check_extents(dims, f"token count {n}: extent")
         shapes.append(tuple(sorted(dims, reverse=True)))
     return shapes
 
 
 def network_sweep(n_values: Sequence[int], seed: int = 0, repeats: int = 3) -> List[Dict]:
     """End-to-end forward wall time over input token counts (powers of two)."""
-    # wide enough that array work dominates interpreter overhead at small N
-    cfg = make_network_config(num_classes=2, stem_channels=8, experts=(2, 3),
-                              base_group_size=64, slots_per_expert=2,
-                              ssm_state_dim=4, scan_block_size=64)
-    net = SegNet(cfg, seed=seed)
+    net = SegNet(SWEEP_NETWORK, seed=seed)
     gen = T.rng(seed + 1)
     rows = []
     for n, shape in zip(n_values, volume_shapes_for(n_values)):

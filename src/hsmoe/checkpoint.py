@@ -25,9 +25,7 @@ def _paths(base: str) -> Tuple[str, str]:
 
 
 def save_checkpoint(named_params: Iterable, base: str) -> None:
-    """``named_params``: iterable of (name, Tensor) or a name->Tensor dict."""
-    if isinstance(named_params, dict):
-        named_params = named_params.items()
+    """``named_params``: iterable of (name, Tensor)."""
     manifest = {"format": _FORMAT, "params": []}
     payload = bytearray()
     for name, p in named_params:
@@ -52,23 +50,25 @@ def load_checkpoint(base: str) -> Dict[str, np.ndarray]:
     for path in (json_path, bin_path):
         if not os.path.exists(path):
             raise CheckpointError(f"missing checkpoint file: {path}")
-    with open(json_path) as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") == "hsmoe-checkpoint-v1":
-        raise CheckpointError("checkpoint format hsmoe-checkpoint-v1 stores per-expert FFNs "
-                              "(experts1.<e>.lin1.weight, ...), which this version cannot load: "
-                              f"it stores each routing level's experts stacked ({_FORMAT})")
-    if manifest.get("format") != _FORMAT:
-        raise CheckpointError(f"unrecognized checkpoint format: {manifest.get('format')!r}")
-    with open(bin_path, "rb") as fh:
-        blob = fh.read()
     out = {}
-    for entry in manifest["params"]:
-        dt = np.dtype(_DTYPES[entry["dtype"]])
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        start = entry["offset"]
-        arr = np.frombuffer(blob, dtype=dt, count=count, offset=start)
-        out[entry["name"]] = arr.reshape(entry["shape"]).astype(dt.newbyteorder("=")).copy()
+    try:  # unparseable JSON, a missing field or dtype tag, a truncated payload
+        with open(json_path) as fh:
+            manifest = json.load(fh)
+        if manifest.get("format") == "hsmoe-checkpoint-v1":
+            raise CheckpointError("checkpoint format hsmoe-checkpoint-v1 stores per-expert FFNs "
+                                  "(experts1.<e>.lin1.weight, ...), which this version cannot load: "
+                                  f"it stores each routing level's experts stacked ({_FORMAT})")
+        if manifest.get("format") != _FORMAT:
+            raise CheckpointError(f"unrecognized checkpoint format: {manifest.get('format')!r}")
+        with open(bin_path, "rb") as fh:
+            blob = fh.read()
+        for entry in manifest["params"]:
+            dt = np.dtype(_DTYPES[entry["dtype"]])
+            count = int(np.prod(entry["shape"])) if entry["shape"] else 1
+            arr = np.frombuffer(blob, dtype=dt, count=count, offset=entry["offset"])
+            out[entry["name"]] = arr.reshape(entry["shape"]).astype(dt.newbyteorder("=")).copy()
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise CheckpointError(f"malformed checkpoint {base}: {type(err).__name__}: {err}") from err
     return out
 
 

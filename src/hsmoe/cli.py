@@ -3,7 +3,8 @@
 Configuration comes from an optional ``key = value`` file (dotted keys,
 unknown keys rejected), environment overrides HSMOE_SEED / HSMOE_THREADS,
 then command-line flags, in increasing precedence. Each subcommand accepts
-only the flags, and file keys, it reads. Exit codes: 0 success, 1 validation
+only the flags, and file keys, it reads; an environment value applies only
+to the subcommands that read its key. Exit codes: 0 success, 1 validation
 error (usage errors included), 2 runtime/numerical failure.
 """
 
@@ -39,15 +40,12 @@ EXIT_RUNTIME = 2
 class DataConfig:
     num_volumes: int = 8
     size: int = 16
-    noise_sigma: float = 0.03
 
     def validate(self) -> "DataConfig":
         if self.num_volumes < 1:
             raise ConfigError(f"num_volumes must be >= 1, got {self.num_volumes}")
         if self.size < 1:
             raise ConfigError(f"size must be >= 1, got {self.size}")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         return self
 
 
@@ -88,11 +86,9 @@ _SCALAR_KEYS = {
     "train.weight_decay": ("train.weight_decay", float),
     "train.batch_size": ("train.batch_size", int),
     "train.steps": ("train.steps", int),
-    "train.cosine": ("train.cosine_schedule", bool),
     "train.checkpoint_every": ("train.checkpoint_every", int),
     "data.num_volumes": ("data.num_volumes", int),
     "data.size": ("data.size", int),
-    "data.noise_sigma": ("data.noise_sigma", float),
 }
 
 _NETWORK_OVERRIDE_KEYS = {
@@ -100,13 +96,10 @@ _NETWORK_OVERRIDE_KEYS = {
     "network.experts": ("experts", "int_list"),
     "network.experts_l2": ("experts_l2", "int_list"),
     "network.base_group_size": ("base_group_size", int),
-    "network.group_ratio": ("group_ratio", float),
     "network.slots_per_expert": ("slots_per_expert", int),
     "network.layers_per_stage": ("layers_per_stage", "int_list"),
     "network.ssm_state_dim": ("ssm_state_dim", int),
     "network.scan_block_size": ("scan_block_size", int),
-    "network.ffn_ratio": ("ffn_ratio", int),
-    "network.in_channels": ("in_channels", int),
 }
 _REQUIRED_NETWORK_KEYS = ("stem_channels", "experts", "base_group_size", "slots_per_expert")
 
@@ -117,12 +110,6 @@ _PRECISIONS = {"f64": np.float64, "f32": np.float32}
 
 def _convert(raw: str, kind) -> object:
     raw = raw.strip()
-    if kind is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
     if kind == "int_list":
         if not (raw.startswith("[") and raw.endswith("]")):
             raise ConfigError(f"expected a list like [2,3,4], got {raw!r}")
@@ -160,16 +147,17 @@ def build_run_config(config_path: Optional[str], args=None) -> RunConfig:
     environment variables, then command-line flags; validated last, so a
     bad value is rejected wherever it came from. A flag's dest is the config
     key it overrides, so flags apply through the same table as file values,
-    and a file key is rejected unless the subcommand has a flag of its section.
+    and a file key is rejected unless the subcommand has a flag of its section;
+    an environment value applies only where a file key of its section would.
     A ``--preset`` flag replaces any explicit network layout from the file."""
     run = RunConfig()
     values = parse_config_file(config_path) if config_path else {}
-    read = {key.split(".")[0] for key in vars(args) if key in _SCALAR_KEYS} if args else None
-    ignored = [key for key in values if read is not None and key.split(".")[0] not in read]
+    read = {key.split(".")[0] for key in (vars(args) if args else _SCALAR_KEYS) if key in _SCALAR_KEYS}
+    ignored = [key for key in values if key.split(".")[0] not in read]
     if ignored:
         raise ConfigError(f"{config_path}: 'hsmoe {args.command}' does not read {', '.join(ignored)}")
     values.update((key, _convert(os.environ[var], _SCALAR_KEYS[key][1]))
-                  for var, key in _ENV_KEYS.items() if var in os.environ)
+                  for var, key in _ENV_KEYS.items() if var in os.environ and key in read)
     flags = {key: value for key, value in (vars(args) if args else {}).items()
              if key in _SCALAR_KEYS and value is not None}
     if "network.preset" in flags:
@@ -196,6 +184,8 @@ def build_run_config(config_path: Optional[str], args=None) -> RunConfig:
 
 def cmd_describe(run: RunConfig, args) -> int:
     cfg = run.network()
+    size = args.extent
+    cfg.check_extents((size,), "--size")
     out = sys.stdout
     print(f"preset: {run.preset if not run.network_overrides else 'custom'}", file=out)
     print(f"stem_channels: {cfg.stem_channels}", file=out)
@@ -206,10 +196,6 @@ def cmd_describe(run: RunConfig, args) -> int:
     print(f"slots_per_expert: {cfg.stages[0].slots_per_expert}", file=out)
     print(f"layers_per_stage: {list(cfg.layers_per_stage)}", file=out)
     print(f"norm: {cfg.norm}", file=out)
-    size = args.extent
-    div = 2 ** cfg.num_stages
-    if size < 1 or size % div:
-        raise ConfigError(f"--size {size} must be a positive multiple of {div}")
     print(f"\nstage  channels  spatial@{size}^3  experts  experts_l2  group  slots", file=out)
     for i, s in enumerate(cfg.stages):
         sp = size // 2 ** (i + 1)
@@ -288,12 +274,10 @@ def _net_and_data(run: RunConfig, data_seed: int):
     are drawn in f64 and then cast, so f32 holds the f64 draw rounded, and an
     f64 run casts nothing."""
     cfg = run.network()
-    div = 2 ** cfg.num_stages
-    if run.data.size % div:
-        raise ConfigError(f"data size {run.data.size} not divisible by {div} (2**stages)")
+    cfg.check_extents((run.data.size,), "data size")
     dtype = _PRECISIONS[run.precision]
     data = synth_volumes(seed=data_seed, n=run.data.num_volumes, size=run.data.size,
-                         classes=run.num_classes, noise_sigma=run.data.noise_sigma)
+                         classes=run.num_classes)
     for sample in data:
         sample.image = sample.image.astype(dtype, copy=False)
     net = SegNet(cfg, seed=run.seed)
@@ -361,11 +345,8 @@ def cmd_eval(run: RunConfig, args) -> int:
         name, pred, gt, spacing = case
         return _eval_case(name, pred, gt, num_classes, spacing)
 
-    if run.threads > 1:
-        with ThreadPoolExecutor(max_workers=run.threads) as pool:
-            per_case = list(pool.map(work, cases))
-    else:
-        per_case = [work(c) for c in cases]
+    with ThreadPoolExecutor(max_workers=run.threads) as pool:
+        per_case = list(pool.map(work, cases))
     rows = [row for case_rows in per_case for row in case_rows]
     write_metrics_csv(rows, args.out)
     summary = summarize(rows, num_classes)

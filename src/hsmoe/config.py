@@ -4,7 +4,7 @@ training settings, plus the named presets."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 
 class ConfigError(ValueError):
@@ -20,13 +20,11 @@ class StageConfig:
     group_size: int
     slots_per_expert: int
     num_experts_l2: Optional[int] = None  # defaults to 2 * num_experts
-    ffn_ratio: int = 2
 
     def __post_init__(self):
         if self.num_experts_l2 is None:
             object.__setattr__(self, "num_experts_l2", 2 * self.num_experts)
-        for name in ("dim", "num_experts", "group_size", "slots_per_expert",
-                     "num_experts_l2", "ffn_ratio"):
+        for name in ("dim", "num_experts", "group_size", "slots_per_expert", "num_experts_l2"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"StageConfig.{name} must be >= 1, got {getattr(self, name)}")
 
@@ -35,22 +33,13 @@ class StageConfig:
         return self.num_experts * self.slots_per_expert
 
 
-def group_size_schedule(base: int, ratio: float, stages: int) -> Tuple[int, ...]:
-    """Geometric group-size decay across stages: size_t = base * ratio^(t-1).
-
-    The default ratio 0.5 halves the group size at every stage; every entry
-    must land on a positive integer.
-    """
-    if not 0.0 < ratio < 1.0:
-        raise ConfigError(f"group-size ratio must be in (0,1), got {ratio}")
-    sizes = []
-    for t in range(stages):
-        raw = base * ratio ** t
-        size = round(raw)
-        if size < 1 or abs(raw - size) > 1e-9:
-            raise ConfigError(f"group size base={base} ratio={ratio} gives non-integer {raw} at stage {t + 1}")
-        sizes.append(size)
-    return tuple(sizes)
+def group_size_schedule(base: int, stages: int) -> Tuple[int, ...]:
+    """Group sizes halve at every stage: size_t = base // 2^(t-1), so base
+    must be a positive multiple of 2^(stages-1)."""
+    if base < 1 or base % 2 ** (stages - 1):
+        raise ConfigError(f"base group size {base} must be a positive multiple of "
+                          f"{2 ** (stages - 1)} to halve over {stages} stages")
+    return tuple(base // 2 ** t for t in range(stages))
 
 
 @dataclass(frozen=True)
@@ -73,6 +62,15 @@ class NetworkConfig:
     @property
     def channels(self) -> Tuple[int, ...]:
         return tuple(self.stem_channels * 2 ** i for i in range(self.num_stages))
+
+    def check_extents(self, extents: Sequence[int], what: str) -> None:
+        """The input-extent rule: every spatial extent is a positive multiple
+        of 2**num_stages, so each halving (stem and downsamples) is exact and
+        none vanishes before the bottleneck. ``what`` names the extents."""
+        div = 2 ** self.num_stages
+        for n in extents:
+            if n < 1 or n % div:
+                raise ConfigError(f"{what} {n} must be a positive multiple of {div} (2**stages)")
 
     def validate(self) -> "NetworkConfig":
         if self.num_classes < 2:
@@ -103,14 +101,12 @@ class NetworkConfig:
 
 
 def make_network_config(num_classes: int, stem_channels: int, experts: Tuple[int, ...],
-                        base_group_size: int, slots_per_expert: int,
-                        group_ratio: float = 0.5, in_channels: int = 1,
+                        base_group_size: int, slots_per_expert: int, in_channels: int = 1,
                         layers_per_stage: Optional[Tuple[int, ...]] = None,
-                        norm: str = "dyt", ssm_state_dim: int = 8,
-                        scan_block_size: int = 64, ffn_ratio: int = 2,
+                        norm: str = "dyt", ssm_state_dim: int = 8, scan_block_size: int = 64,
                         experts_l2: Optional[Tuple[int, ...]] = None) -> NetworkConfig:
     stages_n = len(experts)
-    group_sizes = group_size_schedule(base_group_size, group_ratio, stages_n)
+    group_sizes = group_size_schedule(base_group_size, stages_n)
     if layers_per_stage is None:
         layers_per_stage = (1,) * stages_n
     stage_cfgs = tuple(
@@ -118,8 +114,7 @@ def make_network_config(num_classes: int, stem_channels: int, experts: Tuple[int
                     num_experts=experts[i],
                     group_size=group_sizes[i],
                     slots_per_expert=slots_per_expert,
-                    num_experts_l2=None if experts_l2 is None else experts_l2[i],
-                    ffn_ratio=ffn_ratio)
+                    num_experts_l2=None if experts_l2 is None else experts_l2[i])
         for i in range(stages_n))
     return NetworkConfig(num_classes=num_classes, in_channels=in_channels,
                          stem_channels=stem_channels, layers_per_stage=tuple(layers_per_stage),
@@ -152,7 +147,6 @@ class TrainConfig:
     weight_decay: float = 1e-5
     batch_size: int = 2
     steps: int = 300
-    cosine_schedule: bool = True
     seed: int = 0
     checkpoint_every: Optional[int] = None
 

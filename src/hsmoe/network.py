@@ -95,14 +95,7 @@ class SegNet(nn.Module):
     def _validate_input(self, x: Tensor) -> None:
         if x.ndim != 5 or x.shape[1] != self.cfg.in_channels:
             raise ConfigError(f"expected [B,{self.cfg.in_channels},D,H,W], got {x.shape}")
-        div = 2 ** self.cfg.num_stages
-        for n in x.shape[2:]:
-            if n % div:
-                raise ConfigError(f"spatial extent {n} not divisible by {div} "
-                                  f"(2**stages): pad input volumes")
-            if n < div:
-                raise ConfigError(f"spatial extent {n} vanishes before the bottleneck; "
-                                  f"need at least {div}")
+        self.cfg.check_extents(x.shape[2:], "spatial extent")
 
     def encoder_forward(self, x: Tensor) -> List[Tensor]:
         """Stage features (block outputs) from fine to coarse; the last entry

@@ -31,8 +31,6 @@ class Module:
                 for i, item in enumerate(val):
                     if isinstance(item, Module):
                         yield from item.named_parameters(f"{name}.{i}")
-                    elif isinstance(item, Tensor) and item.requires_grad:
-                        yield f"{name}.{i}", item
 
     def parameters(self) -> list:
         return [p for _, p in self.named_parameters()]
@@ -242,7 +240,7 @@ def _weight_grad(g: np.ndarray, views: list) -> np.ndarray:
     return np.ascontiguousarray(dw.reshape(k, O, k, k, -1).transpose(1, 4, 0, 2, 3))
 
 
-def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor], stride: int = 1, padding: int = 0) -> Tensor:
+def conv3d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of [B,C,D,H,W] with weight [O,C,k,k,k], lowered by
     ``_correlate``, as one tape op.
 
@@ -260,9 +258,7 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor], stride: int = 1, p
     if x.shape[1] != C:
         raise ShapeError(f"conv3d: input channels {x.shape[1]} != weight channels {C}")
     out, views = _correlate(x.data, weight.data, stride, padding)
-    if bias is not None:
-        out += bias.data.reshape(1, O, 1, 1, 1)
-    inputs = (x, weight) if bias is None else (x, weight, bias)
+    out += bias.data.reshape(1, O, 1, 1, 1)
 
     def bwd(g):
         dx = None
@@ -277,10 +273,9 @@ def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor], stride: int = 1, p
             spread[tuple(dst)] = g[tuple(src)]
             flipped = weight.data.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
             dx = _correlate(spread, flipped, 1, 0)[0]
-        dw = _weight_grad(g, views)
-        return (dx, dw) if bias is None else (dx, dw, g.sum(axis=(0, 2, 3, 4)))
+        return dx, _weight_grad(g, views), g.sum(axis=(0, 2, 3, 4))
 
-    return T._trace(out, inputs, bwd, "conv3d")
+    return T._trace(out, (x, weight, bias), bwd, "conv3d")
 
 
 class Conv3d(Module):

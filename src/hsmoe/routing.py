@@ -24,6 +24,8 @@ from . import nn, tensor as T
 from .config import StageConfig
 from .tensor import ShapeError, Tensor
 
+FFN_RATIO = 2  # an expert FFN's hidden width is FFN_RATIO * d
+
 
 def group_and_pad(x: Tensor, mask: Optional[np.ndarray], group_size: int
                   ) -> Tuple[Tensor, np.ndarray]:
@@ -75,13 +77,10 @@ def slot_assign(grouped: Tensor, valid: np.ndarray, slot_emb: Tensor
         raise ShapeError(f"slot embeddings width {d2} != token width {d}")
     M = E * S
     emb_t = T.permute(T.reshape(slot_emb, (M, d)), (1, 0))
-    logits = T.matmul(grouped, emb_t)  # [B,G,K,M]
-    if valid.all():
-        weights = T.softmax(logits, axis=-1)
-    else:
-        keep = valid.reshape(B, G, K, 1).astype(bool)
-        safe = T.masked_fill(logits, keep, 0.0)  # dead rows -> uniform-safe logits
-        weights = T.masked_fill(T.softmax(safe, axis=-1), keep, 0.0)
+    logits = T.matmul(grouped, emb_t)  # [B,G,K,M], finite (matmul checks)
+    weights = T.softmax(logits, axis=-1)
+    if not valid.all():
+        weights = T.masked_fill(weights, valid.reshape(B, G, K, 1).astype(bool), 0.0)
     slots_flat = T.matmul(T.transpose(weights), grouped)  # [B,G,M,K] @ [B,G,K,d]
     return T.reshape(slots_flat, (B, G, E, S, d)), weights
 
@@ -139,17 +138,17 @@ def combine(slot_out: Tensor, weights: Tensor, n_tokens: int) -> Tensor:
 
 
 class ExpertBank(nn.Module):
-    """E width-preserving expert FFNs (Linear d->r*d, GELU, Linear r*d->d)
-    stored as stacked parameters w1 [E,d,r*d], b1 [E,1,r*d], w2 [E,r*d,d],
-    b2 [E,1,d].
+    """E width-preserving expert FFNs (Linear d->r*d, GELU, Linear r*d->d,
+    with r = FFN_RATIO) stored as stacked parameters w1 [E,d,r*d],
+    b1 [E,1,r*d], w2 [E,r*d,d], b2 [E,1,d].
 
     Calling the bank on [..., d] runs every expert on every token with one
     broadcast matmul per linear and returns [E, ..., d]; expert e is slice e
     of each stack.
     """
 
-    def __init__(self, num: int, dim: int, rng: np.random.Generator, ratio: int = 2):
-        hidden = ratio * dim
+    def __init__(self, num: int, dim: int, rng: np.random.Generator):
+        hidden = FFN_RATIO * dim
         w1 = np.zeros((num, dim, hidden))
         w2 = np.zeros((num, hidden, dim))
         if rng is not None:  # without a generator the stacks stay lazily zeroed
@@ -190,9 +189,9 @@ class HierarchicalMoE(nn.Module):
         self.slot_emb = Tensor(nn.uniform(rng, (cfg.num_experts, cfg.slots_per_expert, d), -bound, bound),
                                requires_grad=True)
         self.router1 = nn.Linear(d, cfg.num_experts, rng)
-        self.experts1 = ExpertBank(cfg.num_experts, d, rng, cfg.ffn_ratio)
+        self.experts1 = ExpertBank(cfg.num_experts, d, rng)
         self.router2 = nn.Linear(d, cfg.num_experts_l2, rng)
-        self.experts2 = ExpertBank(cfg.num_experts_l2, d, rng, cfg.ffn_ratio)
+        self.experts2 = ExpertBank(cfg.num_experts_l2, d, rng)
         self.cfg = cfg
 
     def __call__(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:

@@ -154,12 +154,15 @@ def _box(coords, center, radii) -> np.ndarray:
             & (np.abs(x - center[2]) <= radii[2]))
 
 
-def synth_volumes(seed: int, n: int, size: int, classes: int,
-                  noise_sigma: float = 0.03,
-                  fg_band: Tuple[float, float] = (0.05, 0.40)) -> List[VolumeSample]:
+_NOISE_SIGMA = 0.03
+_FG_BAND = (0.05, 0.40)
+
+
+def synth_volumes(seed: int, n: int, size: int, classes: int) -> List[VolumeSample]:
     """Deterministic toy volumes: one ellipsoid or box per foreground class,
-    class-specific intensity bands plus Gaussian noise; labels match the
-    generating geometry exactly and foreground fraction stays in ``fg_band``."""
+    class-specific intensity bands plus Gaussian noise (sigma _NOISE_SIGMA);
+    labels match the generating geometry exactly and the foreground fraction
+    stays in _FG_BAND."""
     gen = T.rng(seed)
     coords = np.meshgrid(*(np.arange(size, dtype=np.float64),) * 3, indexing="ij")
     intensities = np.linspace(0.1, 0.9, classes)
@@ -174,11 +177,11 @@ def synth_volumes(seed: int, n: int, size: int, classes: int,
                 radii = gen.uniform(0.12 * size, 0.28 * size, 3)
                 label[shape_fn(coords, center, radii)] = c
             frac = float((label > 0).mean())
-            if fg_band[0] <= frac <= fg_band[1]:
+            if _FG_BAND[0] <= frac <= _FG_BAND[1]:
                 break
         else:
-            raise RuntimeError(f"could not hit foreground band {fg_band} at size {size}")
-        image = intensities[label] + gen.normal(0.0, noise_sigma, label.shape)
+            raise RuntimeError(f"could not hit foreground band {_FG_BAND} at size {size}")
+        image = intensities[label] + gen.normal(0.0, _NOISE_SIGMA, label.shape)
         image = np.clip(image, 0.0, 1.0)[None]
         samples.append(VolumeSample(image=image, label=label))
     return samples
@@ -213,7 +216,7 @@ def train_loop(net, samples: Sequence[VolumeSample], cfg: TrainConfig,
         if not math.isfinite(loss_val):
             raise TrainingDiverged(f"non-finite loss at step {step}")
         T.backward(loss)
-        lr = cosine_lr(step - 1, cfg.steps, cfg.lr) if cfg.cosine_schedule else cfg.lr
+        lr = cosine_lr(step - 1, cfg.steps, cfg.lr)
         opt.step(lr)
         pred = np.argmax(logits.data, axis=1)
         history.append({"step": step, "loss": loss_val,

@@ -45,9 +45,9 @@ def read_volume(base: str) -> Tuple[np.ndarray, Tuple[float, float, float]]:
     for path in (vol_path, json_path):
         if not os.path.exists(path):
             raise VolumeIOError(f"missing volume file: {path}")
-    with open(json_path) as fh:
-        sidecar = json.load(fh)
     try:
+        with open(json_path) as fh:
+            sidecar = json.load(fh)
         dims = tuple(int(d) for d in sidecar["dims"])
         spacing = tuple(float(s) for s in sidecar["spacing_mm"])
         dtype = _DTYPES[sidecar["dtype"]]

@@ -13,6 +13,7 @@ from hsmoe.bench import (
 from hsmoe.config import StageConfig, full_config, tiny_config
 from hsmoe.metrics import count_parameters
 from hsmoe.network import SegNet
+from hsmoe.routing import FFN_RATIO
 
 
 def test_slope_fit_recovers_exponent():
@@ -82,7 +83,7 @@ def _gated_ssm_n(d, n):
 
 def _moe_n(stage):
     d, E, S, E2, r = (stage.dim, stage.num_experts, stage.slots_per_expert,
-                      stage.num_experts_l2, stage.ffn_ratio)
+                      stage.num_experts_l2, FFN_RATIO)
     return (E * S * d + _linear_n(d, E) + E * _ffn_n(d, r)
             + _linear_n(d, E2) + E2 * _ffn_n(d, r))
 

@@ -57,6 +57,18 @@ def test_config_unknown_key_rejected(tmp_path):
         parse_config_file(str(path))
 
 
+# settings that were constants in every preset and run: the cosine schedule,
+# group sizes halving by stage, FFN width 2d, the data noise, one input channel
+@pytest.mark.parametrize("line", ["train.cosine = false", "network.group_ratio = 0.25",
+                                  "network.ffn_ratio = 4", "network.in_channels = 2",
+                                  "data.noise_sigma = 0.1"])
+def test_removed_setting_is_unknown_key(tmp_path, capsys, line):
+    path = tmp_path / "old.cfg"
+    path.write_text(line + "\n")
+    code, _, err = run_cli(capsys, "train", "--config", str(path))
+    _assert_validation_error(code, err, "unknown key", repr(line.split(" = ")[0]))
+
+
 @pytest.mark.parametrize("threads", ["0", "-5"])
 def test_threads_flag_below_one_is_validation_error(capsys, threads):
     code, _, err = run_cli(capsys, "eval", "--threads", threads)
@@ -87,6 +99,17 @@ def test_env_settings_stay_ambient_for_every_subcommand(capsys, monkeypatch):
     monkeypatch.setenv("HSMOE_THREADS", "2")
     code, out, _ = run_cli(capsys, "describe")
     assert code == EXIT_OK and "parameters:" in out
+
+
+@pytest.mark.parametrize("var,value,argv", [
+    ("HSMOE_THREADS", "0", ["gradcheck", "--modules", "tensor_core"]),
+    ("HSMOE_THREADS", "two", ["describe"]),
+    ("HSMOE_SEED", "x", ["describe"]),
+])
+def test_env_value_applies_only_where_its_key_is_read(capsys, monkeypatch, var, value, argv):
+    monkeypatch.setenv(var, value)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_OK, err
 
 
 def test_bad_env_value_is_validation_error(capsys, monkeypatch):
@@ -245,13 +268,20 @@ def test_partial_network_override_names_missing_keys(tmp_path, capsys, command):
                              "network.base_group_size", "network.slots_per_expert")
 
 
-@pytest.mark.parametrize("key", ["scan_block_size", "ssm_state_dim", "in_channels", "stem_channels"])
+@pytest.mark.parametrize("key", ["scan_block_size", "ssm_state_dim", "stem_channels"])
 @pytest.mark.parametrize("command", ["describe", "train"])
 def test_network_width_below_one_is_validation_error(tmp_path, capsys, key, command):
     path = tmp_path / "bad.cfg"
     path.write_text(_LAYOUT + f"network.{key} = 0\n")
     code, _, err = run_cli(capsys, command, "--config", str(path))
     _assert_validation_error(code, err, "must be >= 1, got 0")
+
+
+def test_base_group_size_must_halve_over_every_stage(tmp_path, capsys):
+    path = tmp_path / "odd.cfg"
+    path.write_text(_LAYOUT.replace("base_group_size = 8", "base_group_size = 7"))
+    code, _, err = run_cli(capsys, "describe", "--config", str(path))
+    _assert_validation_error(code, err, "base group size 7 must be a positive multiple of 2")
 
 
 @pytest.mark.parametrize("key", ["scan_block_size", "ssm_state_dim", "in_channels", "stem_channels"])
@@ -266,7 +296,7 @@ def test_network_config_validate_rejects_zero_widths(key):
 @pytest.mark.parametrize("argv,fragment", [
     (["train", "--volumes", "0"], "num_volumes must be >= 1"),
     (["train", "--size", "0"], "size must be >= 1"),
-    (["train", "--size", "8"], "data size 8 not divisible by 16"),
+    (["train", "--size", "8"], "size 8 must be a positive multiple of 16"),
     (["train", "--steps", "0"], "steps must be >= 1"),
     (["train", "--lr", "0"], "lr must be > 0"),
     (["train", "--batch-size", "0"], "batch_size must be >= 1"),
@@ -281,15 +311,9 @@ def test_bad_run_flag_is_validation_error(capsys, argv, fragment):
 
 @pytest.mark.parametrize("size", ["0", "-16", "24"])
 def test_describe_size_must_be_positive_multiple(capsys, size):
-    code, _, err = run_cli(capsys, "describe", "--size", size)
-    _assert_validation_error(code, err, "must be a positive multiple of 16")
-
-
-def test_negative_noise_sigma_is_validation_error(tmp_path, capsys):
-    path = tmp_path / "noise.cfg"
-    path.write_text("data.noise_sigma = -1\n")
-    code, _, err = run_cli(capsys, "train", "--config", str(path))
-    _assert_validation_error(code, err, "noise_sigma must be >= 0")
+    code, out, err = run_cli(capsys, "describe", "--size", size)
+    _assert_validation_error(code, err, f"--size {size} must be a positive multiple of 16 (2**stages)")
+    assert out == ""
 
 
 @pytest.mark.parametrize("line,fragment", [
@@ -419,7 +443,7 @@ def test_bench_csv_schema_and_slope(tmp_path, capsys):
     (["--min-exp", "12", "--max-exp", "10"], "need 0 <= --min-exp <= --max-exp"),
     (["--min-exp", "-1", "--max-exp", "2"], "need 0 <= --min-exp <= --max-exp"),
     (["--repeats", "0"], "--repeats must be >= 1"),
-    (["--min-exp", "3", "--max-exp", "4", "--network-out", "n.csv"], "too small for a 2-stage network"),
+    (["--min-exp", "3", "--max-exp", "4", "--network-out", "n.csv"], "extent 2 must be a positive multiple of 4"),
     (["--min-exp", "8", "--max-exp", "8"], "need --min-exp < --max-exp"),
 ])
 def test_bench_bad_sweep_flag_is_validation_error(tmp_path, capsys, argv, fragment):
@@ -546,6 +570,47 @@ def test_eval_missing_checkpoint_is_clear_error(capsys):
     code, _, err = run_cli(capsys, "eval", "--preset", "tiny", "--checkpoint", "/nonexistent/ck")
     assert code == EXIT_VALIDATION
     assert "missing checkpoint" in err
+
+
+@pytest.mark.parametrize("damage,fragment", [
+    ("truncated payload", "ValueError: buffer is smaller than requested size"),
+    ("unparseable manifest", "JSONDecodeError"),
+    ("entry without dtype", "KeyError: 'dtype'"),
+    ("unknown dtype tag", "KeyError: 'f16'"),
+])
+def test_malformed_checkpoint_is_validation_error(tmp_path, capsys, damage, fragment):
+    from hsmoe import nn
+    from hsmoe.checkpoint import save_checkpoint
+
+    base = tmp_path / "ck"
+    save_checkpoint(list(nn.Linear(2, 3, T.rng(0)).named_parameters()), str(base))
+    manifest_path, payload_path = tmp_path / "ck.json", tmp_path / "ck.bin"
+    manifest = json.loads(manifest_path.read_text())
+    if damage == "truncated payload":
+        payload_path.write_bytes(payload_path.read_bytes()[:-1])
+    elif damage == "unparseable manifest":
+        manifest_path.write_text("{")
+    else:
+        entry = manifest["params"][-1]
+        if damage == "entry without dtype":
+            del entry["dtype"]
+        else:
+            entry["dtype"] = "f16"
+        manifest_path.write_text(json.dumps(manifest))
+    code, _, err = run_cli(capsys, "eval", "--checkpoint", str(base), "--volumes", "1")
+    _assert_validation_error(code, err, f"malformed checkpoint {base}", fragment)
+
+
+def test_unparseable_volume_sidecar_is_validation_error(tmp_path, capsys):
+    dirs = {kind: tmp_path / kind for kind in ("pred", "gt")}
+    for path in dirs.values():
+        path.mkdir()
+        write_volume(str(path / "a"), np.zeros((4, 4, 4)), dtype="u8")
+    (dirs["pred"] / "a.json").write_text("{")
+    code, _, err = run_cli(capsys, "eval", "--classes", "2", "--pred-dir", str(dirs["pred"]),
+                           "--gt-dir", str(dirs["gt"]), "--out", str(tmp_path / "m.csv"),
+                           "--json-out", str(tmp_path / "m.json"))
+    _assert_validation_error(code, err, f"bad sidecar {dirs['pred'] / 'a.json'}")
 
 
 def test_eval_identical_pred_gt_fixture(tmp_path, capsys):

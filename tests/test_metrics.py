@@ -251,12 +251,12 @@ def test_count_single_linear():
 
 def test_count_tiny_routing_stage_closed_form():
     from hsmoe.config import StageConfig
-    from hsmoe.routing import HierarchicalMoE
+    from hsmoe.routing import FFN_RATIO as r, HierarchicalMoE
 
-    d, E, S, r = 2, 2, 1, 2
+    d, E, S = 2, 2, 1
     E2 = 2 * E
     layer = HierarchicalMoE(StageConfig(dim=d, num_experts=E, group_size=4,
-                                        slots_per_expert=S, ffn_ratio=r), T.rng(6))
+                                        slots_per_expert=S), T.rng(6))
     ffn = (d * r * d + r * d) + (r * d * d + d)
     want = (E * S * d               # slot embeddings
             + (d * E + E)           # level-1 router

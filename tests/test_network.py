@@ -98,7 +98,7 @@ def test_composed_head_matches_the_two_head_layers():
 
 def test_indivisible_extent_rejected():
     net = SegNet(mini_config(), seed=3)
-    with pytest.raises(ConfigError, match="divisible"):
+    with pytest.raises(ConfigError, match="spatial extent 6 must be a positive multiple of 4"):
         net(Tensor(np.zeros((1, 1, 6, 8, 8))))
 
 

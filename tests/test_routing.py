@@ -139,7 +139,7 @@ def test_dispatch_rows_of_valid_tokens_sum_to_one(n, k, e, s):
 
 def test_bank_draws_match_separate_feedforwards():
     # expert by expert, w1[e] then w2[e], as separate FFNs would draw; biases start at zero
-    bank = ExpertBank(3, 2, T.rng(40), ratio=2)
+    bank = ExpertBank(3, 2, T.rng(40))
     rng = T.rng(40)
     for e in range(3):
         assert np.array_equal(bank.w1.data[e], nn._uniform_init(rng, (2, 4), 2))
@@ -158,7 +158,7 @@ def test_layer_parameters_are_routers_and_expert_stacks():
 
 
 def test_bank_expert_view_matches_slice_of_bank_output():
-    bank = ExpertBank(3, 4, T.rng(42), ratio=2)
+    bank = ExpertBank(3, 4, T.rng(42))
     bank.b1.data[:] = T.rng(43).uniform(-1, 1, bank.b1.shape)
     bank.b2.data[:] = T.rng(44).uniform(-1, 1, bank.b2.shape)
     x = Tensor(T.rng(45).uniform(-1, 1, (2, 3, 5, 4)))
