@@ -11,6 +11,7 @@ error (usage errors included), 2 runtime/numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import csv
 import os
 import sys
@@ -345,8 +346,11 @@ def cmd_eval(run: RunConfig, args) -> int:
         name, pred, gt, spacing = case
         return _eval_case(name, pred, gt, num_classes, spacing)
 
+    # pool threads do not inherit numpy's errstate, a context variable: each
+    # case runs in its own copy of this thread's context
     with ThreadPoolExecutor(max_workers=run.threads) as pool:
-        per_case = list(pool.map(work, cases))
+        futures = [pool.submit(contextvars.copy_context().run, work, case) for case in cases]
+        per_case = [f.result() for f in futures]
     rows = [row for case_rows in per_case for row in case_rows]
     write_metrics_csv(rows, args.out)
     summary = summarize(rows, num_classes)

@@ -7,6 +7,7 @@ The per-module suites at the bottom are what ``hsmoe gradcheck`` runs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence
 
@@ -85,11 +86,18 @@ def grad_check(loss_fn: Callable[[], Tensor], params: Dict[str, Tensor],
     return CheckResult(name, max_err, len(coords), tol)
 
 
+@functools.lru_cache(maxsize=64)
+def _loss_weights(seed: int, shape: tuple) -> np.ndarray:
+    """The read-only weights of ``weighted_sum_loss``, drawn once per (seed, shape)."""
+    w = T.rng(seed).uniform(0.5, 1.5, size=shape)
+    w.flags.writeable = False
+    return w
+
+
 def weighted_sum_loss(out: Tensor, seed: int = 0) -> Tensor:
     """Scalar loss sum(w * out) with fixed random weights; avoids symmetric
     cancellations that would leave true-zero gradient coordinates."""
-    w = T.rng(seed).uniform(0.5, 1.5, size=out.shape)
-    return T.reduce_sum(T.mul(out, Tensor(w)))
+    return T.reduce_sum(T.mul(out, Tensor(_loss_weights(seed, out.shape))))
 
 
 def gradient_flow(named_params: Sequence, loss: Tensor) -> Dict[str, float]:

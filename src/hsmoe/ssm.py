@@ -1,14 +1,19 @@
 """Selective state-space sequence layer: linear-time gated scan.
 
 The core primitive is the first-order linear recurrence
-``h_t = decay_t * h_{t-1} + drive_t`` (h_0 = 0) along axis 1, run by one
-blocked kernel, ``_scan``: O(N) arithmetic in about ``block + N / block``
-interpreter steps, with no buffer of the input's size besides the output.
-The backward adjoint ``lam_t = g_t + decay_{t+1} * lam_{t+1}`` is itself a
-reversed linear recurrence, so it reuses the same kernel.
+``h_t = decay_t * h_{t-1} + drive_t`` (h_0 = 0) along axis 1. The scan cuts
+the N steps into nb = ceil(N / L) blocks of L = ``block_size`` steps and
+lays each [B,N,...] operand out block-major, as [L, B, nb, ...] with zeros
+past N (``_to_blocks``), so offset t of every block is one contiguous slab.
+One in-place kernel, ``_scan``, runs the recurrence on that layout: O(N)
+arithmetic in about ``2 L + nb`` interpreter steps, with no buffer of the
+state's size besides the state. The backward adjoint
+``lam_t = g_t + decay_{t+1} * lam_{t+1}`` is the same recurrence run
+backwards, so it is the same kernel on reversed views.
 
 The model's scan is ``selective_scan_fn``, one tape op that discretizes,
-scans and reads out, so the [B,N,d,n] state never becomes a Tensor.
+scans and reads out in the block layout, so the [B,N,d,n] state never
+becomes a Tensor and only [B,N,.]-sized arrays are laid out and back.
 Discretization keeps the state transition strictly inside (0,1):
 ``decay = exp(delta * A)`` with ``A = -softplus(rate)`` and
 ``delta = softplus(linear(x))``.
@@ -23,41 +28,70 @@ import numpy as np
 from . import nn, tensor as T
 from .tensor import Tensor
 
+# a forward overflow surfaces as the op's NumericalError from the finiteness
+# check on its output; numpy's RuntimeWarning before it would only repeat it.
+# The backward closures have no such check and keep numpy's warnings.
+_quiet = np.errstate(over="ignore", invalid="ignore")
 
-def _scan(a: np.ndarray, u: np.ndarray, block_size: Optional[int]) -> np.ndarray:
-    """h_t = a_{t-1} * h_{t-1} + u_t along axis 1, h_0 = u_0, in blocks of
-    ``min(block_size, N)`` steps (all N steps when ``block_size`` is None).
 
-    ``a`` holds the N-1 transitions: ``a[:, t-1]`` carries h_{t-1} into h_t,
-    so a caller passes ``decay[:, 1:]`` (decay_0 multiplies the zero state).
-    The first loop runs every block from a zero state at once, one offset
-    within the block per step, through strided views; the last block may be
-    short. The second adds each block's carry, ``cumprod(a) * h`` of the
-    previous block's last state, in place. With one block it runs zero times.
+def _to_blocks(v: np.ndarray, L: int) -> np.ndarray:
+    """[B,N,...] -> [L,B,nb,...]: v[b, k*L + t] at [t, b, k], zeros past N."""
+    (B, N), rest = v.shape[:2], v.shape[2:]
+    nb = -(-N // L)
+    if nb * L > N:
+        v = np.concatenate((v, np.zeros((B, nb * L - N) + rest, v.dtype)), axis=1)
+    return v.reshape(B, nb, L, -1).transpose(2, 0, 1, 3).copy().reshape((L, B, nb) + rest)
+
+
+def _from_blocks(r: np.ndarray, N: int) -> np.ndarray:
+    """The inverse of ``_to_blocks``: [L,B,nb,...] -> [B,N,...]."""
+    L, B, nb = r.shape[:3]
+    out = r.reshape(L, B, nb, -1).transpose(1, 2, 0, 3).reshape((B, nb * L) + r.shape[3:])
+    return out if nb * L == N else np.ascontiguousarray(out[:, :N])
+
+
+def _scan(within: np.ndarray, across: np.ndarray, h: np.ndarray) -> None:
+    """h_t += a_t * h_{t-1} in place on the block layout h [L, B, nb, ...],
+    which holds the drive on entry and the state on return.
+
+    ``within[t-1]`` carries offset t-1 of every block into offset t, and
+    ``across[:, k-1]`` carries the end of block k-1 into offset 0 of block k.
+    Three passes:
+    1. every block runs from a zero state, one offset per step;
+    2. each block's transition product P carries the block end states across
+       the blocks, so offset L-1 holds every block's true end state H;
+    3. offset t < L-1 of block k adds P_t * H_{k-1}, P_t the running product
+       of block k's transitions up to offset t.
+    Passes 2 and 3 form each P left to right, as a cumprod along the block
+    would. With one block only the first pass runs.
     """
-    N = u.shape[1]
-    block = N if block_size is None else min(block_size, N)
-    out = np.empty_like(u)
-    h = u[:, ::block].copy()  # the state of every block at offset 0
-    out[:, ::block] = h
-    for t in range(1, block):
-        hk = h[:, :(N - 1 - t) // block + 1]  # the blocks long enough to reach offset t
-        hk *= a[:, t - 1::block]
-        hk += u[:, t::block]
-        out[:, t::block] = hk
-    for start in range(block, N, block):
-        out[:, start:start + block] += (np.cumprod(a[:, start - 1:start - 1 + block], axis=1)
-                                        * out[:, start - 1:start])
-    return out
+    tmp, ends = np.empty_like(h[0]), across.copy()
+    for a, prev, cur in zip(within, h[:-1], h[1:]):
+        np.multiply(a, prev, out=tmp)
+        cur += tmp
+        ends *= a[:, 1:]
+    if h.shape[2] == 1:
+        return
+    last = h[-1]
+    by_block = last.swapaxes(0, 1)  # [nb, B, ...] views of the end states
+    for end, prev, cur in zip(ends.swapaxes(0, 1), by_block[:-1], by_block[1:]):
+        cur += end * prev
+    carry, tail, prev_end = across.copy(), tmp[:, 1:], last[:, :-1]
+    for t, cur in enumerate(h[:-1, :, 1:]):
+        if t:
+            carry *= within[t - 1, :, 1:]
+        np.multiply(carry, prev_end, out=tail)
+        cur += tail
 
 
-def _adjoint(a: np.ndarray, g: np.ndarray, block_size: Optional[int]) -> np.ndarray:
-    """The scan's backward: lam_t = g_t + a_{t+1} * lam_{t+1}, a reversed
-    linear recurrence run on the same kernel through reversed views, with
-    a_N .. a_1 as its transitions. lam is dL/d(drive)."""
-    return _scan(a[:, :0:-1], g[:, ::-1], block_size)[:, ::-1]
+def _times_previous(q: np.ndarray, h: np.ndarray) -> None:
+    """q_t *= h_{t-1} in place on the block layout, with h_{-1} = 0."""
+    q[1:] *= h[:-1]
+    q[0, :, 1:] *= h[-1, :, :-1]
+    q[0, :, 0] = 0.0
 
 
+@_quiet
 def linear_recurrence(decay: Tensor, drive: Tensor, block_size: Optional[int] = 64) -> Tensor:
     """h_t = decay_t * h_{t-1} + drive_t along axis 1, h_0 = 0.
 
@@ -67,27 +101,34 @@ def linear_recurrence(decay: Tensor, drive: Tensor, block_size: Optional[int] = 
         raise T.ShapeError(f"linear_recurrence: decay {decay.shape} != drive {drive.shape}")
     if decay.ndim < 2 or decay.shape[1] < 1:
         raise T.ShapeError(f"linear_recurrence needs [B, N, ...] with N >= 1, got {decay.shape}")
-    a = decay.data
-    h = _scan(a[:, 1:], drive.data, block_size)
+    N = decay.shape[1]
+    L = N if block_size is None else min(block_size, N)
+    a = _to_blocks(decay.data, L)
+    h = _to_blocks(drive.data, L)
+    _scan(a[1:], a[0, :, 1:], h)
 
     def bwd(g):
-        lam = _adjoint(a, g, block_size)
-        h_prev = np.concatenate([np.zeros_like(h[:, :1]), h[:, :-1]], axis=1)
-        return np.ascontiguousarray(lam * h_prev), np.ascontiguousarray(lam)
+        # lam_t = g_t + a_{t+1} lam_{t+1}: the kernel on the reversed layout
+        lam = _to_blocks(g, L)
+        _scan(a[:0:-1, :, ::-1], a[0, :, :0:-1], lam[::-1, :, ::-1])
+        q = lam.copy()
+        _times_previous(q, h)
+        return _from_blocks(q, N), _from_blocks(lam, N)
 
-    return T._trace(h, (decay, drive), bwd, "linear_recurrence")
+    return T._trace(_from_blocks(h, N), (decay, drive), bwd, "linear_recurrence")
 
 
+@_quiet
 def selective_scan_fn(x: Tensor, delta: Tensor, A: Tensor, B: Tensor, C: Tensor, D: Tensor,
                       block_size: Optional[int] = 64) -> Tensor:
     """Discretize, scan and read out as one tape op: [B,N,d] -> [B,N,d].
 
     x, delta: [B,N,d]; A: [d,n]; B, C: [B,N,n]; D: [d]. Per channel j and
     state k: h_t = exp(delta_t A) (.) h_{t-1} + (delta_t B_t) x_t, then
-    y_t = <C_t, h_t> + D x_t. The [B,N,d,n] decay and drive are built in
-    place, in the order ``exp(delta*A)`` and ``(delta*B)*x``; only the decay
-    and h are kept for the backward, which returns gradients for all six
-    inputs.
+    y_t = <C_t, h_t> + D x_t. The [B,N,d,n] decay and drive are built in the
+    block layout, in the order ``exp(delta*A)`` and ``(delta*B)*x``; the
+    decay and h are kept for the backward, which contracts in that layout
+    and returns gradients for all six inputs.
     """
     got = (x.shape, delta.shape, A.shape, B.shape, C.shape, D.shape)
     want = None
@@ -97,29 +138,31 @@ def selective_scan_fn(x: Tensor, delta: Tensor, A: Tensor, B: Tensor, C: Tensor,
     if got != want:
         raise T.ShapeError(f"selective_scan: x, delta, A, B, C, D have shapes {got}, expected "
                            "[B,N,d], [B,N,d], [d,n], [B,N,n], [B,N,n], [d] with N >= 1")
-    dt = delta.data[..., None]  # [B,N,d,1]
-    decay = dt * A.data
+    L = N if block_size is None else min(block_size, N)
+    dt, Bl, Cl = (_to_blocks(v.data, L) for v in (delta, B, C))  # [L,B,nb,.]
+    decay = np.einsum("...j,jk->...jk", dt, A.data)
     np.exp(decay, out=decay)
-    drive = dt * B.data[:, :, None, :]
-    drive *= x.data[..., None]
-    h = _scan(decay[:, 1:], drive, block_size)
-    y = np.einsum("btjk,btk->btj", h, C.data)
+    h = np.einsum("...j,...k->...jk", dt, Bl)
+    h *= _to_blocks(x.data, L)[..., None]
+    _scan(decay[1:], decay[0, :, 1:], h)
+    y = _from_blocks(np.einsum("...jk,...k->...j", h, Cl), N)
     y += D.data * x.data
 
     def bwd(g):
-        lam = _adjoint(decay, g[..., None] * C.data[:, :, None, :], block_size)
-        # q = dL/d(delta*A) = lam * decay * h_prev, with h_prev = 0 at t = 0
+        gl = _to_blocks(g, L)
+        lam = np.einsum("...j,...k->...jk", gl, Cl)
+        _scan(decay[:0:-1, :, ::-1], decay[0, :, :0:-1], lam[::-1, :, ::-1])
+        # q = dL/d(delta*A) = lam * decay * h_prev
         q = lam * decay
-        q[:, 0] = 0.0
-        q[:, 1:] *= h[:, :-1]
-        lam_b = np.einsum("btjk,btk->btj", lam, B.data)
+        _times_previous(q, h)
+        lam_b = _from_blocks(np.einsum("...jk,...k->...j", lam, Bl), N)
         dx = delta.data * lam_b
         dx += g * D.data
-        ddelta = np.einsum("btjk,jk->btj", q, A.data)
+        ddelta = _from_blocks(np.einsum("...jk,jk->...j", q, A.data), N)
         ddelta += x.data * lam_b
-        dA = np.einsum("btjk,btj->jk", q, delta.data)
-        dB = np.einsum("btjk,btj->btk", lam, delta.data * x.data)
-        dC = np.einsum("btj,btjk->btk", g, h)
+        dA = np.einsum("tbcjk,tbcj->jk", q, dt)  # sums offsets t, batch b, blocks c
+        dB = _from_blocks(np.einsum("...jk,...j->...k", lam, _to_blocks(delta.data * x.data, L)), N)
+        dC = _from_blocks(np.einsum("...j,...jk->...k", gl, h), N)
         dD = np.sum(g * x.data, axis=(0, 1))
         return dx, ddelta, dA, dB, dC, dD
 

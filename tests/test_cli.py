@@ -636,6 +636,28 @@ def test_eval_identical_pred_gt_fixture(tmp_path, capsys):
     assert summary["mhd95"] == 0.0
 
 
+def test_eval_workers_run_under_the_cli_errstate(tmp_path, capsys, monkeypatch):
+    for kind in ("pred", "gt"):
+        (tmp_path / kind).mkdir()
+        for name in ("a", "b", "c"):
+            lab = np.zeros((4, 4, 4), dtype=np.int64)
+            lab[1:3, 1:3, 1:3] = 1
+            write_volume(str(tmp_path / kind / name), lab, dtype="u8")
+    seen = []
+    eval_case = cli._eval_case
+
+    def spy(*args):
+        seen.append(np.geterr()["over"])
+        return eval_case(*args)
+
+    monkeypatch.setattr(cli, "_eval_case", spy)
+    code, _, _ = run_cli(capsys, "eval", "--classes", "2", "--threads", "2",
+                         "--pred-dir", str(tmp_path / "pred"), "--gt-dir", str(tmp_path / "gt"),
+                         "--out", str(tmp_path / "m.csv"), "--json-out", str(tmp_path / "m.json"))
+    assert code == EXIT_OK
+    assert seen == ["ignore"] * 3
+
+
 @pytest.mark.parametrize("volume", ["pred", "gt"])
 def test_eval_class_id_outside_range_names_the_volume(tmp_path, capsys, volume):
     dirs = {kind: tmp_path / kind for kind in ("pred", "gt")}

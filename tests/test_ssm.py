@@ -2,6 +2,7 @@
 causality, memory, and gradients of the hand-written backward."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ def test_cumulative_sum_case():
     assert np.array_equal(y.data[0, :, 0], np.arange(1, N + 1, dtype=np.float64))
 
 
-@pytest.mark.parametrize("N,block", [(7, 3), (64, 8), (100, 16), (33, 64)])
+@pytest.mark.parametrize("N,block", [(7, 3), (64, 8), (100, 16), (33, 64), (130, 64), (21, 4)])
 def test_blocked_scan_matches_naive_recurrence(N, block):
     g = T.rng(N)
     a = g.uniform(0.0, 1.0, (2, N, 3, 2))
@@ -72,18 +73,43 @@ def test_one_block_scan_equals_naive_recurrence_exactly(N, block):
     g = T.rng(100 + N)
     a = g.uniform(0.0, 1.0, (2, N, 3, 2))
     u = g.uniform(-1, 1, (2, N, 3, 2))
-    assert np.array_equal(ssm._scan(a[:, 1:], u, block), scan_naive(a, u))
+    L = N if block is None else min(block, N)
+    ab, h = ssm._to_blocks(a, L), ssm._to_blocks(u, L)
+    ssm._scan(ab[1:], ab[0, :, 1:], h)
+    assert np.array_equal(ssm._from_blocks(h, N), scan_naive(a, u))
+
+
+def test_block_layout_roundtrip_pads_with_zeros():
+    v = T.rng(103).uniform(-1, 1, (2, 21, 3))
+    blocks = ssm._to_blocks(v, 4)
+    assert blocks.shape == (4, 2, 6, 3)
+    assert np.array_equal(blocks[:, 1, 2], v[1, 8:12])  # offset t of block k is v[:, 4k + t]
+    assert not blocks[1:, :, 5].any()  # past N = 21
+    assert np.array_equal(ssm._from_blocks(blocks, 21), v)
+
+
+@pytest.mark.parametrize("N,block", [(21, 4), (130, 64), (17, 17)])
+def test_reversed_kernel_runs_the_adjoint_recurrence(N, block):
+    # lam_t = g_t + a_{t+1} lam_{t+1}, lam_{N-1} = g_{N-1}, on reversed views
+    g = T.rng(104 + N)
+    a = g.uniform(0.0, 1.0, (2, N, 3, 2))
+    grad = g.uniform(-1, 1, (2, N, 3, 2))
+    ab, lam = ssm._to_blocks(a, block), ssm._to_blocks(grad, block)
+    ssm._scan(ab[:0:-1, :, ::-1], ab[0, :, :0:-1], lam[::-1, :, ::-1])
+    reversed_decay = np.concatenate([np.zeros_like(a[:, :1]), a[:, :0:-1]], axis=1)
+    want = scan_naive(reversed_decay, grad[:, ::-1])[:, ::-1]
+    assert np.max(np.abs(ssm._from_blocks(lam, N) - want)) < 1e-12
 
 
 def test_scan_peak_memory_stays_near_its_output():
-    # no input-sized buffer besides the output, padded last block included
+    # the kernel runs in place: no buffer of the state's size, padded last block included
     g = T.rng(101)
     for N in (4096, 4000):
-        a = g.uniform(0.1, 0.9, (1, N, 8, 8))
-        u = g.uniform(-1, 1, (1, N, 8, 8))
+        a = ssm._to_blocks(g.uniform(0.1, 0.9, (1, N, 8, 8)), 64)
+        u = ssm._to_blocks(g.uniform(-1, 1, (1, N, 8, 8)), 64)
         tracemalloc.start()
         try:
-            ssm._scan(a[:, 1:], u, 64)
+            ssm._scan(a[1:], a[0, :, 1:], u)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -94,11 +120,11 @@ def test_adjoint_peak_memory_stays_near_its_output():
     # the reversed scan reads the decay and the gradient through views
     g = T.rng(102)
     for N in (4096, 4000):
-        a = g.uniform(0.1, 0.9, (1, N, 8, 8))
-        grad = g.uniform(-1, 1, (1, N, 8, 8))
+        a = ssm._to_blocks(g.uniform(0.1, 0.9, (1, N, 8, 8)), 64)
+        grad = ssm._to_blocks(g.uniform(-1, 1, (1, N, 8, 8)), 64)
         tracemalloc.start()
         try:
-            ssm._adjoint(a, grad, 64)
+            ssm._scan(a[:0:-1, :, ::-1], a[0, :, :0:-1], grad[::-1, :, ::-1])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -171,7 +197,16 @@ def test_selective_scan_fn_gradient_every_input(block):
     assert res.passed, f"max rel err {res.max_rel_err}"
 
 
-@pytest.mark.parametrize("N,block", [(1, 64), (7, 3), (33, 8), (20, None)])
+def test_selective_scan_fn_gradient_ragged_blocks():
+    # N=11 with block 4: the carry crosses two block boundaries into a padded block
+    inputs = _scan_inputs(T.rng(27), 2, 11, 3, 2, requires_grad=True)
+    names = ("x", "delta", "A", "B", "C", "D")
+    res = grad_check(lambda: weighted_sum_loss(ssm.selective_scan_fn(*inputs, block_size=4)),
+                     dict(zip(names, inputs)), name="selective_scan", tol=1e-6)
+    assert res.passed, f"max rel err {res.max_rel_err}"
+
+
+@pytest.mark.parametrize("N,block", [(1, 64), (7, 3), (33, 8), (20, None), (130, 64), (21, 4)])
 def test_selective_scan_fn_matches_loop_oracle(N, block):
     g = T.rng(21 + N)
     inputs = _scan_inputs(g, 2, N, 3, 4)
@@ -181,13 +216,25 @@ def test_selective_scan_fn_matches_loop_oracle(N, block):
 
 
 def test_selective_scan_fn_overflow_raises_naming_op():
+    # the contract's error alone: numpy warns of no overflow before it
     g = T.rng(22)
     x, delta, A, Bm, C, D = _scan_inputs(g, 1, 6, 2, 2)
     x = Tensor(np.full(x.shape, 1e308))
     ones = Tensor(np.ones(Bm.shape))
-    with pytest.raises(T.NumericalError, match="selective_scan"):
-        ssm.selective_scan_fn(x, Tensor(np.ones(x.shape)), Tensor(np.full(A.shape, -1e-3)),
-                              ones, ones, D)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(T.NumericalError, match="selective_scan"):
+            ssm.selective_scan_fn(x, Tensor(np.ones(x.shape)), Tensor(np.full(A.shape, -1e-3)),
+                                  ones, ones, D)
+
+
+def test_linear_recurrence_overflow_raises_without_warning():
+    a = Tensor(np.ones((1, 5, 2)))
+    u = Tensor(np.full((1, 5, 2), 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(T.NumericalError, match="linear_recurrence"):
+            ssm.linear_recurrence(a, u, block_size=2)
 
 
 def test_selective_scan_fn_f32_in_f32_out():

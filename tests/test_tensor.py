@@ -293,6 +293,16 @@ def test_determinism_same_seed_bit_identical():
     assert np.array_equal(a, b)
 
 
+def test_weighted_sum_loss_draws_its_weights_once_per_seed_and_shape():
+    out = Tensor(T.rng(3).uniform(-1, 1, (2, 3)))
+    fresh = T.rng(0).uniform(0.5, 1.5, size=(2, 3))
+    assert weighted_sum_loss(out).item() == T.reduce_sum(T.mul(out, Tensor(fresh))).item()
+    from hsmoe.gradcheck import _loss_weights
+    w = _loss_weights(0, (2, 3))
+    assert w is _loss_weights(0, (2, 3)) and not w.flags.writeable
+    assert np.array_equal(w, fresh)
+
+
 def test_tensor_invariants():
     x = Tensor(np.zeros((2, 3)))
     assert x.size == int(np.prod(x.shape))
