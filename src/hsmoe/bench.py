@@ -109,9 +109,12 @@ def scan_sweep(n_values: Sequence[int], dim: int = 8, state_dim: int = 2,
                seed: int = 0, repeats: int = 5, block_size: int = 64) -> List[Dict]:
     """Wall time of the blocked selective-scan recurrence over sequence length.
 
-    Default widths keep the largest sweep point inside the same cache regime
-    as the smallest, so the fit sees the O(N) arithmetic rather than a
-    memory-hierarchy transition bending the curve.
+    The default widths do not keep the sweep in one cache regime: each
+    [1, N, dim, state_dim] f64 operand is 128 N bytes, so it fits a 2 MB L2
+    at N = 2^10 but not from N = 2^14 on. Two bends in the curve offset each
+    other in a log-log fit: at small N the fixed interpreter cost of the
+    per-offset steps flattens it, and at large N the operands leaving cache
+    steepen it.
     """
     from .ssm import linear_recurrence
 

@@ -186,94 +186,165 @@ def make_norm(kind: str, dim: int) -> Module:
 # ---------------------------------------------------------------------------
 # 3D convolution
 
+# Overflow is reported by the forward's finiteness check (``T._trace``) or the
+# backward's (``T.backward``), so the kernels' arithmetic runs without numpy's
+# warning before it.
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
 
 def _conv3d_out_extent(n: int, k: int, stride: int, pad: int) -> int:
     return (n + 2 * pad - k) // stride + 1
 
 
-def _correlate(x: np.ndarray, weight: np.ndarray, stride: int, padding: int) -> Tuple[np.ndarray, list]:
-    """Cross-correlation of [B,C,D,H,W] with weight [O,C,k,k,k]; returns the
-    output [B,O,Do,Ho,Wo] and the k depth views that ``_weight_grad`` reads.
+def _live_taps(n: int, m: int, k: int, stride: int, pad: int) -> slice:
+    """The hull [lo, hi) of the taps of one axis that read some input. Tap i
+    reads positions o*stride + i - pad, o < m, of an axis of extent n: below
+    lo even the last window's read falls in the leading padding, and from hi
+    on even the first one's falls past the input. It is empty when every
+    window reads only padding."""
+    return slice(max(0, pad - (m - 1) * stride), min(k, pad + n))
 
+
+@_quiet
+def _correlate(x: np.ndarray, weight: np.ndarray, stride: int, padding: int) -> Tuple[np.ndarray, tuple]:
+    """Cross-correlation of [B,C,D,H,W] with weight [O,C,k,k,k]; returns the
+    output [B,O,Do,Ho,Wo] and what ``_weight_grad`` reads: the depth views
+    and the live taps.
+
+    Only the live taps are lowered: per axis, the hull ``_live_taps`` of the
+    taps whose windows read some input. The others read only padding; they
+    add nothing to the output and get exact zeros in the weight gradient.
     Only the height and width offsets are lowered by im2col; the depth
     offsets are matmuls on overlapping views (MEC, Cho & Brand, arXiv
     1706.06873). The input is zero-padded depth-major as [C, s*P, B, Hp, Wp],
-    with s the stride and P = Do + (k-1)//s, so padded depth r*s + ph is row r
-    of phase ph. Each of the k^2 (j, l) offsets copies its strided slice of
-    the first min(s, k) phases into ``cols`` [k^2*C, phases, P, B*Ho*Wo].
-    Depth offset i reads rows i//s .. i//s+Do-1 of phase i % s, a strided
-    view of ``cols`` that BLAS takes as it is, and the output is
-    sum_i W_i @ view_i with W_i = weight[:, :, i] laid out as [O, k^2*C].
+    shifted so that the first live tap of each axis is offset 0, with s the
+    stride, kd the live depth taps and P = Do + (kd-1)//s, so padded depth
+    r*s + ph is row r of phase ph. Each of the live (j, l) offsets copies its
+    strided slice of the first min(s, kd) phases into ``cols`` [kh*kw*C,
+    phases, P, B*Ho*Wo]. Live depth offset i reads rows i//s .. i//s+Do-1 of
+    phase i % s, a strided view of ``cols`` that BLAS takes as it is, and
+    the output is sum_i W_i @ view_i with W_i = weight[:, :, i] laid out as
+    [O, kh*kw*C].
     """
     O, C, k = weight.shape[:3]
-    B, (D, H, W) = x.shape[0], x.shape[2:]
-    out_sp = tuple(_conv3d_out_extent(n, k, stride, padding) for n in (D, H, W))
-    if any(n <= 0 for n in out_sp):
+    B, spatial = x.shape[0], x.shape[2:]
+    out_sp = tuple([_conv3d_out_extent(n, k, stride, padding) for n in spatial])
+    if min(out_sp) <= 0:
         raise ShapeError(f"conv3d: kernel {k} (stride {stride}, pad {padding}) does not fit input {x.shape}")
     Do, Ho, Wo = out_sp
     s, p = stride, padding
-    phases, P = min(s, k), Do + (k - 1) // s
-    R, N = k * k * C, B * Ho * Wo
+    live = tuple([_live_taps(n, m, k, s, p) for n, m in zip(spatial, out_sp)])
+    # input position q of an axis sits at q + p - lo in the padded input
+    (a, kd), (b, kh), (c, kw) = [(p - t.start, t.stop - t.start) for t in live]
+    if min(kd, kh, kw) <= 0:  # every window reads only padding
+        return np.zeros((B, O) + out_sp, dtype=x.dtype), ([], live)
+    phases, P = min(s, kd), Do + (kd - 1) // s
+    R, N = kh * kw * C, B * Ho * Wo
 
     # s*P rows can reach up to s-1 past the padded depth; those rows stay zero
-    xp = np.zeros((C, max(s * P, D + 2 * p), B, H + 2 * p, W + 2 * p), dtype=x.dtype)
-    xp[:, p:p + D, :, p:p + H, p:p + W] = x.transpose(1, 2, 0, 3, 4)
-    rows = xp[:, :s * P].reshape((C, P, s) + xp.shape[2:])[:, :, :phases]  # [C, P, phases, B, Hp, Wp]
-    cols = np.empty((k * k, C, phases, P, B, Ho, Wo), dtype=x.dtype)
-    for t, (j, l) in enumerate(itertools.product(range(k), repeat=2)):
-        cols[t] = rows[..., j:j + s * Ho:s, l:l + s * Wo:s].transpose(0, 2, 1, 3, 4, 5)
+    D, H, W = spatial
+    xp = np.zeros((C, max(s * P, a + D), B, max((Ho - 1) * s + kh, b + H), max((Wo - 1) * s + kw, c + W)),
+                  dtype=x.dtype)
+    xp[:, a:a + D, :, b:b + H, c:c + W] = x.transpose(1, 2, 0, 3, 4)
+    rows = xp[:, :s * P].reshape((C, P, s) + xp.shape[2:])[:, :, :phases].transpose(0, 2, 1, 3, 4, 5)
+    cols = np.empty((kh * kw, C, phases, P, B, Ho, Wo), dtype=x.dtype)  # rows: [C, phases, P, B, Hp, Wp]
+    for t, (j, l) in enumerate(itertools.product(range(kh), range(kw))):
+        cols[t] = rows[..., j:j + s * Ho:s, l:l + s * Wo:s]
     cols = cols.reshape(R, phases, P, N)
-    views = [cols[:, i % s, i // s:i // s + Do].reshape(R, Do * N) for i in range(k)]
-    wmats = weight.transpose(2, 0, 3, 4, 1).reshape(k, O, R)  # W_i, (j, l, c)-major like cols
+    views = [cols[:, i % s, i // s:i // s + Do].reshape(R, Do * N) for i in range(kd)]
+    wmats = weight[:, :, live[0], live[1], live[2]].transpose(2, 0, 3, 4, 1).reshape(kd, O, R)
     out = wmats[0] @ views[0]
-    for i in range(1, k):
+    for i in range(1, kd):
         out += wmats[i] @ views[i]
-    return np.ascontiguousarray(out.reshape(O, Do, B, Ho, Wo).transpose(2, 0, 1, 3, 4)), views
+    return np.ascontiguousarray(out.reshape(O, Do, B, Ho, Wo).transpose(2, 0, 1, 3, 4)), (views, live)
 
 
-def _weight_grad(g: np.ndarray, views: list) -> np.ndarray:
-    """The gradient [O,C,k,k,k] of a ``_correlate`` weight from its output's
-    gradient g [B,O,Do,Ho,Wo] and the depth views it returned: dW_i = g view_i^T."""
-    k, O = len(views), g.shape[1]
+@_quiet
+def _weight_grad(g: np.ndarray, lowered: tuple, shape: tuple) -> np.ndarray:
+    """The gradient, of ``shape`` [O,C,k,k,k], of a ``_correlate`` weight from
+    its output's gradient g [B,O,Do,Ho,Wo] and the depth views and live taps
+    it returned: dW_i = g view_i^T on the live taps, exact zeros elsewhere."""
+    views, (d, h, w) = lowered
+    O = g.shape[1]
+    dw = np.zeros(shape, dtype=g.dtype)
     gmat = g.transpose(1, 2, 0, 3, 4).reshape(O, -1)  # [O, Do*B*Ho*Wo], columns like the views
-    dw = np.stack([gmat @ view.T for view in views])  # [k, O, k^2*C]
-    return np.ascontiguousarray(dw.reshape(k, O, k, k, -1).transpose(1, 4, 0, 2, 3))
+    for i, view in enumerate(views):
+        dw_i = (gmat @ view.T).reshape(O, h.stop - h.start, w.stop - w.start, -1)  # (j, l, c)-major
+        dw[:, :, d.start + i, h, w] = dw_i.transpose(0, 3, 1, 2)
+    return dw
+
+
+@_quiet
+def _transpose(g: np.ndarray, weight: np.ndarray, stride: int, padding: int, in_extents: tuple) -> np.ndarray:
+    """The adjoint of ``_correlate``: the input gradient [B,C,*in_extents] of
+    a correlation with weight [O,C,k,k,k] from its output's gradient g
+    [B,O,Do,Ho,Wo], by col2im.
+
+    One matmul W^T g, batch-major, gives for every live tap (i, j, l) and
+    output voxel the [C] block that tap spreads back. Each tap's blocks land
+    stride apart in a volume laid out like ``_correlate``'s padded input,
+    which is then cropped to the input: with k >= s the first s taps of each
+    axis tile the lattice and are assigned, and the others are added. Taps
+    outside ``_live_taps`` would land only in the padding and are not
+    computed. It is also the transposed conv's forward.
+    """
+    O, C, k = weight.shape[:3]
+    B, out_sp = g.shape[0], g.shape[2:]
+    Do, Ho, Wo = out_sp
+    s, p = stride, padding
+    live = [_live_taps(n, m, k, s, p) for n, m in zip(in_extents, out_sp)]
+    sizes = tuple(t.stop - t.start for t in live)
+    if min(sizes) <= 0:  # every window reads only padding
+        return np.zeros((B, C) + tuple(in_extents), dtype=g.dtype)
+    lead = [p - t.start for t in live]
+    ext = tuple(max((m - 1) * s + kk, a + n) for m, kk, a, n in zip(out_sp, sizes, lead, in_extents))
+    wt = weight[:, :, live[0], live[1], live[2]].reshape(O, -1).T  # [C*kd*kh*kw, O]
+    cols = np.matmul(wt, g.reshape(B, O, -1)).reshape((B, C) + sizes + out_sp)
+    # with k >= s the first s taps of each axis tile [0, s*m) once: they are
+    # assigned, so only what lies past that lattice needs zeros first
+    tiled = min(sizes) >= s
+    dx = (np.empty if tiled else np.zeros)((B, C) + ext, dtype=cols.dtype)
+    if tiled:
+        for axis, m in enumerate(out_sp, start=2):
+            dx[(slice(None),) * axis + (slice(s * m, None),)] = 0.0
+    for i, j, l in itertools.product(*map(range, sizes)):
+        lattice = dx[:, :, i:i + s * Do:s, j:j + s * Ho:s, l:l + s * Wo:s]
+        if tiled and max(i, j, l) < s:
+            lattice[...] = cols[:, :, i, j, l]
+        else:
+            lattice += cols[:, :, i, j, l]
+    return dx[(Ellipsis,) + tuple(slice(a, a + n) for a, n in zip(lead, in_extents))]
 
 
 def conv3d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of [B,C,D,H,W] with weight [O,C,k,k,k], lowered by
-    ``_correlate``, as one tape op.
+    ``_correlate``, as one tape op. Taps whose windows read only padding (a
+    k=3 conv at a 1^3 extent has one live tap of 27) are not computed.
 
     The backward forms dW by ``_weight_grad`` and, only when ``x`` requires
-    grad, dx as the transposed conv (Dumoulin & Visin, arXiv 1603.07285): a
-    stride-1, unpadded correlation with the flipped, transposed weight of
-    ``spread``, g placed ``stride`` apart from offset k-1-p in a zero volume of
-    extent n+k-1 per axis. Entries of g that fall outside it (p > k-1) belong
-    to windows that read only padding and are dropped. An input that needs no
-    gradient (the raw image at the stem) gets none computed.
+    grad, dx as the transposed conv (Dumoulin & Visin, arXiv 1603.07285). At
+    stride 1 with p <= k-1 that is the correlation of g, padded k-1-p, with the
+    flipped, transposed weight; otherwise ``_transpose`` spreads W^T g back by
+    col2im, so no zero-filled volume of spread g is correlated. An input that
+    needs no gradient (the raw image at the stem) gets none computed.
     """
     if x.ndim != 5:
         raise ShapeError(f"conv3d expects [B,C,D,H,W], got {x.shape}")
     O, C, k = weight.shape[:3]
     if x.shape[1] != C:
         raise ShapeError(f"conv3d: input channels {x.shape[1]} != weight channels {C}")
-    out, views = _correlate(x.data, weight.data, stride, padding)
+    out, lowered = _correlate(x.data, weight.data, stride, padding)
     out += bias.data.reshape(1, O, 1, 1, 1)
 
     def bwd(g):
         dx = None
         if x.requires_grad:
-            spread = np.zeros(x.shape[:1] + (O,) + tuple(n + k - 1 for n in x.shape[2:]), dtype=g.dtype)
-            src, dst, off = [Ellipsis], [Ellipsis], k - 1 - padding
-            for n, m in zip(spread.shape[2:], g.shape[2:]):  # keep the m with 0 <= m*stride + off < n
-                lo = max(0, -(off // stride))
-                hi = max(lo, min(m, -((off - n) // stride)))
-                src.append(slice(lo, hi))
-                dst.append(slice(lo * stride + off, hi * stride + off, stride))
-            spread[tuple(dst)] = g[tuple(src)]
-            flipped = weight.data.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
-            dx = _correlate(spread, flipped, 1, 0)[0]
-        return dx, _weight_grad(g, views), g.sum(axis=(0, 2, 3, 4))
+            if stride == 1 and padding <= k - 1:
+                flipped = weight.data.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
+                dx = _correlate(g, flipped, 1, k - 1 - padding)[0]
+            else:
+                dx = _transpose(g, weight.data, stride, padding, x.shape[2:])
+        return dx, _weight_grad(g, lowered, weight.shape), g.sum(axis=(0, 2, 3, 4))
 
     return T._trace(out, (x, weight, bias), bwd, "conv3d")
 
@@ -298,30 +369,22 @@ def conv_transpose3d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Transposed conv, kernel 2 and stride 2 (exact x2 upsampling), of
     [B,C,D,H,W] with weight [C,O,2,2,2] and bias [O], as one tape op.
 
-    One matmul W^T [O*8, C] @ x [B, C, D*H*W] gives each of the 8 output
-    sub-lattices as a contiguous [B,O,D,H,W] block, written by strided
-    assignment into the [B,O,D,2,H,2,W,2] output. It is the adjoint of the
-    k2/s2 correlation, so the backward is that correlation: dx =
-    ``_correlate(g, W, 2, 0)``, and dW is ``_weight_grad`` of x against its
-    depth views.
+    It is the adjoint of the k2/s2 correlation with W, so the forward is
+    ``_transpose``: one matmul W^T [O*8, C] @ x [B, C, D*H*W], whose 8
+    sub-lattices tile the output and are written by strided assignment. The
+    backward is that correlation: dx = ``_correlate(g, W, 2, 0)``, and dW is
+    ``_weight_grad`` of x against its depth views.
     """
     if x.ndim != 5 or x.shape[1] != weight.shape[0]:
         raise ShapeError(f"conv_transpose3d: expected [B,{weight.shape[0]},D,H,W], got {x.shape}")
-    B, C, D, H, W = x.shape
-    O = weight.shape[1]
-    wmat = weight.data.reshape(C, O * 8)
-    xm = x.data.reshape(B, C, D * H * W)
-    mixed = np.matmul(wmat.T, xm).reshape(B, O, 2, 2, 2, D, H, W)
-    out = np.empty((B, O, D, 2, H, 2, W, 2), dtype=mixed.dtype)
-    for a, b, c in itertools.product(range(2), repeat=3):
-        out[:, :, :, a, :, b, :, c] = mixed[:, :, a, b, c]
-    out += bias.data.reshape(1, O, 1, 1, 1, 1, 1, 1)
+    out = _transpose(x.data, weight.data, 2, 0, tuple(2 * n for n in x.shape[2:]))
+    out += bias.data.reshape(1, -1, 1, 1, 1)
 
     def bwd(g):
-        dx, views = _correlate(g, weight.data, 2, 0)
-        return dx, _weight_grad(x.data, views), g.sum(axis=(0, 2, 3, 4))
+        dx, lowered = _correlate(g, weight.data, 2, 0)
+        return dx, _weight_grad(x.data, lowered, weight.shape), g.sum(axis=(0, 2, 3, 4))
 
-    return T._trace(out.reshape(B, O, 2 * D, 2 * H, 2 * W), (x, weight, bias), bwd, "conv_transpose3d")
+    return T._trace(out, (x, weight, bias), bwd, "conv_transpose3d")
 
 
 class ConvTranspose3d(Module):

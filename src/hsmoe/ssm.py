@@ -28,9 +28,9 @@ import numpy as np
 from . import nn, tensor as T
 from .tensor import Tensor
 
-# a forward overflow surfaces as the op's NumericalError from the finiteness
-# check on its output; numpy's RuntimeWarning before it would only repeat it.
-# The backward closures have no such check and keep numpy's warnings.
+# an overflow surfaces as the op's NumericalError from the finiteness check on
+# its output, or on the leaf gradients ``T.backward`` deposits; numpy's
+# RuntimeWarning before it would only repeat it.
 _quiet = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -107,6 +107,7 @@ def linear_recurrence(decay: Tensor, drive: Tensor, block_size: Optional[int] = 
     h = _to_blocks(drive.data, L)
     _scan(a[1:], a[0, :, 1:], h)
 
+    @_quiet
     def bwd(g):
         # lam_t = g_t + a_{t+1} lam_{t+1}: the kernel on the reversed layout
         lam = _to_blocks(g, L)
@@ -148,6 +149,7 @@ def selective_scan_fn(x: Tensor, delta: Tensor, A: Tensor, B: Tensor, C: Tensor,
     y = _from_blocks(np.einsum("...jk,...k->...j", h, Cl), N)
     y += D.data * x.data
 
+    @_quiet
     def bwd(g):
         gl = _to_blocks(g, L)
         lam = np.einsum("...j,...k->...jk", gl, Cl)

@@ -13,15 +13,25 @@ infinite fill value, which exists to feed ``softmax`` masked logits.
 Reductions delegate to numpy's deterministic pairwise summation, so identical
 inputs give bit-identical outputs on a fixed platform.
 
+The contract covers the backward too: ``backward`` checks each leaf gradient
+as it deposits it and raises ``NumericalError`` naming the op whose backward
+produced a NaN or Inf; a non-finite intermediate gradient reaches a leaf as
+one (``inf * 0`` is NaN).
+
 Inference runs under ``with no_grad():``, which records no node, so outputs
 hold no tape and keep no backward closure alive; parameters keep
 ``requires_grad`` and train as before once the block is left.
+
+``with profile() as prof:`` times the ops run inside the block, forward and
+backward, and counts their tape nodes; outside one it costs a global check.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
+from collections import Counter
+from time import perf_counter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,6 +40,7 @@ DEFAULT_DTYPE = np.float64
 
 _SEQ = itertools.count()
 _RECORDING = True  # process-wide, switched off inside no_grad()
+_PROFILE = None  # process-wide, the Profile being filled inside profile()
 
 
 class TensorError(Exception):
@@ -41,7 +52,7 @@ class ShapeError(TensorError):
 
 
 class NumericalError(TensorError):
-    """A forward op produced NaN/Inf from finite inputs."""
+    """An op produced NaN/Inf from finite inputs, in its forward or its backward."""
 
 
 class DegenerateSliceError(NumericalError):
@@ -186,6 +197,54 @@ def no_grad():
         _RECORDING = previous
 
 
+class Profile:
+    """Per tape op: forward and backward seconds and tape nodes recorded.
+
+    An op's forward time is the wall time from the previous op's return (or
+    the start of the profile, or the end of the last ``backward``) to its
+    own, so work between ops, such as a layer's glue code, is charged to the
+    op that follows it. The backward time of an op is the time in its
+    closures; ``backward``'s own bookkeeping (the walk, the accumulation and
+    the leaf checks) is the line named "backward".
+    """
+
+    def __init__(self):
+        self.forward_s = Counter()
+        self.backward_s = Counter()
+        self.nodes = Counter()
+        self.mark = perf_counter()
+
+    def _forward(self, op: str, recorded: bool) -> None:
+        now = perf_counter()
+        self.forward_s[op] += now - self.mark
+        self.nodes[op] += recorded
+        self.mark = now
+
+    def table(self) -> str:
+        """One row per op (nodes, forward ms, backward ms), the slowest first,
+        then the totals."""
+        ops = sorted(set(self.forward_s) | set(self.backward_s),
+                     key=lambda op: -(self.forward_s[op] + self.backward_s[op]))
+        rows = [(op, self.nodes[op], self.forward_s[op], self.backward_s[op]) for op in ops]
+        rows.append(("total", sum(self.nodes.values()), sum(self.forward_s.values()),
+                     sum(self.backward_s.values())))
+        return "\n".join([f"{'op':<20} {'nodes':>6} {'fwd ms':>9} {'bwd ms':>9}"] +
+                         [f"{op:<20} {n:>6} {1e3 * f:>9.2f} {1e3 * b:>9.2f}" for op, n, f, b in rows])
+
+
+@contextlib.contextmanager
+def profile():
+    """Fill a ``Profile`` with the ops run inside the block. Nests (the inner
+    block fills its own), and like ``no_grad`` the switch is process-wide."""
+    global _PROFILE
+    previous = _PROFILE
+    _PROFILE = prof = Profile()
+    try:
+        yield prof
+    finally:
+        _PROFILE = previous
+
+
 def _trace(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable,
            op: str, check_finite: bool = True) -> Tensor:
     if check_finite:
@@ -193,7 +252,10 @@ def _trace(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable,
     node = None
     if _RECORDING and any(t.requires_grad for t in inputs):
         node = TapeNode(tuple(inputs), backward_fn, op)
-    return Tensor(data, node=node)
+    out = Tensor(data, node=node)
+    if _PROFILE is not None:
+        _PROFILE._forward(op, node is not None)
+    return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -210,7 +272,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar loss; fills ``grad`` on leaf tensors."""
+    """Reverse-mode sweep from a scalar loss; fills ``grad`` on leaf tensors.
+
+    Each leaf gradient is checked as it is deposited: a NaN or Inf raises
+    ``NumericalError`` naming the op whose backward produced it.
+    """
+    prof = _PROFILE
+    start = perf_counter()
     if loss.size != 1:
         raise TapeError(f"backward requires a scalar loss, got shape {loss.shape}")
     if loss.node is None:
@@ -233,13 +301,21 @@ def backward(loss: Tensor) -> None:
     topo.sort(key=lambda t: t.node.seq, reverse=True)
 
     grads = {id(loss): np.ones_like(loss.data)}
+    closures = 0.0
     for t in topo:
         g = grads.pop(id(t), None)
         node = t.node
         if g is None:
             node.backward_fn = None
             continue
-        in_grads = node.backward_fn(g)
+        if prof is None:
+            in_grads = node.backward_fn(g)
+        else:
+            t0 = perf_counter()
+            in_grads = node.backward_fn(g)
+            spent = perf_counter() - t0
+            prof.backward_s[node.op] += spent
+            closures += spent
         for inp, ig in zip(node.inputs, in_grads):
             if ig is None:
                 continue
@@ -248,7 +324,12 @@ def backward(loss: Tensor) -> None:
                 grads[id(inp)] = ig if acc is None else acc + ig
             elif inp.requires_grad:
                 inp.grad = np.array(ig) if inp.grad is None else inp.grad + ig
+                if not np.isfinite(inp.grad).all():
+                    raise NumericalError(f"{node.op} backward: non-finite gradient (NaN/Inf surfaced, not propagated)")
         node.backward_fn = None  # consume the tape node
+    if prof is not None:
+        prof.mark = perf_counter()
+        prof.backward_s["backward"] += prof.mark - start - closures
 
 
 # ---------------------------------------------------------------------------

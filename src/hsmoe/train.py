@@ -194,7 +194,8 @@ def synth_volumes(seed: int, n: int, size: int, classes: int) -> List[VolumeSamp
 def train_loop(net, samples: Sequence[VolumeSample], cfg: TrainConfig,
                checkpoint_path: Optional[str] = None) -> List[Dict]:
     """Seeded full loop; returns per-step history rows
-    (step, loss, mdsc, lr). Aborts with the step index if the loss diverges."""
+    (step, loss, mdsc, lr). Aborts with the step index if the loss diverges:
+    a NaN or Inf in the forward, the loss or the backward."""
     cfg.validate()
     order_rng = T.rng(cfg.seed)
     named = list(net.named_parameters())
@@ -210,12 +211,12 @@ def train_loop(net, samples: Sequence[VolumeSample], cfg: TrainConfig,
         try:
             logits = net(images)
             loss = dice_ce_loss(logits, labels)
+            loss_val = loss.item()
+            if not math.isfinite(loss_val):
+                raise TrainingDiverged(f"non-finite loss at step {step}")
+            T.backward(loss)
         except NumericalError as err:
-            raise TrainingDiverged(f"non-finite loss at step {step}: {err}") from err
-        loss_val = loss.item()
-        if not math.isfinite(loss_val):
-            raise TrainingDiverged(f"non-finite loss at step {step}")
-        T.backward(loss)
+            raise TrainingDiverged(f"diverged at step {step}: {err}") from err
         lr = cosine_lr(step - 1, cfg.steps, cfg.lr)
         opt.step(lr)
         pred = np.argmax(logits.data, axis=1)

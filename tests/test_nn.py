@@ -374,8 +374,11 @@ def _rel(a, b):
 
 # the grid plus windows wholly in padding (p > k-1) at strides 1, 2 and 3
 @pytest.mark.parametrize("stride,k,pad", CONV_GRID + [(1, 1, 3), (2, 3, 4), (3, 2, 3)])
-def test_conv3d_gradients_are_its_adjoint(stride, k, pad):
+def test_conv3d_gradients_are_its_adjoint(stride, k, pad, monkeypatch):
     # conv3d is bilinear in (x, W), so <conv3d(x, W), g> = <x, dx> = <W, dW> up to rounding
+    calls = []
+    transpose = nn._transpose
+    monkeypatch.setattr(nn, "_transpose", lambda *args: calls.append(args[2:4]) or transpose(*args))
     g = T.rng(39)
     for B in (1, 2):
         x = Tensor(g.uniform(-1, 1, (B, 3, 6, 5, 4)), requires_grad=True)
@@ -386,6 +389,39 @@ def test_conv3d_gradients_are_its_adjoint(stride, k, pad):
         y = np.vdot(out.data, gout)
         assert _rel(y, np.vdot(x.data, dx)) <= 1e-12
         assert _rel(y, np.vdot(w.data, dw)) <= 1e-12
+    # col2im serves every stride above 1 and every window wholly in padding (p > k-1)
+    assert calls == ([(stride, pad)] * 2 if stride > 1 or pad > k - 1 else [])
+
+
+# taps whose windows read only padding: 1 of 27 live at 1^3, 8 at 2^3 -> 1^3, 9 at 1x3x5,
+# and none for a kernel-1, stride-3 conv of a 1^3 input padded 1 (its output is the bias)
+@pytest.mark.parametrize("shape,k,stride,pad,live", [
+    ((2, 3, 1, 1, 1), 3, 1, 1, ((1, 2), (1, 2), (1, 2))),
+    ((2, 3, 2, 2, 2), 3, 2, 1, ((1, 3), (1, 3), (1, 3))),
+    ((2, 3, 1, 3, 5), 3, 1, 1, ((1, 2), (0, 3), (0, 3))),
+    ((2, 3, 1, 1, 1), 1, 3, 1, ((1, 1), (1, 1), (1, 1))),
+])
+def test_conv3d_skips_taps_that_read_only_padding(shape, k, stride, pad, live):
+    g = T.rng(42)
+    x = Tensor(g.uniform(-1, 1, shape), requires_grad=True)
+    w = Tensor(g.uniform(-1, 1, (2, shape[1], k, k, k)), requires_grad=True)
+    b = g.uniform(-1, 1, 2)
+    out = nn.conv3d(x, w, Tensor(b), stride, pad)
+    np.testing.assert_allclose(out.data, conv3d_naive(x.data, w.data, b, stride, pad), rtol=0, atol=1e-12)
+    # only the live taps are lowered: a depth view per live depth tap, a row block per live (j, l)
+    views, got = nn._correlate(x.data, w.data, stride, pad)[1]
+    assert got == tuple(slice(*t) for t in live)
+    sizes = [hi - lo for lo, hi in live]
+    assert len(views) == (sizes[0] if min(sizes) else 0)
+    assert all(v.shape[0] == sizes[1] * sizes[2] * shape[1] for v in views)
+    gout = g.uniform(-1, 1, out.shape)
+    dx, dw, _ = out.node.backward_fn(gout)
+    dead = np.ones((k, k, k), dtype=bool)
+    dead[tuple(slice(*t) for t in live)] = False
+    assert np.all(dw[:, :, dead] == 0.0)
+    y = np.vdot(out.data - b.reshape(1, 2, 1, 1, 1), gout)
+    assert abs(y - np.vdot(x.data, dx)) <= 1e-12 * max(abs(y), 1.0)
+    assert abs(y - np.vdot(w.data, dw)) <= 1e-12 * max(abs(y), 1.0)
 
 
 def test_conv_transpose_gradients_are_its_adjoint():

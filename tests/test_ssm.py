@@ -237,6 +237,23 @@ def test_linear_recurrence_overflow_raises_without_warning():
             ssm.linear_recurrence(a, u, block_size=2)
 
 
+def _backward_overflow_loss():
+    # the forward and the loss are finite (1.00002e10), but the adjoint overflows:
+    # dL/d drive_0 = 1e300 (1 + 1e5 + 1e10)
+    decay = Tensor(np.full((1, 3, 1), 1e5), requires_grad=True)
+    drive = Tensor(np.full((1, 3, 1), 1e-300), requires_grad=True)
+    return T.reduce_sum(T.mul(ssm.linear_recurrence(decay, drive, block_size=2), 1e300))
+
+
+def test_backward_overflow_raises_naming_op():
+    loss = _backward_overflow_loss()
+    assert np.isfinite(loss.item())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(T.NumericalError, match="linear_recurrence backward"):
+            T.backward(loss)
+
+
 def test_selective_scan_fn_f32_in_f32_out():
     inputs = _scan_inputs(T.rng(23), 2, 9, 3, 2, requires_grad=True, dtype=np.float32)
     y = ssm.selective_scan_fn(*inputs, block_size=4)

@@ -1,11 +1,12 @@
 """Loss, optimizer, schedule, synthetic data, and the training loop."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
-from hsmoe import tensor as T, train
+from hsmoe import ssm, tensor as T, train
 from hsmoe.config import TrainConfig, make_network_config, tiny_config
 from hsmoe.gradcheck import grad_check, gradient_flow
 from hsmoe.metrics import mdsc
@@ -207,6 +208,42 @@ def test_train_loop_divergence_names_step():
     data = synth_volumes(seed=14, n=1, size=8, classes=2)
     with pytest.raises(TrainingDiverged, match="step 1"):
         train_loop(net, data, TrainConfig(lr=1e-3, steps=2, seed=15))
+
+
+def test_train_loop_backward_divergence_names_step(monkeypatch):
+    # a finite loss whose backward overflows (the linear recurrence's adjoint)
+    decay = Tensor(np.full((1, 3, 1), 1e5), requires_grad=True)
+    drive = Tensor(np.full((1, 3, 1), 1e-300), requires_grad=True)
+    loss_fn = train.dice_ce_loss
+    monkeypatch.setattr(train, "dice_ce_loss", lambda logits, labels: T.add(
+        loss_fn(logits, labels),
+        T.reduce_sum(T.mul(ssm.linear_recurrence(decay, drive, block_size=2), 1e300))))
+    net = mini_net(seed=13)
+    data = synth_volumes(seed=14, n=1, size=8, classes=2)
+    with pytest.raises(TrainingDiverged, match="step 1: linear_recurrence backward") as info:
+        train_loop(net, data, TrainConfig(lr=1e-3, steps=2, seed=15))
+    assert isinstance(info.value.__cause__, T.NumericalError)
+
+
+def test_profile_totals_match_a_step():
+    net = mini_net(seed=18)
+    sample = synth_volumes(seed=19, n=1, size=8, classes=2)[0]
+    x = Tensor(sample.image[None])
+    with T.profile() as prof:
+        t0 = time.perf_counter()
+        loss = dice_ce_loss(net(x), sample.label[None])
+        t1 = time.perf_counter()
+        T.backward(loss)
+        t2 = time.perf_counter()
+    forward, backward = sum(prof.forward_s.values()), sum(prof.backward_s.values())
+    assert abs(forward - (t1 - t0)) <= 0.1 * (t1 - t0), (forward, t1 - t0)
+    assert abs(backward - (t2 - t1)) <= 0.1 * (t2 - t1), (backward, t2 - t1)
+    nodes = sum(prof.nodes.values())
+    assert prof.nodes["conv3d"] > 0 and prof.backward_s["conv3d"] > 0 and prof.backward_s["backward"] > 0
+    assert prof.table().splitlines()[-1].split()[:2] == ["total", str(nodes)]
+    # outside the block nothing is recorded
+    T.backward(dice_ce_loss(net(x), sample.label[None]))
+    assert sum(prof.nodes.values()) == nodes
 
 
 def test_gradient_flow_reaches_every_parameter():
