@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import tensor as T
-from .config import ConfigError, StageConfig, make_network_config
+from .config import ConfigError, NetworkConfig, StageConfig
 from .network import SegNet
 from .routing import FFN_RATIO, HierarchicalMoE
 from .tensor import Tensor
@@ -130,9 +130,9 @@ def scan_sweep(n_values: Sequence[int], dim: int = 8, state_dim: int = 2,
 
 # network_sweep's network: wide enough that array work dominates interpreter
 # overhead at small N
-SWEEP_NETWORK = make_network_config(num_classes=2, stem_channels=8, experts=(2, 3),
-                                    base_group_size=64, slots_per_expert=2,
-                                    ssm_state_dim=4, scan_block_size=64)
+SWEEP_NETWORK = NetworkConfig(num_classes=2, stem_channels=8, experts=(2, 3),
+                              base_group_size=64, slots_per_expert=2,
+                              ssm_state_dim=4, scan_block_size=64)
 
 
 def volume_shapes_for(n_values: Sequence[int]) -> List[Tuple[int, int, int]]:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .checkpoint import CheckpointError, load_into
-from .config import ConfigError, NetworkConfig, PRESETS, TrainConfig, make_network_config
+from .config import ConfigError, NetworkConfig, PRESETS, TrainConfig
 from .metrics import (EmptyMaskError, MetricError, _check_labels, count_parameters, dsc_per_class,
                       hd95, summarize, write_metrics_csv, write_metrics_json)
 from .network import SegNet
@@ -68,9 +68,7 @@ class RunConfig:
             if missing:
                 raise ConfigError(f"network.* overrides describe a whole network; missing "
                                   f"{', '.join(missing)}")
-            kwargs = dict(num_classes=self.num_classes, norm=self.norm)
-            kwargs.update(self.network_overrides)
-            return make_network_config(**kwargs)
+            return NetworkConfig(num_classes=self.num_classes, norm=self.norm, **self.network_overrides)
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; choose from {sorted(PRESETS)}")
         return PRESETS[self.preset](num_classes=self.num_classes, norm=self.norm)
@@ -191,10 +189,10 @@ def cmd_describe(run: RunConfig, args) -> int:
     print(f"preset: {run.preset if not run.network_overrides else 'custom'}", file=out)
     print(f"stem_channels: {cfg.stem_channels}", file=out)
     print(f"channels: {list(cfg.channels)}", file=out)
-    print(f"experts_level1: {[s.num_experts for s in cfg.stages]}", file=out)
+    print(f"experts_level1: {list(cfg.experts)}", file=out)
     print(f"experts_level2: {[s.num_experts_l2 for s in cfg.stages]}", file=out)
     print(f"group_sizes: {[s.group_size for s in cfg.stages]}", file=out)
-    print(f"slots_per_expert: {cfg.stages[0].slots_per_expert}", file=out)
+    print(f"slots_per_expert: {cfg.slots_per_expert}", file=out)
     print(f"layers_per_stage: {list(cfg.layers_per_stage)}", file=out)
     print(f"norm: {cfg.norm}", file=out)
     print(f"\nstage  channels  spatial@{size}^3  experts  experts_l2  group  slots", file=out)

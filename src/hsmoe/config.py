@@ -44,24 +44,62 @@ def group_size_schedule(base: int, stages: int) -> Tuple[int, ...]:
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Full encoder-decoder layout. Channels double per stage from the stem."""
+    """Full encoder-decoder layout, held as its schedule's inputs: expert
+    counts per stage (one entry each, increasing with depth), a base group
+    size halved at every stage, and a fixed slot count per expert. Channels
+    double per stage from the stem. The per-stage ``stages`` are derived from
+    these fields, so they cannot disagree with them."""
 
     num_classes: int
+    stem_channels: int
+    experts: Tuple[int, ...]
+    base_group_size: int
+    slots_per_expert: int
     in_channels: int = 1
-    stem_channels: int = 8
-    layers_per_stage: Tuple[int, ...] = (1, 1, 1, 1)
+    layers_per_stage: Optional[Tuple[int, ...]] = None  # defaults to one layer per stage
     norm: str = "dyt"
     ssm_state_dim: int = 8
     scan_block_size: int = 64
-    stages: Tuple[StageConfig, ...] = ()
+    experts_l2: Optional[Tuple[int, ...]] = None  # defaults to 2 * experts
+
+    def __post_init__(self):
+        if self.layers_per_stage is None:
+            object.__setattr__(self, "layers_per_stage", (1,) * self.num_stages)
+        if self.num_classes < 2:
+            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
+        if self.num_stages < 2:
+            raise ConfigError(f"need at least 2 stages, got {self.num_stages}")
+        for name in ("layers_per_stage", "experts_l2"):
+            value = getattr(self, name)
+            if value is not None and len(value) != self.num_stages:
+                raise ConfigError(f"{name} {value} must have one entry per stage ({self.num_stages})")
+        if any(l < 1 for l in self.layers_per_stage):
+            raise ConfigError("layers_per_stage entries must be >= 1")
+        if self.norm not in ("dyt", "ln"):
+            raise ConfigError(f"norm must be 'dyt' or 'ln', got {self.norm!r}")
+        for name in ("in_channels", "stem_channels", "ssm_state_dim", "scan_block_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if any(a >= b for a, b in zip(self.experts, self.experts[1:])):
+            raise ConfigError(f"expert counts must increase strictly with depth, "
+                              f"got {list(self.experts)}")
+        self.stages  # the group-size schedule and every StageConfig rule
 
     @property
     def num_stages(self) -> int:
-        return len(self.stages)
+        return len(self.experts)
 
     @property
     def channels(self) -> Tuple[int, ...]:
         return tuple(self.stem_channels * 2 ** i for i in range(self.num_stages))
+
+    @property
+    def stages(self) -> Tuple[StageConfig, ...]:
+        groups = group_size_schedule(self.base_group_size, self.num_stages)
+        experts_l2 = self.experts_l2 or (None,) * self.num_stages
+        return tuple(StageConfig(dim=dim, num_experts=e, group_size=g,
+                                 slots_per_expert=self.slots_per_expert, num_experts_l2=e2)
+                     for dim, e, g, e2 in zip(self.channels, self.experts, groups, experts_l2))
 
     def check_extents(self, extents: Sequence[int], what: str) -> None:
         """The input-extent rule: every spatial extent is a positive multiple
@@ -72,70 +110,19 @@ class NetworkConfig:
             if n < 1 or n % div:
                 raise ConfigError(f"{what} {n} must be a positive multiple of {div} (2**stages)")
 
-    def validate(self) -> "NetworkConfig":
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.num_stages < 2:
-            raise ConfigError(f"need at least 2 stages, got {self.num_stages}")
-        if len(self.layers_per_stage) != self.num_stages:
-            raise ConfigError(f"layers_per_stage {self.layers_per_stage} must have one entry per stage "
-                              f"({self.num_stages})")
-        if any(l < 1 for l in self.layers_per_stage):
-            raise ConfigError("layers_per_stage entries must be >= 1")
-        if self.norm not in ("dyt", "ln"):
-            raise ConfigError(f"norm must be 'dyt' or 'ln', got {self.norm!r}")
-        for name in ("in_channels", "stem_channels", "ssm_state_dim", "scan_block_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        experts = [s.num_experts for s in self.stages]
-        groups = [s.group_size for s in self.stages]
-        if any(a >= b for a, b in zip(experts, experts[1:])):
-            raise ConfigError(f"expert counts must increase strictly with depth, got {experts}")
-        if any(a <= b for a, b in zip(groups, groups[1:])):
-            raise ConfigError(f"group sizes must decrease strictly with depth, got {groups}")
-        for i, s in enumerate(self.stages):
-            want = self.stem_channels * 2 ** i
-            if s.dim != want:
-                raise ConfigError(f"stage {i + 1} dim {s.dim} != doubled channel plan {want}")
-        return self
-
-
-def make_network_config(num_classes: int, stem_channels: int, experts: Tuple[int, ...],
-                        base_group_size: int, slots_per_expert: int, in_channels: int = 1,
-                        layers_per_stage: Optional[Tuple[int, ...]] = None,
-                        norm: str = "dyt", ssm_state_dim: int = 8, scan_block_size: int = 64,
-                        experts_l2: Optional[Tuple[int, ...]] = None) -> NetworkConfig:
-    stages_n = len(experts)
-    group_sizes = group_size_schedule(base_group_size, stages_n)
-    if layers_per_stage is None:
-        layers_per_stage = (1,) * stages_n
-    stage_cfgs = tuple(
-        StageConfig(dim=stem_channels * 2 ** i,
-                    num_experts=experts[i],
-                    group_size=group_sizes[i],
-                    slots_per_expert=slots_per_expert,
-                    num_experts_l2=None if experts_l2 is None else experts_l2[i])
-        for i in range(stages_n))
-    return NetworkConfig(num_classes=num_classes, in_channels=in_channels,
-                         stem_channels=stem_channels, layers_per_stage=tuple(layers_per_stage),
-                         norm=norm, ssm_state_dim=ssm_state_dim,
-                         scan_block_size=scan_block_size, stages=stage_cfgs).validate()
-
 
 def tiny_config(num_classes: int = 3, norm: str = "dyt") -> NetworkConfig:
     """Desk-scale default: small enough for CPU training and gradient checks."""
-    return make_network_config(num_classes=num_classes, stem_channels=8,
-                               experts=(2, 3, 4, 5), base_group_size=64,
-                               slots_per_expert=2, norm=norm)
+    return NetworkConfig(num_classes=num_classes, stem_channels=8, experts=(2, 3, 4, 5),
+                         base_group_size=64, slots_per_expert=2, norm=norm)
 
 
 def full_config(num_classes: int = 3, norm: str = "dyt") -> NetworkConfig:
     """Production-scale preset (48-channel stem, four stages); used for
     schedule echoes and parameter counting, not for desk-scale runs."""
-    return make_network_config(num_classes=num_classes, stem_channels=48,
-                               experts=(4, 8, 12, 16), base_group_size=2048,
-                               slots_per_expert=4, layers_per_stage=(2, 2, 2, 2),
-                               norm=norm)
+    return NetworkConfig(num_classes=num_classes, stem_channels=48, experts=(4, 8, 12, 16),
+                         base_group_size=2048, slots_per_expert=4, layers_per_stage=(2, 2, 2, 2),
+                         norm=norm)
 
 
 PRESETS = {"tiny": tiny_config, "full": full_config}

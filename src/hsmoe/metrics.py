@@ -1,5 +1,5 @@
 """Segmentation evaluation: Dice overlap, 95th-percentile surface distance,
-patient-level sensitivity/specificity, parameter counting, report writers.
+parameter counting, report writers.
 
 HD95 contract: surfaces are foreground voxels with any of their six face
 neighbors outside the mask (the volume border counts as outside); point-to-set
@@ -17,7 +17,7 @@ import csv
 import json
 import math
 from collections import Counter
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -28,10 +28,6 @@ class MetricError(ValueError):
 
 class EmptyMaskError(MetricError):
     """Surface distance asked for an empty structure; caller maps to a sentinel."""
-
-
-class UndefinedMetricError(MetricError):
-    """Ratio with a zero denominator."""
 
 
 def _check_labels(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -59,12 +55,10 @@ def dsc_per_class(pred: np.ndarray, gt: np.ndarray, cls: int) -> float:
     return 2.0 * int(np.logical_and(p, g).sum()) / denom
 
 
-def mdsc(pred: np.ndarray, gt: np.ndarray, num_classes: int, include_background: bool = False) -> float:
-    """Mean Dice over classes; background (class 0) excluded by default."""
+def mdsc(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> float:
+    """Mean Dice over the foreground classes; background (class 0) is excluded."""
     pred, gt = _check_labels(pred, gt, num_classes)
-    start = 0 if include_background else 1
-    classes = range(start, num_classes)
-    vals = [dsc_per_class(pred, gt, c) for c in classes]
+    vals = [dsc_per_class(pred, gt, c) for c in range(1, num_classes)]
     if not vals:
         raise MetricError("no classes to average")
     return float(np.mean(vals))
@@ -128,20 +122,6 @@ def hd95(pred_mask: np.ndarray, gt_mask: np.ndarray,
     pooled.sort()
     rank = math.ceil(0.95 * len(pooled))
     return float(pooled[rank - 1])
-
-
-def sensitivity_specificity(case_outcomes: Iterable[str]) -> Tuple[float, float]:
-    """Patient-level TP/(TP+FN) and TN/(TN+FP) from per-case outcome labels."""
-    counts = Counter(str(o).upper() for o in case_outcomes)
-    unknown = set(counts) - {"TP", "FP", "FN", "TN"}
-    if unknown:
-        raise MetricError(f"unknown outcome labels: {sorted(unknown)}")
-    tp, fp, fn, tn = counts["TP"], counts["FP"], counts["FN"], counts["TN"]
-    if tp + fn == 0:
-        raise UndefinedMetricError("sensitivity undefined: no positive cases")
-    if tn + fp == 0:
-        raise UndefinedMetricError("specificity undefined: no negative cases")
-    return tp / (tp + fn), tn / (tn + fp)
 
 
 def count_parameters(module) -> int:

@@ -80,7 +80,6 @@ class SegNet(nn.Module):
     """
 
     def __init__(self, cfg: NetworkConfig, seed: Optional[int] = 0):
-        cfg.validate()
         rng = None if seed is None else T.rng(seed)
         self.stem = Stem(cfg.in_channels, cfg.stem_channels, rng)
         self.blocks = [EncoderBlock(stage, cfg.layers_per_stage[i], cfg.norm,

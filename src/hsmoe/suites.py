@@ -14,7 +14,7 @@ import numpy as np
 
 from . import nn, ssm, tensor as T
 from .blocks import EncoderBlock, GatedSpatialConv
-from .config import StageConfig, make_network_config
+from .config import NetworkConfig, StageConfig
 from .gradcheck import CheckResult, grad_check, weighted_sum_loss
 from .network import SegNet
 from .routing import ExpertBank, HierarchicalMoE
@@ -97,9 +97,9 @@ def block_suite() -> List[CheckResult]:
 
 
 def network_suite() -> List[CheckResult]:
-    cfg = make_network_config(num_classes=2, stem_channels=4, experts=(1, 2),
-                              base_group_size=8, slots_per_expert=1,
-                              ssm_state_dim=2, scan_block_size=16)
+    cfg = NetworkConfig(num_classes=2, stem_channels=4, experts=(1, 2),
+                        base_group_size=8, slots_per_expert=1,
+                        ssm_state_dim=2, scan_block_size=16)
     net = SegNet(cfg, seed=106)
     x = Tensor(T.rng(107).uniform(0, 1, (1, 1, 8, 8, 8)))
     return [grad_check(lambda: weighted_sum_loss(net(x)), dict(net.named_parameters()),

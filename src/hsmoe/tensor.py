@@ -114,43 +114,9 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})\n{self.data!r}"
-
-    # operator sugar; all arithmetic goes through the traced functions below
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return index(self, key)
@@ -384,16 +350,6 @@ def neg(a) -> Tensor:
         return (-g,)
 
     return _trace(-a.data, (a,), bwd, "neg")
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.sqrt(a.data)
-
-    def bwd(g):
-        return (g * 0.5 / out,)
-
-    return _trace(out, (a,), bwd, "sqrt")
 
 
 def tanh(a) -> Tensor:

@@ -284,13 +284,21 @@ def test_base_group_size_must_halve_over_every_stage(tmp_path, capsys):
     _assert_validation_error(code, err, "base group size 7 must be a positive multiple of 2")
 
 
+@pytest.mark.parametrize("experts_l2", ["[1]", "[4, 6, 8]"])
+def test_experts_l2_needs_one_entry_per_stage(tmp_path, capsys, experts_l2):
+    path = tmp_path / "l2.cfg"
+    path.write_text(_LAYOUT + f"network.experts_l2 = {experts_l2}\n")
+    code, _, err = run_cli(capsys, "describe", "--config", str(path))
+    _assert_validation_error(code, err, "must have one entry per stage (2)")
+
+
 @pytest.mark.parametrize("key", ["scan_block_size", "ssm_state_dim", "in_channels", "stem_channels"])
 def test_network_config_validate_rejects_zero_widths(key):
     from dataclasses import replace
     from hsmoe.config import tiny_config
 
     with pytest.raises(ConfigError, match=f"{key} must be >= 1"):
-        replace(tiny_config(), **{key: 0}).validate()
+        replace(tiny_config(), **{key: 0})
 
 
 @pytest.mark.parametrize("argv,fragment", [

@@ -1,4 +1,4 @@
-"""Dice / HD95 / sensitivity-specificity / parameter counting, against
+"""Dice / HD95 / parameter counting, against
 brute-force oracles."""
 
 import math
@@ -12,12 +12,10 @@ from hsmoe import metrics, nn, tensor as T
 from hsmoe.metrics import (
     EmptyMaskError,
     MetricError,
-    UndefinedMetricError,
     count_parameters,
     dsc_per_class,
     hd95,
     mdsc,
-    sensitivity_specificity,
 )
 
 from oracles import dice_naive, hd95_naive
@@ -84,8 +82,6 @@ def test_mdsc_matches_loop_oracle():
     b = g.integers(0, 4, size=(4, 4, 4))
     want = np.mean([dice_naive(a, b, c) for c in range(1, 4)])
     assert mdsc(a, b, 4) == want
-    want_bg = np.mean([dice_naive(a, b, c) for c in range(0, 4)])
-    assert mdsc(a, b, 4, include_background=True) == want_bg
 
 
 def test_mdsc_rejects_out_of_range_ids():
@@ -216,28 +212,6 @@ def test_hd95_over_many_chunks_matches_bruteforce_bitwise(monkeypatch, budget):
     assert 1 <= rows < len(metrics.surface_voxels(a)) // 4  # more than four chunks
     _assert_bitwise_brute(a, b, (1.0, 1.0, 1.0))
     _assert_bitwise_brute(a, b, (0.7, 1.3, 2.1))
-
-
-# ---------------------------------------------------------------------------
-# sensitivity / specificity
-
-
-def test_sens_spec_perfect():
-    assert sensitivity_specificity(["TP", "TP", "TN"]) == (1.0, 1.0)
-
-
-def test_sens_spec_counted_case():
-    labels = ["TP"] * 3 + ["FN"] + ["TN"] * 4 + ["FP"]
-    sens, spec = sensitivity_specificity(labels)
-    assert sens == 0.75
-    assert spec == 0.8
-
-
-def test_sens_spec_zero_denominator_raises():
-    with pytest.raises(UndefinedMetricError):
-        sensitivity_specificity(["TN", "FP"])  # no positives
-    with pytest.raises(UndefinedMetricError):
-        sensitivity_specificity(["TP", "FN"])  # no negatives
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,21 @@
 """Full network: stem/encoder/decoder shapes, determinism, shape-only build, gradients."""
 
+import re
+
 import numpy as np
 import pytest
 
 from hsmoe import network, tensor as T
-from hsmoe.config import ConfigError, make_network_config, tiny_config
+from hsmoe.config import ConfigError, NetworkConfig, tiny_config
 from hsmoe.gradcheck import grad_check, weighted_sum_loss
 from hsmoe.network import SegNet, Stem
 from hsmoe.tensor import Tensor
 
 
 def mini_config(num_classes=2, norm="dyt"):
-    return make_network_config(num_classes=num_classes, stem_channels=4,
-                               experts=(1, 2), base_group_size=8, slots_per_expert=1,
-                               ssm_state_dim=2, scan_block_size=16, norm=norm)
+    return NetworkConfig(num_classes=num_classes, stem_channels=4,
+                         experts=(1, 2), base_group_size=8, slots_per_expert=1,
+                         ssm_state_dim=2, scan_block_size=16, norm=norm)
 
 
 def test_stem_production_shape():
@@ -100,6 +102,13 @@ def test_indivisible_extent_rejected():
     net = SegNet(mini_config(), seed=3)
     with pytest.raises(ConfigError, match="spatial extent 6 must be a positive multiple of 4"):
         net(Tensor(np.zeros((1, 1, 6, 8, 8))))
+
+
+@pytest.mark.parametrize("field", ["experts_l2", "layers_per_stage"])
+def test_per_stage_lists_need_one_entry_per_stage(field):
+    with pytest.raises(ConfigError, match=re.escape(f"{field} (4,) must have one entry per stage (2)")):
+        NetworkConfig(num_classes=2, stem_channels=4, experts=(1, 2), base_group_size=8,
+                      slots_per_expert=1, **{field: (4,)})
 
 
 def test_determinism_same_seed_identical_logits():

@@ -237,13 +237,6 @@ def test_sigmoid_and_softplus_grad_bit_identical_to_masked_branches(dtype):
         assert xs.grad.dtype == dtype and np.array_equal(xs.grad, want)
 
 
-def test_sqrt_gradient_on_positive_inputs():
-    g = T.rng(10)
-    x = leaf(g.uniform(0.5, 2.0, (2, 4)))
-    res = grad_check(lambda: weighted_sum_loss(T.sqrt(x)), {"x": x}, name="sqrt", tol=1e-6)
-    assert res.passed, f"sqrt: max rel err {res.max_rel_err}"
-
-
 def test_shape_op_gradients():
     g = T.rng(13)
     x = leaf(g.uniform(-1, 1, (2, 3, 4)))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hsmoe import ssm, tensor as T, train
-from hsmoe.config import TrainConfig, make_network_config, tiny_config
+from hsmoe.config import NetworkConfig, TrainConfig, tiny_config
 from hsmoe.gradcheck import grad_check, gradient_flow
 from hsmoe.metrics import mdsc
 from hsmoe.network import SegNet
@@ -16,9 +16,9 @@ from hsmoe.train import AdamW, TrainingDiverged, adamw_update, cosine_lr, dice_c
 
 
 def mini_net(num_classes=2, seed=0):
-    cfg = make_network_config(num_classes=num_classes, stem_channels=4,
-                              experts=(1, 2), base_group_size=8, slots_per_expert=1,
-                              ssm_state_dim=2, scan_block_size=16)
+    cfg = NetworkConfig(num_classes=num_classes, stem_channels=4,
+                        experts=(1, 2), base_group_size=8, slots_per_expert=1,
+                        ssm_state_dim=2, scan_block_size=16)
     return SegNet(cfg, seed=seed)
 
 
@@ -250,9 +250,9 @@ def test_gradient_flow_reaches_every_parameter():
     # every stage needs >= 2 experts and slots: a softmax over a single
     # expert-slot pair is constant and its router/embedding grads are
     # legitimately zero
-    cfg = make_network_config(num_classes=2, stem_channels=4, experts=(2, 3),
-                              base_group_size=8, slots_per_expert=2,
-                              ssm_state_dim=2, scan_block_size=16)
+    cfg = NetworkConfig(num_classes=2, stem_channels=4, experts=(2, 3),
+                        base_group_size=8, slots_per_expert=2,
+                        ssm_state_dim=2, scan_block_size=16)
     net = SegNet(cfg, seed=16)
     sample = synth_volumes(seed=17, n=1, size=8, classes=2)[0]
     loss = dice_ce_loss(net(Tensor(sample.image[None])), sample.label[None])
@@ -264,9 +264,9 @@ def test_gradient_flow_reaches_every_parameter():
 
 
 def test_gradient_flow_reports_each_stacked_expert():
-    cfg = make_network_config(num_classes=2, stem_channels=4, experts=(2, 3),
-                              base_group_size=8, slots_per_expert=2,
-                              ssm_state_dim=2, scan_block_size=16)
+    cfg = NetworkConfig(num_classes=2, stem_channels=4, experts=(2, 3),
+                        base_group_size=8, slots_per_expert=2,
+                        ssm_state_dim=2, scan_block_size=16)
     net = SegNet(cfg, seed=16)
     bank = net.blocks[1].layers[0].moe.experts2
     bank.w2.data[4] = 0.0  # expert 4's output no longer depends on its first linear
@@ -298,9 +298,9 @@ def test_f32_network_gets_f32_gradients_everywhere():
 
 def test_evaluate_mdsc_records_no_tape_and_training_still_works(monkeypatch):
     # two experts and slots per stage, so every parameter gets a gradient
-    cfg = make_network_config(num_classes=2, stem_channels=4, experts=(2, 3),
-                              base_group_size=8, slots_per_expert=2,
-                              ssm_state_dim=2, scan_block_size=16)
+    cfg = NetworkConfig(num_classes=2, stem_channels=4, experts=(2, 3),
+                        base_group_size=8, slots_per_expert=2,
+                        ssm_state_dim=2, scan_block_size=16)
     net = SegNet(cfg, seed=19)
     data = synth_volumes(seed=20, n=2, size=8, classes=2)
     recorded = []
