@@ -123,6 +123,7 @@ def parse_config_file(path: str) -> Dict[str, object]:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     values: Dict[str, object] = {}
+    lines: Dict[str, int] = {}  # the line each key was given on
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             stripped = line.strip()
@@ -137,6 +138,9 @@ def parse_config_file(path: str) -> Dict[str, object]:
                 _, kind = _NETWORK_OVERRIDE_KEYS[key]
             else:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in lines:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} given twice, on lines {lines[key]} and {lineno}")
+            lines[key] = lineno
             values[key] = _convert(raw, kind)
     return values
 

@@ -73,11 +73,13 @@ class NetworkConfig:
             value = getattr(self, name)
             if value is not None and len(value) != self.num_stages:
                 raise ConfigError(f"{name} {value} must have one entry per stage ({self.num_stages})")
-        if any(l < 1 for l in self.layers_per_stage):
-            raise ConfigError("layers_per_stage entries must be >= 1")
+        for name in ("experts", "layers_per_stage", "experts_l2"):
+            value = getattr(self, name)
+            if value is not None and min(value) < 1:
+                raise ConfigError(f"{name} entries must be >= 1, got {list(value)}")
         if self.norm not in ("dyt", "ln"):
             raise ConfigError(f"norm must be 'dyt' or 'ln', got {self.norm!r}")
-        for name in ("in_channels", "stem_channels", "ssm_state_dim", "scan_block_size"):
+        for name in ("in_channels", "stem_channels", "slots_per_expert", "ssm_state_dim", "scan_block_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if any(a >= b for a, b in zip(self.experts, self.experts[1:])):

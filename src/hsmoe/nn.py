@@ -186,11 +186,6 @@ def make_norm(kind: str, dim: int) -> Module:
 # ---------------------------------------------------------------------------
 # 3D convolution
 
-# Overflow is reported by the forward's finiteness check (``T._trace``) or the
-# backward's (``T.backward``), so the kernels' arithmetic runs without numpy's
-# warning before it.
-_quiet = np.errstate(over="ignore", invalid="ignore")
-
 
 def _conv3d_out_extent(n: int, k: int, stride: int, pad: int) -> int:
     return (n + 2 * pad - k) // stride + 1
@@ -205,7 +200,7 @@ def _live_taps(n: int, m: int, k: int, stride: int, pad: int) -> slice:
     return slice(max(0, pad - (m - 1) * stride), min(k, pad + n))
 
 
-@_quiet
+@T._quiet
 def _correlate(x: np.ndarray, weight: np.ndarray, stride: int, padding: int) -> Tuple[np.ndarray, tuple]:
     """Cross-correlation of [B,C,D,H,W] with weight [O,C,k,k,k]; returns the
     output [B,O,Do,Ho,Wo] and what ``_weight_grad`` reads: the depth views
@@ -259,7 +254,7 @@ def _correlate(x: np.ndarray, weight: np.ndarray, stride: int, padding: int) -> 
     return np.ascontiguousarray(out.reshape(O, Do, B, Ho, Wo).transpose(2, 0, 1, 3, 4)), (views, live)
 
 
-@_quiet
+@T._quiet
 def _weight_grad(g: np.ndarray, lowered: tuple, shape: tuple) -> np.ndarray:
     """The gradient, of ``shape`` [O,C,k,k,k], of a ``_correlate`` weight from
     its output's gradient g [B,O,Do,Ho,Wo] and the depth views and live taps
@@ -274,7 +269,7 @@ def _weight_grad(g: np.ndarray, lowered: tuple, shape: tuple) -> np.ndarray:
     return dw
 
 
-@_quiet
+@T._quiet
 def _transpose(g: np.ndarray, weight: np.ndarray, stride: int, padding: int, in_extents: tuple) -> np.ndarray:
     """The adjoint of ``_correlate``: the input gradient [B,C,*in_extents] of
     a correlation with weight [O,C,k,k,k] from its output's gradient g

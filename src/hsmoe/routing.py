@@ -92,14 +92,16 @@ def _mix(outs: Tensor, gate: Tensor) -> Tensor:
     broadcastable to lead. One tape op; the forward accumulates experts in
     index order.
     """
-    w = np.moveaxis(gate.data, -1, 0)[..., None]  # [E, *lead', 1]
-    out = w[0] * outs.data[0]
-    for e in range(1, outs.shape[0]):
-        out += w[e] * outs.data[e]
+    lead = gate.ndim - 1
+    w = gate.data.transpose((lead,) + tuple(range(lead)))[..., None]  # [E, *lead', 1]
+    experts = outs.data
+    out = w[0] * experts[0]
+    for e in range(1, len(experts)):
+        out += w[e] * experts[e]
 
     def bwd(g):
-        dgate = np.moveaxis(np.sum(outs.data * g, axis=-1), 0, -1)  # [*lead, E]
-        return w * g, T._unbroadcast(dgate, gate.shape)
+        dgate = (experts * g).sum(axis=-1)  # [E, *lead]
+        return w * g, T._unbroadcast(dgate.transpose(tuple(range(1, dgate.ndim)) + (0,)), gate.shape)
 
     return T._trace(out, (outs, gate), bwd, "mix")
 

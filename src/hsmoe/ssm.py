@@ -28,11 +28,6 @@ import numpy as np
 from . import nn, tensor as T
 from .tensor import Tensor
 
-# an overflow surfaces as the op's NumericalError from the finiteness check on
-# its output, or on the leaf gradients ``T.backward`` deposits; numpy's
-# RuntimeWarning before it would only repeat it.
-_quiet = np.errstate(over="ignore", invalid="ignore")
-
 
 def _to_blocks(v: np.ndarray, L: int) -> np.ndarray:
     """[B,N,...] -> [L,B,nb,...]: v[b, k*L + t] at [t, b, k], zeros past N."""
@@ -91,7 +86,7 @@ def _times_previous(q: np.ndarray, h: np.ndarray) -> None:
     q[0, :, 0] = 0.0
 
 
-@_quiet
+@T._quiet
 def linear_recurrence(decay: Tensor, drive: Tensor, block_size: Optional[int] = 64) -> Tensor:
     """h_t = decay_t * h_{t-1} + drive_t along axis 1, h_0 = 0.
 
@@ -107,7 +102,7 @@ def linear_recurrence(decay: Tensor, drive: Tensor, block_size: Optional[int] = 
     h = _to_blocks(drive.data, L)
     _scan(a[1:], a[0, :, 1:], h)
 
-    @_quiet
+    @T._quiet
     def bwd(g):
         # lam_t = g_t + a_{t+1} lam_{t+1}: the kernel on the reversed layout
         lam = _to_blocks(g, L)
@@ -119,7 +114,7 @@ def linear_recurrence(decay: Tensor, drive: Tensor, block_size: Optional[int] = 
     return T._trace(_from_blocks(h, N), (decay, drive), bwd, "linear_recurrence")
 
 
-@_quiet
+@T._quiet
 def selective_scan_fn(x: Tensor, delta: Tensor, A: Tensor, B: Tensor, C: Tensor, D: Tensor,
                       block_size: Optional[int] = 64) -> Tensor:
     """Discretize, scan and read out as one tape op: [B,N,d] -> [B,N,d].
@@ -149,7 +144,7 @@ def selective_scan_fn(x: Tensor, delta: Tensor, A: Tensor, B: Tensor, C: Tensor,
     y = _from_blocks(np.einsum("...jk,...k->...j", h, Cl), N)
     y += D.data * x.data
 
-    @_quiet
+    @T._quiet
     def bwd(g):
         gl = _to_blocks(g, L)
         lam = np.einsum("...j,...k->...jk", gl, Cl)

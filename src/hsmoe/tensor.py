@@ -37,6 +37,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 DEFAULT_DTYPE = np.float64
+# dtype objects, not the type objects: ``in`` then matches an array's dtype by
+# identity, where a type object is converted to a dtype on every comparison
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 _SEQ = itertools.count()
 _RECORDING = True  # process-wide, switched off inside no_grad()
@@ -86,12 +89,12 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, dtype=None, node: Optional[TapeNode] = None):
         arr = np.asarray(data, dtype=dtype)
-        if arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(DEFAULT_DTYPE)
-        if not arr.flags["C_CONTIGUOUS"]:
+        if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)  # ascontiguousarray would promote 0-d to (1,)
         self.data = arr
-        self.requires_grad = bool(requires_grad) or node is not None
+        self.requires_grad = node is not None or bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self.node = node
 
@@ -131,8 +134,12 @@ def as_tensor(x) -> Tensor:
 def _pair(a, b):
     """Coerce operands; python-number constants adopt the tensor's dtype so
     f32 graphs are not silently promoted to f64."""
-    if isinstance(a, Tensor) and isinstance(b, (int, float)):
-        return a, Tensor(np.asarray(b, dtype=a.dtype))
+    if isinstance(a, Tensor):
+        if isinstance(b, Tensor):
+            return a, b
+        if isinstance(b, (int, float)):
+            return a, Tensor(np.asarray(b, dtype=a.dtype))
+        return a, as_tensor(b)
     if isinstance(b, Tensor) and isinstance(a, (int, float)):
         return Tensor(np.asarray(a, dtype=b.dtype)), b
     return as_tensor(a), as_tensor(b)
@@ -141,11 +148,6 @@ def _pair(a, b):
 def rng(seed: int) -> np.random.Generator:
     """Seeded generator; all randomness in the package flows through these."""
     return np.random.default_rng(seed)
-
-
-def _require_finite(arr: np.ndarray, op: str) -> None:
-    if not np.isfinite(arr).all():
-        raise NumericalError(f"{op}: non-finite values in output (NaN/Inf surfaced, not propagated)")
 
 
 @contextlib.contextmanager
@@ -211,13 +213,25 @@ def profile():
         _PROFILE = previous
 
 
+# The arithmetic of ops and kernels that can overflow runs under this: a NaN or
+# Inf it makes surfaces as NumericalError from the finiteness check on the op's
+# output (``_trace``) or on the leaf gradients ``backward`` deposits, and
+# numpy's RuntimeWarning before it would only repeat it. The decorator form is
+# reentrant.
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def _trace(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable,
            op: str, check_finite: bool = True) -> Tensor:
-    if check_finite:
-        _require_finite(data, op)
+    # the reduce ``ndarray.all`` runs, without the Python wrapper it goes through
+    if check_finite and not np.logical_and.reduce(np.isfinite(data), axis=None):
+        raise NumericalError(f"{op}: non-finite values in output (NaN/Inf surfaced, not propagated)")
     node = None
-    if _RECORDING and any(t.requires_grad for t in inputs):
-        node = TapeNode(tuple(inputs), backward_fn, op)
+    if _RECORDING:
+        for t in inputs:
+            if t.requires_grad:
+                node = TapeNode(tuple(inputs), backward_fn, op)
+                break
     out = Tensor(data, node=node)
     if _PROFILE is not None:
         _PROFILE._forward(op, node is not None)
@@ -290,7 +304,7 @@ def backward(loss: Tensor) -> None:
                 grads[id(inp)] = ig if acc is None else acc + ig
             elif inp.requires_grad:
                 inp.grad = np.array(ig) if inp.grad is None else inp.grad + ig
-                if not np.isfinite(inp.grad).all():
+                if not np.logical_and.reduce(np.isfinite(inp.grad), axis=None):
                     raise NumericalError(f"{node.op} backward: non-finite gradient (NaN/Inf surfaced, not propagated)")
         node.backward_fn = None  # consume the tape node
     if prof is not None:
@@ -322,6 +336,7 @@ def sub(a, b) -> Tensor:
     return _trace(out, (a, b), bwd, "sub")
 
 
+@_quiet
 def mul(a, b) -> Tensor:
     a, b = _pair(a, b)
     out = a.data * b.data
@@ -332,6 +347,7 @@ def mul(a, b) -> Tensor:
     return _trace(out, (a, b), bwd, "mul")
 
 
+@_quiet
 def div(a, b) -> Tensor:
     a, b = _pair(a, b)
     out = a.data / b.data
@@ -401,16 +417,17 @@ def softplus(a) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul requires rank >= 2 operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dimensions disagree: {a.shape} x {b.shape}")
-    out = np.matmul(a.data, b.data)
+    x, y = a.data, b.data
+    if x.ndim < 2 or y.ndim < 2:
+        raise ShapeError(f"matmul requires rank >= 2 operands, got {x.shape} and {y.shape}")
+    if x.shape[-1] != y.shape[-2]:
+        raise ShapeError(f"matmul: inner dimensions disagree: {x.shape} x {y.shape}")
+    out = np.matmul(x, y)
 
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = np.matmul(g, y.swapaxes(-1, -2))
+        gb = np.matmul(x.swapaxes(-1, -2), g)
+        return _unbroadcast(ga, x.shape), _unbroadcast(gb, y.shape)
 
     return _trace(out, (a, b), bwd, "matmul")
 
@@ -423,14 +440,15 @@ def softmax(a, axis: int = -1) -> Tensor:
     """
     a = as_tensor(a)
     x = a.data
-    m = np.max(x, axis=axis, keepdims=True)
-    if np.isneginf(m).any():
+    m = x.max(axis=axis, keepdims=True)
+    if np.logical_or.reduce(m == -np.inf, axis=None):
         raise DegenerateSliceError("softmax: slice is entirely -inf")
-    z = np.exp(x - m)
-    out = z / np.sum(z, axis=axis, keepdims=True)
+    out = x - m
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def bwd(g):
-        dot = np.sum(g * out, axis=axis, keepdims=True)
+        dot = (g * out).sum(axis=axis, keepdims=True)
         return (out * (g - dot),)
 
     return _trace(out, (a,), bwd, "softmax")
@@ -439,16 +457,16 @@ def softmax(a, axis: int = -1) -> Tensor:
 def log_softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
     x = a.data
-    m = np.max(x, axis=axis, keepdims=True)
-    if np.isneginf(m).any():
+    m = x.max(axis=axis, keepdims=True)
+    if np.logical_or.reduce(m == -np.inf, axis=None):
         raise DegenerateSliceError("log_softmax: slice is entirely -inf")
     shifted = x - m
-    lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out = shifted - lse
 
     def bwd(g):
         p = np.exp(out)
-        return (g - p * np.sum(g, axis=axis, keepdims=True),)
+        return (g - p * g.sum(axis=axis, keepdims=True),)
 
     return _trace(out, (a,), bwd, "log_softmax", check_finite=False)
 
@@ -460,40 +478,53 @@ def _norm_axes(axis, ndim: int):
     if axis is None:
         return tuple(range(ndim))
     if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(ax % ndim for ax in axis)
+        return (axis % ndim,)
+    return tuple([ax % ndim for ax in axis])
+
+
+def _reduced_count(shape: tuple, axes: tuple, op: str) -> int:
+    """The number of entries each output of a reduction over ``axes`` sums."""
+    n = 1
+    for ax in axes:
+        if shape[ax] == 0:
+            raise EmptyReductionError(f"{op} over zero-length axis {ax} of shape {shape}")
+        n *= shape[ax]
+    return n
+
+
+def _spread(g: np.ndarray, shape: tuple, axes: tuple, keepdims: bool) -> np.ndarray:
+    """A reduction's output gradient copied across the reduced ``axes``."""
+    if not keepdims:
+        g = g.reshape([1 if i in axes else n for i, n in enumerate(shape)])
+    full = np.empty(shape, dtype=g.dtype)
+    full[...] = g
+    return full
 
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    axes = _norm_axes(axis, a.ndim)
-    for ax in axes:
-        if a.shape[ax] == 0:
-            raise EmptyReductionError(f"reduce_sum over zero-length axis {ax} of shape {a.shape}")
-    out = np.sum(a.data, axis=axes, keepdims=keepdims)
+    x = a.data
+    axes = _norm_axes(axis, x.ndim)
+    _reduced_count(x.shape, axes, "reduce_sum")
+    out = np.add.reduce(x, axis=axes, keepdims=keepdims)
 
     def bwd(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (_spread(g, x.shape, axes, keepdims),)
 
     return _trace(out, (a,), bwd, "reduce_sum")
 
 
 def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
+    """The sum over ``axis`` divided by the count, as ``np.mean`` computes it:
+    the same values, bit for bit, while the count is exact in the dtype."""
     a = as_tensor(a)
-    axes = _norm_axes(axis, a.ndim)
-    n = 1
-    for ax in axes:
-        if a.shape[ax] == 0:
-            raise EmptyReductionError(f"reduce_mean over zero-length axis {ax} of shape {a.shape}")
-        n *= a.shape[ax]
-    out = np.mean(a.data, axis=axes, keepdims=keepdims)
+    x = a.data
+    axes = _norm_axes(axis, x.ndim)
+    n = _reduced_count(x.shape, axes, "reduce_mean")
+    out = np.add.reduce(x, axis=axes, keepdims=keepdims) / n
 
     def bwd(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g / n, a.shape).copy(),)
+        return (_spread(g / n, x.shape, axes, keepdims),)
 
     return _trace(out, (a,), bwd, "reduce_mean")
 
@@ -515,11 +546,13 @@ def reshape(a, shape) -> Tensor:
 def permute(a, axes) -> Tensor:
     a = as_tensor(a)
     axes = tuple(axes)
-    out = np.ascontiguousarray(np.transpose(a.data, axes))
-    inv = tuple(np.argsort(axes))
+    out = a.data.transpose(axes).copy()
+    inv = [0] * len(axes)  # the inverse order; a negative axis counts from the end here too
+    for i, ax in enumerate(axes):
+        inv[ax] = i
 
     def bwd(g):
-        return (np.transpose(g, inv),)
+        return (g.transpose(inv),)
 
     return _trace(out, (a,), bwd, "permute", check_finite=False)
 
@@ -546,9 +579,13 @@ def concatenate(tensors: Sequence, axis: int = 0) -> Tensor:
 def pad_zeros(a, pad_width) -> Tensor:
     """Zero-pad; ``pad_width`` is a per-axis list of (before, after) pairs."""
     a = as_tensor(a)
+    x = a.data
     pad_width = [tuple(p) for p in pad_width]
-    out = np.pad(a.data, pad_width)
-    sl = tuple(slice(b, b + s) for (b, _), s in zip(pad_width, a.shape))
+    if len(pad_width) != x.ndim or min([min(p) for p in pad_width], default=0) < 0:
+        raise ShapeError(f"pad_zeros: need {x.ndim} non-negative (before, after) pairs, got {pad_width}")
+    out = np.zeros(tuple([b + s + e for (b, e), s in zip(pad_width, x.shape)]), dtype=x.dtype)
+    sl = tuple([slice(b, b + s) for (b, _), s in zip(pad_width, x.shape)])
+    out[sl] = x
 
     def bwd(g):
         return (np.ascontiguousarray(g[sl]),)

@@ -268,13 +268,30 @@ def test_partial_network_override_names_missing_keys(tmp_path, capsys, command):
                              "network.base_group_size", "network.slots_per_expert")
 
 
-@pytest.mark.parametrize("key", ["scan_block_size", "ssm_state_dim", "stem_channels"])
+def _layout_with(key, value):
+    """``_LAYOUT`` with ``network.<key> = value`` in place of its line, or added."""
+    lines = [line for line in _LAYOUT.splitlines() if not line.startswith(f"network.{key} =")]
+    return "\n".join(lines + [f"network.{key} = {value}"]) + "\n"
+
+
+# the error names the key the file gave, also for a value each stage reads
+@pytest.mark.parametrize("key", ["scan_block_size", "ssm_state_dim", "stem_channels", "slots_per_expert",
+                                 "experts", "experts_l2"])
 @pytest.mark.parametrize("command", ["describe", "train"])
 def test_network_width_below_one_is_validation_error(tmp_path, capsys, key, command):
+    value = "[0, 1]" if key.startswith("experts") else "0"
     path = tmp_path / "bad.cfg"
-    path.write_text(_LAYOUT + f"network.{key} = 0\n")
+    path.write_text(_layout_with(key, value))
     code, _, err = run_cli(capsys, command, "--config", str(path))
-    _assert_validation_error(code, err, "must be >= 1, got 0")
+    _assert_validation_error(code, err, f"error: {key} ", f"must be >= 1, got {value}")
+
+
+def test_config_key_given_twice_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "twice.cfg"
+    path.write_text(_LAYOUT + "network.stem_channels = 8\n")
+    code, out, err = run_cli(capsys, "describe", "--config", str(path))
+    _assert_validation_error(code, err, "key 'network.stem_channels' given twice, on lines 1 and 5")
+    assert out == ""
 
 
 def test_base_group_size_must_halve_over_every_stage(tmp_path, capsys):

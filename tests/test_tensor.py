@@ -1,5 +1,7 @@
 """Tensor core: op semantics, gradient soundness, tape contracts."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,26 @@ def test_softmax_degenerate_slice_raises():
         T.softmax(Tensor(np.array([[-np.inf, -np.inf], [0.0, 1.0]])), axis=-1)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_bit_identical_to_numpy(dtype):
+    x = T.rng(16).uniform(-30, 30, (3, 4, 5)).astype(dtype)
+    x[0, 1, 2] = x[2, 3, 0] = -np.inf  # masked entries; no slice is wholly masked
+    w = T.rng(17).uniform(0.5, 1.5, x.shape).astype(dtype)
+    for axis in (-1, 0, 1):
+        z = np.exp(x - np.max(x, axis=axis, keepdims=True))
+        want = z / np.sum(z, axis=axis, keepdims=True)
+        xs = Tensor(x, requires_grad=True)
+        out = T.softmax(xs, axis=axis)
+        assert out.dtype == dtype and np.array_equal(out.data, want)
+        assert out.data[0, 1, 2] == 0.0 and out.data[2, 3, 0] == 0.0
+        T.backward(T.reduce_sum(T.mul(out, Tensor(w))))
+        grad = want * (w - np.sum(w * want, axis=axis, keepdims=True))
+        assert xs.grad.dtype == dtype and np.array_equal(xs.grad, grad)
+    x[1, 2] = -np.inf
+    with pytest.raises(DegenerateSliceError):
+        T.softmax(Tensor(x), axis=-1)
+
+
 def test_softmax_gradient():
     g = T.rng(5)
     x = leaf(g.uniform(-1, 1, (3, 5)))
@@ -122,6 +144,24 @@ def test_log_softmax_gradient():
 
 # ---------------------------------------------------------------------------
 # reductions
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_reductions_bit_identical_to_numpy(dtype):
+    x = T.rng(18).uniform(-1, 1, (3, 4, 5)).astype(dtype)
+    for axis, keepdims in itertools.product((None, 1, -1, (0, 2), (2, -3)), (False, True)):
+        for op, ref in ((T.reduce_sum, np.sum), (T.reduce_mean, np.mean)):
+            xs = Tensor(x, requires_grad=True)
+            out = op(xs, axis=axis, keepdims=keepdims)
+            want = ref(x, axis=axis, keepdims=keepdims)
+            assert out.dtype == dtype and out.shape == want.shape and np.array_equal(out.data, want)
+            w = T.rng(19).uniform(0.5, 1.5, want.shape).astype(dtype)
+            T.backward(T.reduce_sum(T.mul(out, Tensor(w))))
+            # the output gradient w spread over the reduced axes (and divided by the count)
+            spread = w if keepdims else np.expand_dims(w, axis if axis is not None else (0, 1, 2))
+            if op is T.reduce_mean:
+                spread = spread / (x.size // want.size)
+            assert xs.grad.dtype == dtype and np.array_equal(xs.grad, np.broadcast_to(spread, x.shape))
 
 
 def test_reduce_mean_basics():
@@ -251,6 +291,34 @@ def test_shape_op_gradients():
     assert res.passed, f"max rel err {res.max_rel_err}"
 
 
+@pytest.mark.parametrize("order", [*itertools.permutations(range(3)), (0, -1, 1), (3, 0, 4, 2, 1)])
+def test_permute_gradient_is_the_inverse_transpose(order):
+    shape = (2, 3, 4) if len(order) == 3 else (2, 3, 1, 4, 5)
+    x = leaf(T.rng(20).uniform(-1, 1, shape))
+    out = T.permute(x, order)
+    want = np.transpose(x.data, order)
+    assert out.data.flags.c_contiguous and np.array_equal(out.data, want)
+    w = T.rng(21).uniform(0.5, 1.5, want.shape)
+    T.backward(T.reduce_sum(T.mul(out, Tensor(w))))
+    assert np.array_equal(x.grad, np.transpose(w, np.argsort([ax % len(order) for ax in order])))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pad_zeros_matches_np_pad(dtype):
+    x = T.rng(22).uniform(-1, 1, (2, 3, 4)).astype(dtype)
+    for widths in ([(0, 0), (0, 2), (0, 0)], [(1, 0), (0, 0), (2, 3)], [(0, 0)] * 3):
+        xs = Tensor(x, requires_grad=True)
+        out = T.pad_zeros(xs, widths)
+        assert out.dtype == dtype and np.array_equal(out.data, np.pad(x, widths))
+        w = T.rng(23).uniform(0.5, 1.5, out.shape).astype(dtype)
+        T.backward(T.reduce_sum(T.mul(out, Tensor(w))))
+        crop = tuple(slice(b, b + n) for (b, _), n in zip(widths, x.shape))
+        assert xs.grad.dtype == dtype and np.array_equal(xs.grad, w[crop])
+    for widths in ([(0, -1), (0, 0), (0, 0)], [(0, 1), (0, 0)]):
+        with pytest.raises(ShapeError, match="non-negative"):
+            T.pad_zeros(Tensor(x), widths)
+
+
 def test_masked_fill_blocks_gradient_on_filled_entries():
     x = leaf([1.0, 2.0, 3.0])
     keep = np.array([True, False, True])
@@ -266,13 +334,15 @@ def test_masked_fill_blocks_gradient_on_filled_entries():
 
 def test_overflow_is_surfaced_not_propagated():
     x = Tensor(np.array([1e200]))
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="^mul: non-finite"):
         T.mul(x, x)
 
 
 def test_division_blowup_is_surfaced():
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="^div: non-finite"):
         T.div(Tensor([1.0]), Tensor([0.0]))
+    with pytest.raises(NumericalError, match="^div: non-finite"):
+        T.div(Tensor([0.0]), Tensor([0.0]))
 
 
 def test_determinism_same_seed_bit_identical():
@@ -299,6 +369,12 @@ def test_weighted_sum_loss_draws_its_weights_once_per_seed_and_shape():
 def test_tensor_invariants():
     x = Tensor(np.zeros((2, 3)))
     assert x.size == int(np.prod(x.shape))
+    # floats keep their dtype, anything else becomes f64, and data is C-contiguous
+    assert Tensor(np.zeros(2, np.float32)).dtype == np.float32
+    assert Tensor(np.arange(3)).dtype == Tensor([1, 2]).dtype == Tensor(np.zeros(2, ">f8")).dtype == np.float64
+    assert Tensor(np.zeros(2, np.float32), dtype=np.float64).dtype == np.float64
+    assert Tensor(np.zeros((3, 2)).T).data.flags.c_contiguous
+    assert Tensor(2.0).shape == ()
     y = leaf(np.ones((2, 2)))
     T.backward(T.reduce_sum(y))
     assert y.grad.shape == y.shape
