@@ -71,47 +71,47 @@ def routing_layer_flops(n_tokens: int, stage: StageConfig) -> int:
 # sweeps
 
 
-def routing_sweep(n_values: Sequence[int], group_size: int = 256, num_experts: int = 4,
-                  slots_per_expert: int = 2, dim: int = 64, seed: int = 0,
+def routing_sweep(n_values: Sequence[int], group_size: int = 256, seed: int = 0,
                   repeats: int = 5) -> List[Dict]:
     """Forward wall time of the routing layer at fixed group size over N.
 
-    The default width keeps arithmetic dominant over per-call overhead at the
-    smallest N, so the fitted slope reflects the O(N) cost rather than fixed
-    interpreter costs; min-over-repeats suppresses machine-load spikes.
+    The layer has width 64, 4 experts and 2 slots per expert. That width
+    keeps arithmetic dominant over per-call overhead at the smallest N, so the
+    fitted slope reflects the O(N) cost rather than fixed interpreter costs;
+    min-over-repeats suppresses machine-load spikes.
     """
-    stage = StageConfig(dim=dim, num_experts=num_experts, group_size=group_size,
-                        slots_per_expert=slots_per_expert)
+    stage = StageConfig(dim=64, num_experts=4, group_size=group_size, slots_per_expert=2)
     layer = HierarchicalMoE(stage, T.rng(seed))
     rows = []
     gen = T.rng(seed + 1)
     for n in n_values:
-        x = Tensor(gen.uniform(-1, 1, (1, int(n), dim)))
+        x = Tensor(gen.uniform(-1, 1, (1, int(n), stage.dim)))
         with T.no_grad():
             wall = time_forward(lambda: layer(x), repeats)
         rows.append({
             "N": int(n),
             "K": group_size,
-            "E": num_experts,
-            "S": slots_per_expert,
+            "E": stage.num_experts,
+            "S": stage.slots_per_expert,
             "G": math.ceil(n / group_size),
             "wall_ms": wall * 1e3,
             "est_flops": routing_layer_flops(int(n), stage),
             "assign_flops_grouped": assignment_flops_grouped(int(n), group_size,
-                                                             stage.slots_per_group, dim),
+                                                             stage.slots_per_group, stage.dim),
             "assign_flops_global": assignment_flops_global(int(n), group_size,
-                                                           stage.slots_per_group, dim),
+                                                           stage.slots_per_group, stage.dim),
         })
     return rows
 
 
-def scan_sweep(n_values: Sequence[int], dim: int = 8, state_dim: int = 2,
-               seed: int = 0, repeats: int = 5, block_size: int = 64) -> List[Dict]:
-    """Wall time of the blocked selective-scan recurrence over sequence length.
+def scan_sweep(n_values: Sequence[int], seed: int = 0) -> List[Dict]:
+    """Wall time of the blocked selective-scan recurrence over sequence length:
+    ``linear_recurrence`` on [1, N, 8, 2] operands in blocks of 64, min over
+    5 repeats.
 
-    The default widths do not keep the sweep in one cache regime: each
-    [1, N, dim, state_dim] f64 operand is 128 N bytes, so it fits a 2 MB L2
-    at N = 2^10 but not from N = 2^14 on. Two bends in the curve offset each
+    Those widths do not keep the sweep in one cache regime: each
+    [1, N, 8, 2] f64 operand is 128 N bytes, so it fits a 2 MB L2 at
+    N = 2^10 but not from N = 2^14 on. Two bends in the curve offset each
     other in a log-log fit: at small N the fixed interpreter cost of the
     per-offset steps flattens it, and at large N the operands leaving cache
     steepen it.
@@ -121,9 +121,10 @@ def scan_sweep(n_values: Sequence[int], dim: int = 8, state_dim: int = 2,
     gen = T.rng(seed)
     rows = []
     for n in n_values:
-        a = Tensor(gen.uniform(0.1, 0.9, (1, int(n), dim, state_dim)))
-        u = Tensor(gen.uniform(-1, 1, (1, int(n), dim, state_dim)))
-        wall = time_forward(lambda: linear_recurrence(a, u, block_size), repeats)
+        shape = (1, int(n), 8, 2)
+        a = Tensor(gen.uniform(0.1, 0.9, shape))
+        u = Tensor(gen.uniform(-1, 1, shape))
+        wall = time_forward(lambda: linear_recurrence(a, u, 64), 5)
         rows.append({"N": int(n), "wall_ms": wall * 1e3})
     return rows
 
@@ -163,10 +164,10 @@ def network_sweep(n_values: Sequence[int], seed: int = 0, repeats: int = 3) -> L
     return rows
 
 
-def norm_comparison(n_values: Sequence[int] = (2 ** 12, 2 ** 13, 2 ** 14), dim: int = 8,
-                    seed: int = 0, rounds: int = 15) -> Dict[str, float]:
+def norm_comparison(seed: int = 0) -> Dict[str, float]:
     """Per-step forward wall time of the swapped normalization (DyT vs LN)
-    on activations at the sweep's token counts, summed over sizes.
+    on [1, N, 8] activations at the sweep's token counts N = 2^12, 2^13 and
+    2^14, summed over sizes; each is the minimum over 15 rounds.
 
     The norm layers are what the DyT/LN selector exchanges inside the block;
     timing them directly resolves the direction decisively, where a whole-net
@@ -176,15 +177,15 @@ def norm_comparison(n_values: Sequence[int] = (2 ** 12, 2 ** 13, 2 ** 14), dim: 
     from . import nn
 
     gen = T.rng(seed + 1)
-    layers = {"dyt": nn.DynamicTanh(dim), "ln": nn.LayerNorm(dim)}
+    layers = {"dyt": nn.DynamicTanh(8), "ln": nn.LayerNorm(8)}
     totals = {"dyt": 0.0, "ln": 0.0}
     with T.no_grad():
-        for n in n_values:
-            x = Tensor(gen.uniform(-1, 1, (1, int(n), dim)))
+        for n in (2 ** 12, 2 ** 13, 2 ** 14):
+            x = Tensor(gen.uniform(-1, 1, (1, n, 8)))
             best = {"dyt": math.inf, "ln": math.inf}
             for name, layer in layers.items():
                 layer(x)  # warmup
-            for _ in range(rounds):
+            for _ in range(15):
                 for name, layer in layers.items():
                     t0 = time.perf_counter()
                     layer(x)

@@ -25,7 +25,7 @@ from . import bench as bench_mod
 from .checkpoint import CheckpointError, load_into
 from .config import ConfigError, NetworkConfig, PRESETS, TrainConfig
 from .metrics import (EmptyMaskError, MetricError, _check_labels, count_parameters, dsc_per_class,
-                      hd95, summarize, write_metrics_csv, write_metrics_json)
+                      hd95, summarize, write_metrics_json)
 from .network import SegNet
 from .suites import MODULE_SUITES
 from .tensor import NumericalError, Tensor, no_grad
@@ -112,7 +112,7 @@ def _convert(raw: str, kind) -> object:
     if kind == "int_list":
         if not (raw.startswith("[") and raw.endswith("]")):
             raise ConfigError(f"expected a list like [2,3,4], got {raw!r}")
-        return tuple(int(v) for v in raw[1:-1].split(",") if v.strip())
+        return tuple(_convert(v, int) for v in raw[1:-1].split(",") if v.strip())
     try:
         return kind(raw)
     except ValueError as err:
@@ -141,7 +141,10 @@ def parse_config_file(path: str) -> Dict[str, object]:
             if key in lines:
                 raise ConfigError(f"{path}:{lineno}: key {key!r} given twice, on lines {lines[key]} and {lineno}")
             lines[key] = lineno
-            values[key] = _convert(raw, kind)
+            try:
+                values[key] = _convert(raw, kind)
+            except ConfigError as err:
+                raise ConfigError(f"{path}:{lineno}: {key}: {err}") from err
     return values
 
 
@@ -235,12 +238,8 @@ def cmd_bench(run: RunConfig, args) -> int:
         bench_mod.volume_shapes_for(n_values)  # reject sizes the network cannot take before any sweep
     rows = bench_mod.routing_sweep(n_values, group_size=args.group_size, seed=run.seed,
                                    repeats=args.repeats)
-    header = ["N", "K", "E", "S", "G", "wall_ms", "est_flops",
-              "assign_flops_grouped", "assign_flops_global"]
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header)
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(args.out, ["N", "K", "E", "S", "G", "wall_ms", "est_flops",
+                          "assign_flops_grouped", "assign_flops_global"], rows)
     slope = bench_mod.fit_loglog_slope([r["N"] for r in rows], [r["wall_ms"] for r in rows])
     print(f"routing sweep written to {args.out}")
     print(f"routing log-log slope: {slope:.3f}")
@@ -248,10 +247,7 @@ def cmd_bench(run: RunConfig, args) -> int:
     print(f"grouped assignment cost <= global at equal N: {'yes' if ok else 'NO'}")
     if args.network_out:
         net_rows = bench_mod.network_sweep(n_values, seed=run.seed, repeats=args.repeats)
-        with open(args.network_out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["N", "shape", "wall_ms"])
-            writer.writeheader()
-            writer.writerows(net_rows)
+        _write_csv(args.network_out, ["N", "shape", "wall_ms"], net_rows)
         net_slope = bench_mod.fit_loglog_slope([r["N"] for r in net_rows],
                                                [r["wall_ms"] for r in net_rows])
         print(f"network sweep written to {args.network_out}")
@@ -263,11 +259,12 @@ def cmd_bench(run: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _write_history(history: List[Dict], path: str) -> None:
+def _write_csv(path: str, fieldnames: List[str], rows: List[Dict]) -> None:
+    """A header of ``fieldnames``, then one line per row."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["step", "loss", "mdsc", "lr"])
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
-        writer.writerows(history)
+        writer.writerows(rows)
 
 
 def _net_and_data(run: RunConfig, data_seed: int):
@@ -293,7 +290,7 @@ def cmd_train(run: RunConfig, args) -> int:
     net, data = _net_and_data(run, run.seed + 1)
     run.train.seed = run.seed
     history = train_loop(net, data, run.train, checkpoint_path=args.checkpoint)
-    _write_history(history, args.history)
+    _write_csv(args.history, ["step", "loss", "mdsc", "lr"], history)
     last = history[-1]
     print(f"trained {len(history)} steps; final loss {last['loss']:.4f} "
           f"train mDSC {last['mdsc']:.4f}")
@@ -326,6 +323,8 @@ def cmd_eval(run: RunConfig, args) -> int:
     if args.pred_dir:
         if not args.gt_dir:
             raise ConfigError("--pred-dir requires --gt-dir")
+        if not os.path.isdir(args.pred_dir):
+            raise ConfigError(f"--pred-dir {args.pred_dir} is not a directory")
         names = sorted(f[:-4] for f in os.listdir(args.pred_dir) if f.endswith(".vol"))
         if not names:
             raise ConfigError(f"no .vol files in {args.pred_dir}")
@@ -354,7 +353,7 @@ def cmd_eval(run: RunConfig, args) -> int:
         futures = [pool.submit(contextvars.copy_context().run, work, case) for case in cases]
         per_case = [f.result() for f in futures]
     rows = [row for case_rows in per_case for row in case_rows]
-    write_metrics_csv(rows, args.out)
+    _write_csv(args.out, ["case_id", "class", "dsc", "hd95"], rows)  # hd95 blank when undefined
     summary = summarize(rows, num_classes)
     write_metrics_json(summary, args.json_out)
     print(f"evaluated {len(cases)} cases over {num_classes - 1} foreground classes")

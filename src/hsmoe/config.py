@@ -55,7 +55,6 @@ class NetworkConfig:
     experts: Tuple[int, ...]
     base_group_size: int
     slots_per_expert: int
-    in_channels: int = 1
     layers_per_stage: Optional[Tuple[int, ...]] = None  # defaults to one layer per stage
     norm: str = "dyt"
     ssm_state_dim: int = 8
@@ -79,7 +78,7 @@ class NetworkConfig:
                 raise ConfigError(f"{name} entries must be >= 1, got {list(value)}")
         if self.norm not in ("dyt", "ln"):
             raise ConfigError(f"norm must be 'dyt' or 'ln', got {self.norm!r}")
-        for name in ("in_channels", "stem_channels", "slots_per_expert", "ssm_state_dim", "scan_block_size"):
+        for name in ("stem_channels", "slots_per_expert", "ssm_state_dim", "scan_block_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if any(a >= b for a, b in zip(self.experts, self.experts[1:])):

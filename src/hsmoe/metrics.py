@@ -1,5 +1,5 @@
 """Segmentation evaluation: Dice overlap, 95th-percentile surface distance,
-parameter counting, report writers.
+parameter counting, the JSON summary report.
 
 HD95 contract: surfaces are foreground voxels with any of their six face
 neighbors outside the mask (the volume border counts as outside); point-to-set
@@ -13,7 +13,6 @@ distance reported is the brute-force ((s − g)**2).sum() on the true nearest pa
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections import Counter
@@ -135,17 +134,7 @@ def count_parameters(module) -> int:
 
 
 # ---------------------------------------------------------------------------
-# report writers
-
-
-def write_metrics_csv(rows: List[Dict], path: str) -> None:
-    """Per-case per-class rows: case_id, class, dsc, hd95 (hd95 blank when
-    undefined for the case)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["case_id", "class", "dsc", "hd95"])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+# the summary report
 
 
 def summarize(rows: List[Dict], num_classes: int) -> Dict:

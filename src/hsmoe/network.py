@@ -21,6 +21,8 @@ from .blocks import EncoderBlock
 from .config import ConfigError, NetworkConfig
 from .tensor import Tensor
 
+IN_CHANNELS = 1  # one image channel per voxel
+
 
 class Stem(nn.Module):
     """Strided conv: [B,C,D,H,W] -> [B,stem_channels,D/2,H/2,W/2]."""
@@ -81,7 +83,7 @@ class SegNet(nn.Module):
 
     def __init__(self, cfg: NetworkConfig, seed: Optional[int] = 0):
         rng = None if seed is None else T.rng(seed)
-        self.stem = Stem(cfg.in_channels, cfg.stem_channels, rng)
+        self.stem = Stem(IN_CHANNELS, cfg.stem_channels, rng)
         self.blocks = [EncoderBlock(stage, cfg.layers_per_stage[i], cfg.norm,
                                     cfg.ssm_state_dim, cfg.scan_block_size, rng)
                        for i, stage in enumerate(cfg.stages)]
@@ -92,8 +94,8 @@ class SegNet(nn.Module):
         self.cfg = cfg
 
     def _validate_input(self, x: Tensor) -> None:
-        if x.ndim != 5 or x.shape[1] != self.cfg.in_channels:
-            raise ConfigError(f"expected [B,{self.cfg.in_channels},D,H,W], got {x.shape}")
+        if x.ndim != 5 or x.shape[1] != IN_CHANNELS:
+            raise ConfigError(f"expected [B,{IN_CHANNELS},D,H,W], got {x.shape}")
         self.cfg.check_extents(x.shape[2:], "spatial extent")
 
     def encoder_forward(self, x: Tensor) -> List[Tensor]:

@@ -35,10 +35,6 @@ class Module:
     def parameters(self) -> list:
         return [p for _, p in self.named_parameters()]
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad = None
-
 
 def uniform(rng: Optional[np.random.Generator], shape, low: float, high: float) -> np.ndarray:
     """Initial values drawn uniformly from [low, high), or, with ``rng=None``,
@@ -107,14 +103,14 @@ def gelu(x: Tensor) -> Tensor:
 class DynamicTanh(Module):
     """Normalization substitute: w * tanh(alpha * x) + b on the trailing dim.
 
-    alpha is a shared scalar; w and b are per-channel. Output is bounded in
-    [b - |w|, b + |w|] elementwise regardless of input magnitude.
+    alpha is a shared scalar, initially 0.5; w and b are per-channel. Output
+    is bounded in [b - |w|, b + |w|] elementwise regardless of input magnitude.
     """
 
-    def __init__(self, dim: int, alpha: float = 0.5):
+    def __init__(self, dim: int):
         self.w = Tensor(np.ones(dim), requires_grad=True)
         self.b = Tensor(np.zeros(dim), requires_grad=True)
-        self.alpha = Tensor(np.asarray(alpha, dtype=np.float64), requires_grad=True)
+        self.alpha = Tensor(np.asarray(0.5), requires_grad=True)
         self.dim = dim
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -136,13 +132,16 @@ class DynamicTanh(Module):
         return T._trace(out, (x, self.w, self.b, self.alpha), bwd, "dyt")
 
 
-class LayerNorm(Module):
-    """Per-vector standardization over one axis, then affine. eps=1e-5."""
+LAYERNORM_EPS = 1e-5
 
-    def __init__(self, dim: int, eps: float = 1e-5):
+
+class LayerNorm(Module):
+    """Per-vector standardization over one axis, then affine; the variance
+    gets ``LAYERNORM_EPS`` added."""
+
+    def __init__(self, dim: int):
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
-        self.eps = eps
         self.dim = dim
 
     def __call__(self, x: Tensor, axis: int = -1) -> Tensor:
@@ -158,7 +157,7 @@ class LayerNorm(Module):
         affine = (self.dim,) + (1,) * (x.ndim - 1 - axis)
         gamma = self.gamma.data.reshape(affine)
         normed = x.data - np.mean(x.data, axis=axis, keepdims=True)
-        std = np.sqrt(np.mean(normed * normed, axis=axis, keepdims=True) + self.eps)
+        std = np.sqrt(np.mean(normed * normed, axis=axis, keepdims=True) + LAYERNORM_EPS)
         normed /= std
         out = normed * gamma
         out += self.beta.data.reshape(affine)
@@ -254,7 +253,6 @@ def _correlate(x: np.ndarray, weight: np.ndarray, stride: int, padding: int) -> 
     return np.ascontiguousarray(out.reshape(O, Do, B, Ho, Wo).transpose(2, 0, 1, 3, 4)), (views, live)
 
 
-@T._quiet
 def _weight_grad(g: np.ndarray, lowered: tuple, shape: tuple) -> np.ndarray:
     """The gradient, of ``shape`` [O,C,k,k,k], of a ``_correlate`` weight from
     its output's gradient g [B,O,Do,Ho,Wo] and the depth views and live taps

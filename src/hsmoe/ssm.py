@@ -21,7 +21,7 @@ Discretization keeps the state transition strictly inside (0,1):
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -87,8 +87,9 @@ def _times_previous(q: np.ndarray, h: np.ndarray) -> None:
 
 
 @T._quiet
-def linear_recurrence(decay: Tensor, drive: Tensor, block_size: Optional[int] = 64) -> Tensor:
-    """h_t = decay_t * h_{t-1} + drive_t along axis 1, h_0 = 0.
+def linear_recurrence(decay: Tensor, drive: Tensor, block_size: int) -> Tensor:
+    """h_t = decay_t * h_{t-1} + drive_t along axis 1, h_0 = 0, in blocks of
+    ``block_size`` steps (one block when it is at least N).
 
     ``decay`` and ``drive`` must have identical shapes [B, N, ...].
     """
@@ -97,12 +98,11 @@ def linear_recurrence(decay: Tensor, drive: Tensor, block_size: Optional[int] = 
     if decay.ndim < 2 or decay.shape[1] < 1:
         raise T.ShapeError(f"linear_recurrence needs [B, N, ...] with N >= 1, got {decay.shape}")
     N = decay.shape[1]
-    L = N if block_size is None else min(block_size, N)
+    L = min(block_size, N)
     a = _to_blocks(decay.data, L)
     h = _to_blocks(drive.data, L)
     _scan(a[1:], a[0, :, 1:], h)
 
-    @T._quiet
     def bwd(g):
         # lam_t = g_t + a_{t+1} lam_{t+1}: the kernel on the reversed layout
         lam = _to_blocks(g, L)
@@ -116,7 +116,7 @@ def linear_recurrence(decay: Tensor, drive: Tensor, block_size: Optional[int] = 
 
 @T._quiet
 def selective_scan_fn(x: Tensor, delta: Tensor, A: Tensor, B: Tensor, C: Tensor, D: Tensor,
-                      block_size: Optional[int] = 64) -> Tensor:
+                      block_size: int) -> Tensor:
     """Discretize, scan and read out as one tape op: [B,N,d] -> [B,N,d].
 
     x, delta: [B,N,d]; A: [d,n]; B, C: [B,N,n]; D: [d]. Per channel j and
@@ -134,7 +134,7 @@ def selective_scan_fn(x: Tensor, delta: Tensor, A: Tensor, B: Tensor, C: Tensor,
     if got != want:
         raise T.ShapeError(f"selective_scan: x, delta, A, B, C, D have shapes {got}, expected "
                            "[B,N,d], [B,N,d], [d,n], [B,N,n], [B,N,n], [d] with N >= 1")
-    L = N if block_size is None else min(block_size, N)
+    L = min(block_size, N)
     dt, Bl, Cl = (_to_blocks(v.data, L) for v in (delta, B, C))  # [L,B,nb,.]
     decay = np.einsum("...j,jk->...jk", dt, A.data)
     np.exp(decay, out=decay)
@@ -144,7 +144,6 @@ def selective_scan_fn(x: Tensor, delta: Tensor, A: Tensor, B: Tensor, C: Tensor,
     y = _from_blocks(np.einsum("...jk,...k->...j", h, Cl), N)
     y += D.data * x.data
 
-    @T._quiet
     def bwd(g):
         gl = _to_blocks(g, L)
         lam = np.einsum("...j,...k->...jk", gl, Cl)
@@ -191,7 +190,7 @@ class SSMParams(nn.Module):
         return delta, A, self.input_map(x), self.output_map(x)
 
 
-def selective_scan(params: SSMParams, x: Tensor, block_size: Optional[int] = 64) -> Tensor:
+def selective_scan(params: SSMParams, x: Tensor, block_size: int = 64) -> Tensor:
     """Input-dependent linear-time scan: [B,N,d] -> [B,N,d]."""
     if x.ndim != 3 or x.shape[-1] != params.dim:
         raise T.ShapeError(f"selective_scan expects [B,N,{params.dim}], got {x.shape}")
@@ -202,8 +201,7 @@ class GatedSSM(nn.Module):
     """Gated scan layer: project to two branches, scan one, sigmoid-gate,
     project out. Shape-preserving on [B,N,d]."""
 
-    def __init__(self, dim: int, state_dim: int, rng: np.random.Generator,
-                 block_size: Optional[int] = 64):
+    def __init__(self, dim: int, state_dim: int, rng: np.random.Generator, block_size: int = 64):
         self.in_proj = nn.Linear(dim, 2 * dim, rng)
         self.ssm = SSMParams(dim, state_dim, rng)
         self.out_proj = nn.Linear(dim, dim, rng)

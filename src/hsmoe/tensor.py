@@ -87,8 +87,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "node")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None, node: Optional[TapeNode] = None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False, node: Optional[TapeNode] = None):
+        arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(DEFAULT_DTYPE)
         if not arr.flags.c_contiguous:
@@ -213,10 +213,11 @@ def profile():
         _PROFILE = previous
 
 
-# The arithmetic of ops and kernels that can overflow runs under this: a NaN or
-# Inf it makes surfaces as NumericalError from the finiteness check on the op's
-# output (``_trace``) or on the leaf gradients ``backward`` deposits, and
-# numpy's RuntimeWarning before it would only repeat it. The decorator form is
+# The forward arithmetic of ops and kernels that can overflow, and all of
+# ``backward`` with every closure it calls, runs under this: a NaN or Inf it
+# makes surfaces as NumericalError from the finiteness check on the op's output
+# (``_trace``) or on the leaf gradients ``backward`` deposits, and numpy's
+# RuntimeWarning before it would only repeat it. The decorator form is
 # reentrant.
 _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
@@ -251,11 +252,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
+@_quiet
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss; fills ``grad`` on leaf tensors.
 
     Each leaf gradient is checked as it is deposited: a NaN or Inf raises
-    ``NumericalError`` naming the op whose backward produced it.
+    ``NumericalError`` naming the op whose backward produced it. The closures
+    run quiet, so that error is the only sign of an overflow in them.
     """
     prof = _PROFILE
     start = perf_counter()

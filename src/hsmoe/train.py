@@ -37,9 +37,9 @@ def one_hot(labels: np.ndarray, num_classes: int, dtype) -> np.ndarray:
     return out
 
 
-def dice_ce_loss(logits: Tensor, labels: np.ndarray, eps: float = 1e-5) -> Tensor:
+def dice_ce_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Soft Dice loss (mean over all classes, aggregated over batch and voxels,
-    smoothing eps in the denominator) plus voxelwise cross-entropy."""
+    smoothing 1e-5 in the denominator) plus voxelwise cross-entropy."""
     B, C = logits.shape[0], logits.shape[1]
     labels = np.asarray(labels)
     if labels.shape != (B,) + logits.shape[2:]:
@@ -52,7 +52,7 @@ def dice_ce_loss(logits: Tensor, labels: np.ndarray, eps: float = 1e-5) -> Tenso
     inter = T.reduce_sum(T.mul(probs, target), axis=spatial)  # [C]
     pred_sum = T.reduce_sum(probs, axis=spatial)
     gt_sum = T.reduce_sum(target, axis=spatial)
-    dice = T.sub(1.0, T.div(T.mul(inter, 2.0), T.add(T.add(pred_sum, gt_sum), eps)))
+    dice = T.sub(1.0, T.div(T.mul(inter, 2.0), T.add(T.add(pred_sum, gt_sum), 1e-5)))
     dice_term = T.reduce_mean(dice)
     logp = T.log_softmax(logits, axis=1)
     ce_term = T.neg(T.reduce_mean(T.reduce_sum(T.mul(target, logp), axis=1)))
@@ -63,33 +63,31 @@ def dice_ce_loss(logits: Tensor, labels: np.ndarray, eps: float = 1e-5) -> Tenso
 # optimizer
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the moment decays and the denominator's smoothing
+
+
 def adamw_update(value: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-                 t: int, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0,
-                 scratch: Optional[np.ndarray] = None) -> None:
+                 t: int, lr: float, scratch: np.ndarray, weight_decay: float = 0.0) -> None:
     """One moment update with bias correction and decoupled decay, in place.
 
-    ``scratch`` is a [2, *value.shape] buffer of value's dtype (allocated
-    when not given); every step writes into it or into value, m and v. The
-    operations run in the order of the textbook form
-    ``value -= lr*m_hat / (sqrt(v_hat) + eps)`` then
+    ``scratch`` is a [2, *value.shape] buffer of value's dtype; every step
+    writes into it or into value, m and v. The operations run in the order of
+    the textbook form ``value -= lr*m_hat / (sqrt(v_hat) + ADAM_EPS)`` then
     ``value -= lr*weight_decay*value``, so the results are bit-identical to it.
     """
-    if scratch is None:
-        scratch = np.empty((2,) + value.shape, dtype=value.dtype)
     a, b = scratch[0, ...], scratch[1, ...]  # arrays even for 0-d values
-    np.multiply(grad, 1.0 - beta1, out=a)
-    m *= beta1
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=a)
+    m *= ADAM_BETA1
     m += a
-    np.multiply(grad, 1.0 - beta2, out=a)
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=a)
     a *= grad
-    v *= beta2
+    v *= ADAM_BETA2
     v += a
-    np.divide(m, 1.0 - beta1 ** t, out=a)
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=a)
     a *= lr
-    np.divide(v, 1.0 - beta2 ** t, out=b)
+    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=b)
     np.sqrt(b, out=b)
-    b += eps
+    b += ADAM_EPS
     a /= b
     value -= a
     if weight_decay:
@@ -100,13 +98,9 @@ def adamw_update(value: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarr
 class AdamW:
     """Moment-based optimizer with decoupled weight decay over named tensors."""
 
-    def __init__(self, named_params: Sequence[Tuple[str, Tensor]],
-                 weight_decay: float = 0.0,
-                 betas: Tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, named_params: Sequence[Tuple[str, Tensor]], weight_decay: float = 0.0):
         self.named_params = list(named_params)
         self.weight_decay = weight_decay
-        self.betas = betas
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.named_params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.named_params}
@@ -121,8 +115,7 @@ class AdamW:
             if self._scratch.size < 2 * n or self._scratch.dtype != p.data.dtype:
                 self._scratch = np.empty(2 * n, dtype=p.data.dtype)
             adamw_update(p.data, p.grad, self.m[name], self.v[name], self.t, lr,
-                         self.betas[0], self.betas[1], self.eps, self.weight_decay,
-                         self._scratch[:2 * n].reshape((2,) + p.data.shape))
+                         self._scratch[:2 * n].reshape((2,) + p.data.shape), self.weight_decay)
 
     def zero_grad(self) -> None:
         for _, p in self.named_params:

@@ -12,7 +12,7 @@ from hsmoe.bench import (
 )
 from hsmoe.config import StageConfig, full_config, tiny_config
 from hsmoe.metrics import count_parameters
-from hsmoe.network import SegNet
+from hsmoe.network import IN_CHANNELS, SegNet
 from hsmoe.routing import FFN_RATIO
 
 
@@ -89,7 +89,7 @@ def _moe_n(stage):
 
 
 def _network_n(cfg):
-    total = _conv_n(cfg.in_channels, cfg.stem_channels, 3)
+    total = _conv_n(IN_CHANNELS, cfg.stem_channels, 3)
     for i, stage in enumerate(cfg.stages):
         d = stage.dim
         per_layer = (_conv_n(d, d, 3) + _conv_n(d, d, 1) + _conv_n(d, d, 3)

@@ -294,6 +294,17 @@ def test_config_key_given_twice_is_validation_error(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("line,fragment", [("network.experts = [2, x]", "bad value 'x'"),
+                                           ("network.experts = 2", "expected a list"),
+                                           ("network.stem_channels = two", "bad value 'two'")])
+def test_bad_config_value_names_file_line_and_key(tmp_path, capsys, line, fragment):
+    path = tmp_path / "bad.cfg"
+    path.write_text("network.num_classes = 3\n" + line + "\n")
+    code, out, err = run_cli(capsys, "describe", "--config", str(path))
+    _assert_validation_error(code, err, f"{path}:2: {line.split(' = ')[0]}: ", fragment)
+    assert out == ""
+
+
 def test_base_group_size_must_halve_over_every_stage(tmp_path, capsys):
     path = tmp_path / "odd.cfg"
     path.write_text(_LAYOUT.replace("base_group_size = 8", "base_group_size = 7"))
@@ -309,7 +320,7 @@ def test_experts_l2_needs_one_entry_per_stage(tmp_path, capsys, experts_l2):
     _assert_validation_error(code, err, "must have one entry per stage (2)")
 
 
-@pytest.mark.parametrize("key", ["scan_block_size", "ssm_state_dim", "in_channels", "stem_channels"])
+@pytest.mark.parametrize("key", ["scan_block_size", "ssm_state_dim", "stem_channels"])
 def test_network_config_validate_rejects_zero_widths(key):
     from dataclasses import replace
     from hsmoe.config import tiny_config
@@ -636,6 +647,14 @@ def test_unparseable_volume_sidecar_is_validation_error(tmp_path, capsys):
                            "--gt-dir", str(dirs["gt"]), "--out", str(tmp_path / "m.csv"),
                            "--json-out", str(tmp_path / "m.json"))
     _assert_validation_error(code, err, f"bad sidecar {dirs['pred'] / 'a.json'}")
+
+
+def test_eval_missing_pred_dir_is_validation_error(tmp_path, capsys):
+    missing = tmp_path / "nowhere"
+    code, _, err = run_cli(capsys, "eval", "--pred-dir", str(missing), "--gt-dir", str(missing),
+                           "--out", str(tmp_path / "m.csv"), "--json-out", str(tmp_path / "m.json"))
+    _assert_validation_error(code, err, f"--pred-dir {missing} is not a directory")
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_eval_identical_pred_gt_fixture(tmp_path, capsys):

@@ -88,7 +88,8 @@ def test_composed_head_matches_the_two_head_layers():
 
     results = []
     for forward in (net.decoder_forward, uncomposed):
-        net.zero_grad()
+        for p in net.parameters():
+            p.grad = None
         logits = forward(feats)
         T.backward(weighted_sum_loss(logits))
         results.append((logits.data, [p.grad for p in head]))

@@ -28,7 +28,7 @@ def test_memoryless_when_decay_zero():
     x, delta, A, Bm, C, D = _scan_inputs(g, 1, 5, 3, 2)
     A = Tensor(np.full((3, 2), -1e4))
     assert (np.exp(delta.data[..., None] * A.data) == 0).all()
-    y = ssm.selective_scan_fn(x, delta, A, Bm, C, D)
+    y = ssm.selective_scan_fn(x, delta, A, Bm, C, D, 64)
     gain = delta.data[..., None] * Bm.data[:, :, None, :]
     want = (gain * x.data[..., None] * C.data[:, :, None, :]).sum(-1) + D.data * x.data
     assert np.allclose(y.data, want, atol=1e-14)
@@ -39,7 +39,7 @@ def test_cumulative_sum_case():
     B, N, d, n = 1, 6, 1, 1
     ones = Tensor(np.ones((B, N, d)))
     y = ssm.selective_scan_fn(ones, ones, Tensor(np.zeros((d, n))), Tensor(np.ones((B, N, n))),
-                              Tensor(np.ones((B, N, n))), Tensor(np.zeros(d)))
+                              Tensor(np.ones((B, N, n))), Tensor(np.zeros(d)), 64)
     assert np.array_equal(y.data[0, :, 0], np.arange(1, N + 1, dtype=np.float64))
 
 
@@ -68,12 +68,12 @@ def test_scan_equivalence_100_random_cases():
     assert worst < 1e-10, f"max abs diff {worst}"
 
 
-@pytest.mark.parametrize("N,block", [(1, 64), (1, None), (17, None), (17, 17), (17, 64)])
+@pytest.mark.parametrize("N,block", [(1, 64), (17, 17), (17, 64)])
 def test_one_block_scan_equals_naive_recurrence_exactly(N, block):
     g = T.rng(100 + N)
     a = g.uniform(0.0, 1.0, (2, N, 3, 2))
     u = g.uniform(-1, 1, (2, N, 3, 2))
-    L = N if block is None else min(block, N)
+    L = min(block, N)
     ab, h = ssm._to_blocks(a, L), ssm._to_blocks(u, L)
     ssm._scan(ab[1:], ab[0, :, 1:], h)
     assert np.array_equal(ssm._from_blocks(h, N), scan_naive(a, u))
@@ -206,7 +206,7 @@ def test_selective_scan_fn_gradient_ragged_blocks():
     assert res.passed, f"max rel err {res.max_rel_err}"
 
 
-@pytest.mark.parametrize("N,block", [(1, 64), (7, 3), (33, 8), (20, None), (130, 64), (21, 4)])
+@pytest.mark.parametrize("N,block", [(1, 64), (7, 3), (33, 8), (20, 20), (130, 64), (21, 4)])
 def test_selective_scan_fn_matches_loop_oracle(N, block):
     g = T.rng(21 + N)
     inputs = _scan_inputs(g, 2, N, 3, 4)
@@ -225,7 +225,7 @@ def test_selective_scan_fn_overflow_raises_naming_op():
         warnings.simplefilter("error")
         with pytest.raises(T.NumericalError, match="selective_scan"):
             ssm.selective_scan_fn(x, Tensor(np.ones(x.shape)), Tensor(np.full(A.shape, -1e-3)),
-                                  ones, ones, D)
+                                  ones, ones, D, 64)
 
 
 def test_linear_recurrence_overflow_raises_without_warning():
@@ -265,7 +265,7 @@ def test_selective_scan_fn_f32_in_f32_out():
 def test_selective_scan_fn_shape_mismatch_raises():
     x, delta, A, Bm, C, D = _scan_inputs(T.rng(24), 1, 4, 3, 2)
     with pytest.raises(T.ShapeError, match="selective_scan"):
-        ssm.selective_scan_fn(x, delta, Tensor(np.ones((2, 3))), Bm, C, D)
+        ssm.selective_scan_fn(x, delta, Tensor(np.ones((2, 3))), Bm, C, D, 64)
 
 
 def test_gated_layer_records_one_scan_node_and_no_state_sized_node():

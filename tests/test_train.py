@@ -69,7 +69,7 @@ def test_adamw_zero_gradient_no_decay_leaves_params():
     value = np.array([1.0, -2.0])
     m = np.zeros(2)
     v = np.zeros(2)
-    adamw_update(value, np.zeros(2), m, v, t=1, lr=0.1)
+    adamw_update(value, np.zeros(2), m, v, t=1, lr=0.1, scratch=np.empty((2, 2)))
     assert np.array_equal(value, [1.0, -2.0])
 
 
@@ -77,7 +77,7 @@ def test_adamw_first_step_hand_computed():
     value = np.array([0.5])
     m = np.zeros(1)
     v = np.zeros(1)
-    adamw_update(value, np.ones(1), m, v, t=1, lr=0.01)
+    adamw_update(value, np.ones(1), m, v, t=1, lr=0.01, scratch=np.empty((2, 1)))
     # bias-corrected first step: m_hat = 1, v_hat = 1 -> update lr/(1+eps)
     want = 0.5 - 0.01 * 1.0 / (1.0 + 1e-8)
     assert abs(value[0] - want) < 1e-15
@@ -98,7 +98,7 @@ def test_adamw_decoupled_decay_shrinks_params():
     value = np.array([1.0])
     m = np.zeros(1)
     v = np.zeros(1)
-    adamw_update(value, np.zeros(1), m, v, t=1, lr=0.5, weight_decay=0.1)
+    adamw_update(value, np.zeros(1), m, v, t=1, lr=0.5, scratch=np.empty((2, 1)), weight_decay=0.1)
     assert abs(value[0] - (1.0 - 0.5 * 0.1)) < 1e-15
 
 
