@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import tensor as T
-from .config import ConfigError, NetworkConfig, StageConfig
+from .config import SCAN_BLOCK_SIZE, ConfigError, NetworkConfig, StageConfig
 from .network import SegNet
 from .routing import FFN_RATIO, HierarchicalMoE
 from .tensor import Tensor
@@ -106,8 +106,8 @@ def routing_sweep(n_values: Sequence[int], group_size: int = 256, seed: int = 0,
 
 def scan_sweep(n_values: Sequence[int], seed: int = 0) -> List[Dict]:
     """Wall time of the blocked selective-scan recurrence over sequence length:
-    ``linear_recurrence`` on [1, N, 8, 2] operands in blocks of 64, min over
-    5 repeats.
+    ``linear_recurrence`` on [1, N, 8, 2] operands in blocks of
+    ``SCAN_BLOCK_SIZE`` (the model's), min over 5 repeats.
 
     Those widths do not keep the sweep in one cache regime: each
     [1, N, 8, 2] f64 operand is 128 N bytes, so it fits a 2 MB L2 at
@@ -124,7 +124,7 @@ def scan_sweep(n_values: Sequence[int], seed: int = 0) -> List[Dict]:
         shape = (1, int(n), 8, 2)
         a = Tensor(gen.uniform(0.1, 0.9, shape))
         u = Tensor(gen.uniform(-1, 1, shape))
-        wall = time_forward(lambda: linear_recurrence(a, u, 64), 5)
+        wall = time_forward(lambda: linear_recurrence(a, u, SCAN_BLOCK_SIZE), 5)
         rows.append({"N": int(n), "wall_ms": wall * 1e3})
     return rows
 
@@ -133,7 +133,7 @@ def scan_sweep(n_values: Sequence[int], seed: int = 0) -> List[Dict]:
 # overhead at small N
 SWEEP_NETWORK = NetworkConfig(num_classes=2, stem_channels=8, experts=(2, 3),
                               base_group_size=64, slots_per_expert=2,
-                              ssm_state_dim=4, scan_block_size=64)
+                              ssm_state_dim=4)
 
 
 def volume_shapes_for(n_values: Sequence[int]) -> List[Tuple[int, int, int]]:

@@ -6,6 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+SCAN_BLOCK_SIZE = 64  # the selective scan's block length: the model's, the sweeps' and the suites'
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent configuration."""
@@ -58,7 +60,7 @@ class NetworkConfig:
     layers_per_stage: Optional[Tuple[int, ...]] = None  # defaults to one layer per stage
     norm: str = "dyt"
     ssm_state_dim: int = 8
-    scan_block_size: int = 64
+    scan_block_size: int = SCAN_BLOCK_SIZE
     experts_l2: Optional[Tuple[int, ...]] = None  # defaults to 2 * experts
 
     def __post_init__(self):

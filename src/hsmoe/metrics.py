@@ -5,10 +5,17 @@ HD95 contract: surfaces are foreground voxels with any of their six face
 neighbors outside the mask (the volume border counts as outside); point-to-set
 distances are pooled from both directions and the percentile is nearest-rank
 on that multiset. Implementations differ on these choices, so they are fixed
-here for reproducibility. Each nearest neighbour is a candidate from one
-matmul per chunk, |g|² − 2 s·g on centred coordinates, then every target
-within that matmul's rounding bound of the best is re-measured exactly; the
-distance reported is the brute-force ((s − g)**2).sum() on the true nearest pair.
+here for reproducibility. ``spacing`` is the voxel size along (D, H, W).
+
+Each nearest neighbour is found in two stages, and both run on every call.
+First a stencil: the target surface is marked on a voxel grid, and the integer
+offsets of the cube [-R, R]^3 are walked in ascending spacing-weighted length,
+one gather per offset over the source points still open. A point settles when
+its nearest hit is provably nearer than anything outside the cube. The points
+it leaves open get candidates from one matmul per chunk, |g|² − 2 s·g on
+centred coordinates, and every target within that matmul's rounding bound of
+the best is re-measured exactly. Either way the distance reported is the
+brute-force ((s − g)**2).sum() on the true nearest pair.
 """
 
 from __future__ import annotations
@@ -82,6 +89,7 @@ def surface_voxels(mask: np.ndarray) -> np.ndarray:
 
 
 _CHUNK_SCORES = 100_000  # entries of one chunk's [rows, |dst|] score matrix (0.8 MB: stays in L2)
+_STENCIL_RADIUS = 2  # R: the stencil walks the voxel offsets of the cube [-R, R]^3
 
 
 def _directed_min_dists(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -111,13 +119,64 @@ def _directed_min_dists(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stencil_min_d2(src_idx: np.ndarray, dst_idx: np.ndarray, sp: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Squared distance from each ``src_idx`` voxel to its nearest ``dst_idx``
+    voxel among the offsets of [-R, R]^3, and which points that settles (see
+    the module docstring); voxel indices are [n,3], ``sp`` the spacing."""
+    R = _STENCIL_RADIUS
+    src = src_idx * sp
+    top = np.maximum(src_idx.max(0), dst_idx.max(0))  # the largest index along each axis
+    extent = top + 1 + 2 * R
+    strides = np.array([extent[1] * extent[2], extent[2], 1])
+    occupied = np.zeros(int(np.prod(extent)), dtype=bool)
+    occupied[(dst_idx + R) @ strides] = True
+    at = (src_idx + R) @ strides
+    cube = np.indices((2 * R + 1,) * 3).reshape(3, -1).T - R
+    keys = ((cube * sp) ** 2).sum(-1)
+    order = np.argsort(keys, kind="stable")
+    bound = ((R + 1) * sp.min()) ** 2  # every offset outside the cube is at least this far
+    # With u = eps/2 and every coordinate in [0, L], each coordinate rounds by u·L, so a
+    # difference is off by 2u·L + u|Δ_k| and the brute-force sum for an offset of exact squared
+    # length E by u·(4L·Σ|Δ_k| + 5E) <= u·(2√3(L² + E) + 5E); its key and the bound are off by
+    # 5u·E. For E up to the bound B, a sum and a key are then within δ = 14u(L² + B) of each
+    # other, and larger offsets stay beyond B − δ. So no offset keyed past the first hit's key
+    # plus 2δ can beat that hit, and no target outside the cube can beat a distance below B − δ;
+    # band is 32u(L² + B).
+    band = 16 * np.finfo(np.float64).eps * ((top * sp).max() ** 2 + bound)
+    d2 = np.full(len(src), np.inf)
+    limit = np.full(len(src), bound)  # a first hit past the bound could not settle
+    open_ = np.arange(len(src))
+    for off, key in zip(cube[order], keys[order]):
+        open_ = open_[limit[open_] >= key]
+        if not len(open_):
+            break
+        hit = open_[occupied[at[open_] + off @ strides]]
+        limit[hit[d2[hit] == np.inf]] = key + band
+        d2[hit] = np.minimum(d2[hit], ((src[hit] - (src_idx[hit] + off) * sp) ** 2).sum(-1))
+    return d2, d2 + band < bound
+
+
+def _nearest_dists(src_idx: np.ndarray, dst_idx: np.ndarray, sp: np.ndarray) -> np.ndarray:
+    """Distance from each ``src_idx`` voxel to its nearest ``dst_idx`` voxel (mm):
+    the stencil, then the matmul candidates for the points it leaves open."""
+    d2, settled = _stencil_min_d2(src_idx, dst_idx, sp)
+    out = np.sqrt(d2)
+    rest = np.flatnonzero(~settled)
+    if len(rest):
+        out[rest] = _directed_min_dists(src_idx[rest] * sp, dst_idx * sp)
+    return out
+
+
 def hd95(pred_mask: np.ndarray, gt_mask: np.ndarray,
          spacing: Sequence[float] = (1.0, 1.0, 1.0)) -> float:
-    """Nearest-rank 95th percentile of pooled bidirectional surface distances (mm)."""
+    """Nearest-rank 95th percentile of pooled bidirectional surface distances
+    (mm), with ``spacing`` the voxel size along (D, H, W)."""
     sp = np.asarray(spacing, dtype=np.float64)
-    P = surface_voxels(pred_mask) * sp
-    G = surface_voxels(gt_mask) * sp
-    pooled = np.concatenate([_directed_min_dists(P, G), _directed_min_dists(G, P)])
+    if sp.shape != (3,) or not (np.isfinite(sp).all() and (sp > 0).all()):
+        raise MetricError(f"spacing must be three finite positive numbers, got {spacing!r}")
+    P = surface_voxels(pred_mask)
+    G = surface_voxels(gt_mask)
+    pooled = np.concatenate([_nearest_dists(P, G, sp), _nearest_dists(G, P, sp)])
     pooled.sort()
     rank = math.ceil(0.95 * len(pooled))
     return float(pooled[rank - 1])

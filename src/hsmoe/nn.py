@@ -213,12 +213,12 @@ def _correlate(x: np.ndarray, weight: np.ndarray, stride: int, padding: int) -> 
     1706.06873). The input is zero-padded depth-major as [C, s*P, B, Hp, Wp],
     shifted so that the first live tap of each axis is offset 0, with s the
     stride, kd the live depth taps and P = Do + (kd-1)//s, so padded depth
-    r*s + ph is row r of phase ph. Each of the live (j, l) offsets copies its
-    strided slice of the first min(s, kd) phases into ``cols`` [kh*kw*C,
-    phases, P, B*Ho*Wo]. Live depth offset i reads rows i//s .. i//s+Do-1 of
-    phase i % s, a strided view of ``cols`` that BLAS takes as it is, and
-    the output is sum_i W_i @ view_i with W_i = weight[:, :, i] laid out as
-    [O, kh*kw*C].
+    r*s + ph is row r of phase ph. One strided view holds, for every live
+    (j, l) offset, its slice of the first min(s, kd) phases, and one copy lays
+    them out as ``cols`` [kh*kw*C, phases, P, B*Ho*Wo]. Live depth offset i
+    reads rows i//s .. i//s+Do-1 of phase i % s, a strided view of ``cols``
+    that BLAS takes as it is, and the output is sum_i W_i @ view_i with
+    W_i = weight[:, :, i] laid out as [O, kh*kw*C].
     """
     O, C, k = weight.shape[:3]
     B, spatial = x.shape[0], x.shape[2:]
@@ -241,10 +241,11 @@ def _correlate(x: np.ndarray, weight: np.ndarray, stride: int, padding: int) -> 
                   dtype=x.dtype)
     xp[:, a:a + D, :, b:b + H, c:c + W] = x.transpose(1, 2, 0, 3, 4)
     rows = xp[:, :s * P].reshape((C, P, s) + xp.shape[2:])[:, :, :phases].transpose(0, 2, 1, 3, 4, 5)
-    cols = np.empty((kh * kw, C, phases, P, B, Ho, Wo), dtype=x.dtype)  # rows: [C, phases, P, B, Hp, Wp]
-    for t, (j, l) in enumerate(itertools.product(range(kh), range(kw))):
-        cols[t] = rows[..., j:j + s * Ho:s, l:l + s * Wo:s]
-    cols = cols.reshape(R, phases, P, N)
+    # [kh, kw, C, phases, P, B, Ho, Wo], where tap (j, l) reads rows[..., j + s*ho, l + s*wo]:
+    # a view of xp, at whose first byte rows starts (the constructor checks it fits in xp)
+    *lead, sh, sw = rows.strides
+    taps = np.ndarray((kh, kw) + rows.shape[:4] + (Ho, Wo), x.dtype, xp, 0, (sh, sw, *lead, s * sh, s * sw))
+    cols = taps.reshape(R, phases, P, N)
     views = [cols[:, i % s, i // s:i // s + Do].reshape(R, Do * N) for i in range(kd)]
     wmats = weight[:, :, live[0], live[1], live[2]].transpose(2, 0, 3, 4, 1).reshape(kd, O, R)
     out = wmats[0] @ views[0]

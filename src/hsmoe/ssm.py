@@ -26,6 +26,7 @@ from typing import Tuple
 import numpy as np
 
 from . import nn, tensor as T
+from .config import SCAN_BLOCK_SIZE
 from .tensor import Tensor
 
 
@@ -190,7 +191,7 @@ class SSMParams(nn.Module):
         return delta, A, self.input_map(x), self.output_map(x)
 
 
-def selective_scan(params: SSMParams, x: Tensor, block_size: int = 64) -> Tensor:
+def selective_scan(params: SSMParams, x: Tensor, block_size: int = SCAN_BLOCK_SIZE) -> Tensor:
     """Input-dependent linear-time scan: [B,N,d] -> [B,N,d]."""
     if x.ndim != 3 or x.shape[-1] != params.dim:
         raise T.ShapeError(f"selective_scan expects [B,N,{params.dim}], got {x.shape}")
@@ -201,7 +202,7 @@ class GatedSSM(nn.Module):
     """Gated scan layer: project to two branches, scan one, sigmoid-gate,
     project out. Shape-preserving on [B,N,d]."""
 
-    def __init__(self, dim: int, state_dim: int, rng: np.random.Generator, block_size: int = 64):
+    def __init__(self, dim: int, state_dim: int, rng: np.random.Generator, block_size: int = SCAN_BLOCK_SIZE):
         self.in_proj = nn.Linear(dim, 2 * dim, rng)
         self.ssm = SSMParams(dim, state_dim, rng)
         self.out_proj = nn.Linear(dim, dim, rng)

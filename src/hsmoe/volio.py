@@ -1,10 +1,13 @@
 """Raw volume files: ``<name>.vol`` is a little-endian raster in (D,H,W)
 order (f32 images, u8 labels) with a ``<name>.json`` sidecar carrying
-``{"dims": [D,H,W], "spacing_mm": [x,y,z], "dtype": "f32"|"u8"}``."""
+``{"dims": [D,H,W], "spacing_mm": [sD,sH,sW], "dtype": "f32"|"u8"}``: three
+positive extents and the voxel size in mm along each of those axes, three
+finite positive numbers."""
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Sequence, Tuple
 
@@ -48,11 +51,16 @@ def read_volume(base: str) -> Tuple[np.ndarray, Tuple[float, float, float]]:
     try:
         with open(json_path) as fh:
             sidecar = json.load(fh)
-        dims = tuple(int(d) for d in sidecar["dims"])
+        dims = tuple(sidecar["dims"])
         spacing = tuple(float(s) for s in sidecar["spacing_mm"])
         dtype = _DTYPES[sidecar["dtype"]]
     except (KeyError, TypeError, ValueError) as err:
         raise VolumeIOError(f"bad sidecar {json_path}: {err}") from err
+    if len(dims) != 3 or not all(type(d) is int and d > 0 for d in dims):
+        raise VolumeIOError(f"bad sidecar {json_path}: dims must be three positive ints, got {list(dims)}")
+    if len(spacing) != 3 or not all(math.isfinite(s) and s > 0 for s in spacing):
+        raise VolumeIOError(f"bad sidecar {json_path}: spacing_mm must be three finite positive "
+                            f"numbers, got {list(spacing)}")
     raw = np.fromfile(vol_path, dtype=dtype)
     expected = int(np.prod(dims))
     if raw.size != expected:

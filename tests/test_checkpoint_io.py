@@ -120,6 +120,23 @@ def test_volume_size_mismatch_detected(tmp_path):
         read_volume(str(tmp_path / "v"))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("spacing_mm", [1.0, 1.0]),
+    ("spacing_mm", [float("nan"), 1.0, 1.0]),
+    ("spacing_mm", [1.0, 0.0, 1.0]),
+    ("spacing_mm", [1.0, 1.0, -1.0]),
+    ("dims", [2, 2, 2, 1]),
+    ("dims", [2, 2, 2.0]),
+])
+def test_volume_bad_dims_or_spacing_rejected(tmp_path, key, value):
+    write_volume(str(tmp_path / "v"), np.zeros((2, 2, 2), dtype=np.float32))
+    sidecar = json.loads((tmp_path / "v.json").read_text())
+    sidecar[key] = value
+    (tmp_path / "v.json").write_text(json.dumps(sidecar))
+    with pytest.raises(VolumeIOError, match=f"bad sidecar .*v.json: {key}"):
+        read_volume(str(tmp_path / "v"))
+
+
 def test_volume_missing_file(tmp_path):
     with pytest.raises(VolumeIOError, match="missing"):
         read_volume(str(tmp_path / "ghost"))

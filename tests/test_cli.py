@@ -649,6 +649,25 @@ def test_unparseable_volume_sidecar_is_validation_error(tmp_path, capsys):
     _assert_validation_error(code, err, f"bad sidecar {dirs['pred'] / 'a.json'}")
 
 
+@pytest.mark.parametrize("spacing", [[1.0, 1.0], [float("nan"), 1.0, 1.0], [0.0, 1.0, 1.0],
+                                     [1.0, -1.0, 1.0]])
+def test_bad_volume_spacing_is_validation_error(tmp_path, capsys, spacing):
+    dirs = {kind: tmp_path / kind for kind in ("pred", "gt")}
+    lab = np.zeros((4, 4, 4), dtype=np.int64)
+    lab[1:3, 1:3, 1:3] = 1
+    for path in dirs.values():
+        path.mkdir()
+        write_volume(str(path / "a"), lab, dtype="u8")
+    sidecar = json.loads((dirs["pred"] / "a.json").read_text())
+    sidecar["spacing_mm"] = spacing
+    (dirs["pred"] / "a.json").write_text(json.dumps(sidecar))
+    code, _, err = run_cli(capsys, "eval", "--classes", "2", "--pred-dir", str(dirs["pred"]),
+                           "--gt-dir", str(dirs["gt"]), "--out", str(tmp_path / "m.csv"),
+                           "--json-out", str(tmp_path / "m.json"))
+    _assert_validation_error(code, err, f"bad sidecar {dirs['pred'] / 'a.json'}", "spacing_mm")
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_eval_missing_pred_dir_is_validation_error(tmp_path, capsys):
     missing = tmp_path / "nowhere"
     code, _, err = run_cli(capsys, "eval", "--pred-dir", str(missing), "--gt-dir", str(missing),

@@ -159,12 +159,13 @@ def _brute_min_dists(src, dst):
 
 def _assert_bitwise_brute(a, b, spacing):
     sp = np.asarray(spacing, dtype=np.float64)
-    P = metrics.surface_voxels(a) * sp
-    G = metrics.surface_voxels(b) * sp
+    P_idx, G_idx = metrics.surface_voxels(a), metrics.surface_voxels(b)
     pooled = []
-    for src, dst in ((P, G), (G, P)):
+    for src_idx, dst_idx in ((P_idx, G_idx), (G_idx, P_idx)):
+        src, dst = src_idx * sp, dst_idx * sp
         want = _brute_min_dists(src, dst)
         assert np.array_equal(metrics._directed_min_dists(src, dst), want)
+        assert np.array_equal(metrics._nearest_dists(src_idx, dst_idx, sp), want)
         pooled.append(want)
     pooled = np.sort(np.concatenate(pooled))
     assert hd95(a, b, spacing) == pooled[math.ceil(0.95 * len(pooled)) - 1]
@@ -212,6 +213,84 @@ def test_hd95_over_many_chunks_matches_bruteforce_bitwise(monkeypatch, budget):
     assert 1 <= rows < len(metrics.surface_voxels(a)) // 4  # more than four chunks
     _assert_bitwise_brute(a, b, (1.0, 1.0, 1.0))
     _assert_bitwise_brute(a, b, (0.7, 1.3, 2.1))
+
+
+# ---------------------------------------------------------------------------
+# HD95's voxel-offset stencil, and the points it leaves to the matmul candidates
+
+
+@pytest.fixture
+def fallback_rows(monkeypatch):
+    """Rows ``hd95`` sends to ``_directed_min_dists``, per call, at R = 2."""
+    monkeypatch.setattr(metrics, "_STENCIL_RADIUS", 2)
+    rows = []
+    directed = metrics._directed_min_dists
+
+    def spy(src, dst):
+        rows.append(len(src))
+        return directed(src, dst)
+
+    monkeypatch.setattr(metrics, "_directed_min_dists", spy)
+    return rows
+
+
+@pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 1.3, 2.1)])
+def test_hd95_targets_beyond_the_stencil_match_bruteforce_bitwise(fallback_rows, spacing):
+    # a ball against one shifted 5 voxels, plus scattered voxels far from both
+    a = _ball((30, 30, 30), (12, 14, 14), 7)
+    b = _ball((30, 30, 30), (17, 14, 14), 7)
+    far = T.rng(9).uniform(size=a.shape) > 0.995
+    a |= far
+    _assert_bitwise_brute(a, b, spacing)
+    assert sum(fallback_rows) > 0
+
+
+def test_hd95_nearest_pair_at_the_completeness_bound(fallback_rows):
+    # at R = 2 and unit spacing the bound is 3 = (R+1)·1: (2,2,1) inside the cube ties with
+    # (3,0,0) outside it, and (2,2,2) inside loses to (3,0,0); at spacing (2, 0.5, 1) the only
+    # target lies (R+1)·0.5 away, just outside the cube. No point settles in the stencil.
+    a = np.zeros((9, 9, 9), dtype=bool)
+    a[4, 4, 4] = True
+    for inside, spacing, want in [((6, 6, 5), (1.0, 1.0, 1.0), 3.0),
+                                  ((6, 6, 6), (1.0, 1.0, 1.0), math.sqrt(12.0)),
+                                  ((4, 7, 4), (2.0, 0.5, 1.0), 1.5)]:
+        b = np.zeros_like(a)
+        b[inside] = True
+        if spacing == (1.0, 1.0, 1.0):
+            b[1, 4, 4] = True
+        fallback_rows.clear()
+        assert hd95(a, b, spacing) == want
+        assert fallback_rows == [1, int(b.sum())]
+        _assert_bitwise_brute(a, b, spacing)
+
+
+def test_hd95_near_ties_inside_the_band_match_bruteforce_bitwise(fallback_rows):
+    # axis steps one ulp apart: their keys differ by far less than the rounding band, so
+    # the walk keeps checking past the first hit and takes the exact minimum
+    sp = [0.3]
+    for _ in range(2):
+        sp.append(float(np.nextafter(sp[-1], 1.0)))
+    g = T.rng(10)
+    for _ in range(3):
+        _assert_bitwise_brute(g.uniform(size=(16, 16, 16)) > 0.5,
+                              g.uniform(size=(16, 16, 16)) > 0.55, sp)
+    _assert_bitwise_brute(_ball((40, 40, 40), (19, 20, 19), 15), _ball((40, 40, 40), (20, 19, 20), 15), sp)
+
+
+def test_hd95_one_voxel_shift_settles_every_point_in_the_stencil(fallback_rows):
+    a = _ball((32, 32, 32), (15, 15, 15), 10)
+    b = np.roll(a, 1, axis=1)
+    assert hd95(a, b) == 1.0
+    assert fallback_rows == []
+    _assert_bitwise_brute(a, b, (1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("spacing", [(1.0, 1.0), (float("nan"), 1.0, 1.0), (0.0, 1.0, 1.0),
+                                     (1.0, -1.0, 1.0), (1.0, 1.0, float("inf"))])
+def test_hd95_rejects_a_bad_spacing(spacing):
+    m = _ball((6, 6, 6), (3, 3, 3), 2)
+    with pytest.raises(MetricError, match="spacing"):
+        hd95(m, m, spacing)
 
 
 # ---------------------------------------------------------------------------
