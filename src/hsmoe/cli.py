@@ -3,8 +3,9 @@
 Configuration comes from an optional ``key = value`` file (dotted keys,
 unknown keys rejected), environment overrides HSMOE_SEED / HSMOE_THREADS,
 then command-line flags, in increasing precedence. Each subcommand accepts
-only the flags, and file keys, it reads; an environment value applies only
-to the subcommands that read its key. Exit codes: 0 success, 1 validation
+only the flags, and file keys, it reads, and eval in label-directory mode
+reads fewer of them than in checkpoint mode; an environment value applies
+only where its key is read. Exit codes: 0 success, 1 validation
 error (usage errors included), 2 runtime/numerical failure.
 """
 
@@ -17,11 +18,11 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from . import bench as bench_mod
+from . import bench as bench_mod, tensor as T
 from .checkpoint import CheckpointError, load_into
 from .config import ConfigError, NetworkConfig, PRESETS, TrainConfig
 from .metrics import (EmptyMaskError, MetricError, _check_labels, count_parameters, dsc_per_class,
@@ -43,10 +44,9 @@ class DataConfig:
     size: int = 16
 
     def validate(self) -> "DataConfig":
-        if self.num_volumes < 1:
-            raise ConfigError(f"num_volumes must be >= 1, got {self.num_volumes}")
-        if self.size < 1:
-            raise ConfigError(f"size must be >= 1, got {self.size}")
+        for name in ("num_volumes", "size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         return self
 
 
@@ -66,40 +66,38 @@ class RunConfig:
         if self.network_overrides:
             missing = [f"network.{k}" for k in _REQUIRED_NETWORK_KEYS if k not in self.network_overrides]
             if missing:
-                raise ConfigError(f"network.* overrides describe a whole network; missing "
-                                  f"{', '.join(missing)}")
+                raise ConfigError(f"network.* overrides describe a whole network; missing {', '.join(missing)}")
             return NetworkConfig(num_classes=self.num_classes, norm=self.norm, **self.network_overrides)
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; choose from {sorted(PRESETS)}")
         return PRESETS[self.preset](num_classes=self.num_classes, norm=self.norm)
 
 
+# config key: (the RunConfig attribute it sets, its type, the flag that overrides it)
 _SCALAR_KEYS = {
-    "seed": ("seed", int),
-    "threads": ("threads", int),
-    "precision": ("precision", str),
-    "network.preset": ("preset", str),
-    "network.num_classes": ("num_classes", int),
-    "network.norm": ("norm", str),
-    "train.lr": ("train.lr", float),
-    "train.weight_decay": ("train.weight_decay", float),
-    "train.batch_size": ("train.batch_size", int),
-    "train.steps": ("train.steps", int),
-    "train.checkpoint_every": ("train.checkpoint_every", int),
-    "data.num_volumes": ("data.num_volumes", int),
-    "data.size": ("data.size", int),
+    "seed": ("seed", int, "--seed"),
+    "threads": ("threads", int, "--threads"),
+    "precision": ("precision", str, "--precision"),
+    "network.preset": ("preset", str, "--preset"),
+    "network.num_classes": ("num_classes", int, "--classes"),
+    "network.norm": ("norm", str, "--norm"),
+    "train.lr": ("train.lr", float, "--lr"),
+    "train.batch_size": ("train.batch_size", int, "--batch-size"),
+    "train.steps": ("train.steps", int, "--steps"),
+    "data.num_volumes": ("data.num_volumes", int, "--volumes"),
+    "data.size": ("data.size", int, "--size"),
 }
 
 _NETWORK_OVERRIDE_KEYS = {
     "network.stem_channels": ("stem_channels", int),
     "network.experts": ("experts", "int_list"),
-    "network.experts_l2": ("experts_l2", "int_list"),
     "network.base_group_size": ("base_group_size", int),
     "network.slots_per_expert": ("slots_per_expert", int),
     "network.layers_per_stage": ("layers_per_stage", "int_list"),
     "network.ssm_state_dim": ("ssm_state_dim", int),
     "network.scan_block_size": ("scan_block_size", int),
 }
+_ALL_KEYS = (*_SCALAR_KEYS, *_NETWORK_OVERRIDE_KEYS)
 _REQUIRED_NETWORK_KEYS = ("stem_channels", "experts", "base_group_size", "slots_per_expert")
 
 _ENV_KEYS = {"HSMOE_SEED": "seed", "HSMOE_THREADS": "threads"}
@@ -133,7 +131,7 @@ def parse_config_file(path: str) -> Dict[str, object]:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
             key, raw = (part.strip() for part in stripped.split("=", 1))
             if key in _SCALAR_KEYS:
-                _, kind = _SCALAR_KEYS[key]
+                kind = _SCALAR_KEYS[key][1]
             elif key in _NETWORK_OVERRIDE_KEYS:
                 _, kind = _NETWORK_OVERRIDE_KEYS[key]
             else:
@@ -148,24 +146,51 @@ def parse_config_file(path: str) -> Dict[str, object]:
     return values
 
 
+# eval with --pred-dir scores label volumes and reads only these settings; without
+# it, eval rebuilds the network and data and reads every eval setting but --gt-dir
+_LABEL_DIR_KEYS = {"network.num_classes", "threads"}
+
+
+def _reader(args) -> Tuple[str, Set[str]]:
+    """Who reads the run's settings, named for messages, and the config keys
+    it reads: every key of a section one of its flags sets, or in eval's
+    label-directory mode ``_LABEL_DIR_KEYS`` alone. A flag given that the
+    reader does not read is a validation error."""
+    given = vars(args)
+    sections = {key.split(".")[0] for key in given if key in _SCALAR_KEYS}
+    reader, unread = f"'hsmoe {args.command}'", []
+    read = {key for key in _ALL_KEYS if key.split(".")[0] in sections}
+    if args.command == "eval" and args.pred_dir:
+        reader, read = f"{reader} in label-directory mode (--pred-dir)", _LABEL_DIR_KEYS
+        unread = ["--checkpoint"] * (args.checkpoint is not None)
+    elif args.command == "eval":
+        reader += " in checkpoint mode (no --pred-dir)"
+        unread = ["--gt-dir"] * (args.gt_dir is not None)
+    unread = [flag for key, (_, _, flag) in _SCALAR_KEYS.items()
+              if given.get(key) is not None and key not in read] + unread
+    if unread:
+        raise ConfigError(f"{reader} does not read {', '.join(unread)}")
+    return reader, read
+
+
 def build_run_config(config_path: Optional[str], args=None) -> RunConfig:
     """The run's settings: defaults, then the config file, then HSMOE_*
     environment variables, then command-line flags; validated last, so a
     bad value is rejected wherever it came from. A flag's dest is the config
-    key it overrides, so flags apply through the same table as file values,
-    and a file key is rejected unless the subcommand has a flag of its section;
-    an environment value applies only where a file key of its section would.
+    key it overrides, so flags apply through the same table as file values.
+    A file key ``_reader`` says is not read is rejected, and an environment
+    value applies only where its key is read (every key without ``args``).
     A ``--preset`` flag replaces any explicit network layout from the file."""
     run = RunConfig()
     values = parse_config_file(config_path) if config_path else {}
-    read = {key.split(".")[0] for key in (vars(args) if args else _SCALAR_KEYS) if key in _SCALAR_KEYS}
-    ignored = [key for key in values if key.split(".")[0] not in read]
+    given = vars(args) if args else {}
+    reader, read = _reader(args) if args else ("", set(_ALL_KEYS))
+    ignored = [key for key in values if key not in read]
     if ignored:
-        raise ConfigError(f"{config_path}: 'hsmoe {args.command}' does not read {', '.join(ignored)}")
+        raise ConfigError(f"{config_path}: {reader} does not read {', '.join(ignored)}")
     values.update((key, _convert(os.environ[var], _SCALAR_KEYS[key][1]))
                   for var, key in _ENV_KEYS.items() if var in os.environ and key in read)
-    flags = {key: value for key, value in (vars(args) if args else {}).items()
-             if key in _SCALAR_KEYS and value is not None}
+    flags = {key: value for key, value in given.items() if key in _SCALAR_KEYS and value is not None}
     if "network.preset" in flags:
         values = {key: value for key, value in values.items() if key not in _NETWORK_OVERRIDE_KEYS}
     values.update(flags)
@@ -341,7 +366,7 @@ def cmd_eval(run: RunConfig, args) -> int:
             with no_grad():
                 logits = net(Tensor(sample.image[None]))
             pred = np.argmax(logits.data, axis=1)[0]
-            cases.append((f"case{i:03d}", pred, sample.label, sample.spacing_mm))
+            cases.append((f"case{i:03d}", pred, sample.label, (1.0, 1.0, 1.0)))
 
     def work(case):
         name, pred, gt, spacing = case
@@ -373,10 +398,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _key_flag(parser: argparse.ArgumentParser, flag: str, key: str, **kwargs) -> None:
-    """``flag`` overrides config key ``key``: the key is its dest, and its
-    value converts as the config file's value does."""
-    parser.add_argument(flag, dest=key, type=_SCALAR_KEYS[key][1], help=f"sets {key}", **kwargs)
+def _key_flag(parser: argparse.ArgumentParser, key: str, **kwargs) -> None:
+    """The flag that overrides config key ``key``: the key is its dest, and
+    its value converts as the config file's value does."""
+    _, kind, flag = _SCALAR_KEYS[key]
+    parser.add_argument(flag, dest=key, type=kind, help=f"sets {key}", **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,14 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
     on a parent parser; the top-level parser takes only the subcommand."""
     config, seed, threads, precision, network, data = (_Parser(add_help=False) for _ in range(6))
     config.add_argument("--config", metavar="FILE", help="key = value config file")
-    _key_flag(seed, "--seed", "seed", metavar="N")
-    _key_flag(threads, "--threads", "threads", metavar="N")
-    _key_flag(precision, "--precision", "precision", choices=tuple(_PRECISIONS))
-    _key_flag(network, "--preset", "network.preset", choices=tuple(PRESETS))
-    _key_flag(network, "--classes", "network.num_classes", metavar="C")
-    _key_flag(network, "--norm", "network.norm", choices=("dyt", "ln"))
-    _key_flag(data, "--volumes", "data.num_volumes", metavar="N")
-    _key_flag(data, "--size", "data.size", metavar="S")
+    _key_flag(seed, "seed", metavar="N")
+    _key_flag(threads, "threads", metavar="N")
+    _key_flag(precision, "precision", choices=tuple(_PRECISIONS))
+    _key_flag(network, "network.preset", choices=tuple(PRESETS))
+    _key_flag(network, "network.num_classes", metavar="C")
+    _key_flag(network, "network.norm", choices=("dyt", "ln"))
+    _key_flag(data, "data.num_volumes", metavar="N")
+    _key_flag(data, "data.size", metavar="S")
 
     parser = _Parser(prog="hsmoe", description="hierarchical soft-MoE segmentation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -415,9 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[config, seed, precision, network, data],
                        help="train on synthetic volumes")
-    _key_flag(p, "--steps", "train.steps", metavar="N")
-    _key_flag(p, "--lr", "train.lr", metavar="LR")
-    _key_flag(p, "--batch-size", "train.batch_size", metavar="B")
+    _key_flag(p, "train.steps", metavar="N")
+    _key_flag(p, "train.lr", metavar="LR")
+    _key_flag(p, "train.batch_size", metavar="B")
     p.add_argument("--history", default="history.csv")
     p.add_argument("--checkpoint", default="checkpoint")
 
@@ -448,10 +474,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             raise ConfigError(f"{flag} goes after the subcommand, as in 'hsmoe <command> {flag} ...'")
         args = build_parser().parse_args(argv)
         run = build_run_config(getattr(args, "config", None), args)
-        # an overflow raises NumericalError from the op's finiteness check;
-        # numpy's own RuntimeWarning before it would only repeat the error
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return _COMMANDS[args.command](run, args)
+        # quiet: an overflow raises NumericalError, and numpy's warning would repeat it
+        return T._quiet(_COMMANDS[args.command])(run, args)
     except (ConfigError, CheckpointError, VolumeIOError, MetricError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION

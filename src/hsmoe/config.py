@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 SCAN_BLOCK_SIZE = 64  # the selective scan's block length: the model's, the sweeps' and the suites'
+EXPERTS_L2_FACTOR = 2  # the global second level has this many experts per first-level expert
 
 
 class ConfigError(ValueError):
@@ -21,14 +22,15 @@ class StageConfig:
     num_experts: int
     group_size: int
     slots_per_expert: int
-    num_experts_l2: Optional[int] = None  # defaults to 2 * num_experts
 
     def __post_init__(self):
-        if self.num_experts_l2 is None:
-            object.__setattr__(self, "num_experts_l2", 2 * self.num_experts)
-        for name in ("dim", "num_experts", "group_size", "slots_per_expert", "num_experts_l2"):
+        for name in ("dim", "num_experts", "group_size", "slots_per_expert"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"StageConfig.{name} must be >= 1, got {getattr(self, name)}")
+
+    @property
+    def num_experts_l2(self) -> int:
+        return EXPERTS_L2_FACTOR * self.num_experts
 
     @property
     def slots_per_group(self) -> int:
@@ -61,7 +63,6 @@ class NetworkConfig:
     norm: str = "dyt"
     ssm_state_dim: int = 8
     scan_block_size: int = SCAN_BLOCK_SIZE
-    experts_l2: Optional[Tuple[int, ...]] = None  # defaults to 2 * experts
 
     def __post_init__(self):
         if self.layers_per_stage is None:
@@ -70,14 +71,12 @@ class NetworkConfig:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.num_stages < 2:
             raise ConfigError(f"need at least 2 stages, got {self.num_stages}")
-        for name in ("layers_per_stage", "experts_l2"):
-            value = getattr(self, name)
-            if value is not None and len(value) != self.num_stages:
-                raise ConfigError(f"{name} {value} must have one entry per stage ({self.num_stages})")
-        for name in ("experts", "layers_per_stage", "experts_l2"):
-            value = getattr(self, name)
-            if value is not None and min(value) < 1:
-                raise ConfigError(f"{name} entries must be >= 1, got {list(value)}")
+        if len(self.layers_per_stage) != self.num_stages:
+            raise ConfigError(f"layers_per_stage {self.layers_per_stage} must have one entry per stage "
+                              f"({self.num_stages})")
+        for name in ("experts", "layers_per_stage"):
+            if min(getattr(self, name)) < 1:
+                raise ConfigError(f"{name} entries must be >= 1, got {list(getattr(self, name))}")
         if self.norm not in ("dyt", "ln"):
             raise ConfigError(f"norm must be 'dyt' or 'ln', got {self.norm!r}")
         for name in ("stem_channels", "slots_per_expert", "ssm_state_dim", "scan_block_size"):
@@ -99,10 +98,9 @@ class NetworkConfig:
     @property
     def stages(self) -> Tuple[StageConfig, ...]:
         groups = group_size_schedule(self.base_group_size, self.num_stages)
-        experts_l2 = self.experts_l2 or (None,) * self.num_stages
         return tuple(StageConfig(dim=dim, num_experts=e, group_size=g,
-                                 slots_per_expert=self.slots_per_expert, num_experts_l2=e2)
-                     for dim, e, g, e2 in zip(self.channels, self.experts, groups, experts_l2))
+                                 slots_per_expert=self.slots_per_expert)
+                     for dim, e, g in zip(self.channels, self.experts, groups))
 
     def check_extents(self, extents: Sequence[int], what: str) -> None:
         """The input-extent rule: every spatial extent is a positive multiple
@@ -134,21 +132,14 @@ PRESETS = {"tiny": tiny_config, "full": full_config}
 @dataclass
 class TrainConfig:
     lr: float = 1e-4
-    weight_decay: float = 1e-5
     batch_size: int = 2
     steps: int = 300
     seed: int = 0
-    checkpoint_every: Optional[int] = None
 
     def validate(self) -> "TrainConfig":
         if self.lr <= 0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
-        if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ConfigError(f"checkpoint_every must be >= 1, got {self.checkpoint_every}")
+        for name in ("steps", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         return self

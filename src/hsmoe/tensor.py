@@ -8,10 +8,11 @@ second ``backward`` without re-running the forward pass raises ``TapeError``.
 
 Numerical contract: forward operations on finite inputs must produce finite
 outputs; a NaN or Inf is raised as ``NumericalError`` instead of propagating.
-The one sanctioned source of non-finite values is ``masked_fill`` with an
-infinite fill value, which exists to feed ``softmax`` masked logits.
-Reductions delegate to numpy's deterministic pairwise summation, so identical
-inputs give bit-identical outputs on a fixed platform.
+Every op that computes values checks its output; only ``reshape``,
+``permute``, ``concatenate``, ``pad_zeros`` and ``index``, which move values
+without computing them, skip it. Reductions delegate to numpy's
+deterministic pairwise summation, so identical inputs give bit-identical
+outputs on a fixed platform.
 
 The contract covers the backward too: ``backward`` checks each leaf gradient
 as it deposits it and raises ``NumericalError`` naming the op whose backward
@@ -56,10 +57,6 @@ class ShapeError(TensorError):
 
 class NumericalError(TensorError):
     """An op produced NaN/Inf from finite inputs, in its forward or its backward."""
-
-
-class DegenerateSliceError(NumericalError):
-    """Softmax over a slice that is entirely -inf."""
 
 
 class EmptyReductionError(ShapeError):
@@ -436,16 +433,11 @@ def matmul(a, b) -> Tensor:
 
 
 def softmax(a, axis: int = -1) -> Tensor:
-    """Stable softmax along ``axis``; -inf entries map to exactly 0.
-
-    A slice that is entirely -inf has no well-defined softmax and raises
-    ``DegenerateSliceError``; callers that mask whole rows decide the fallback.
-    """
+    """Stable softmax along ``axis`` (the maximum is subtracted first); a -inf
+    entry beside finite ones gives an exact 0, as numpy's ``exp`` does."""
     a = as_tensor(a)
     x = a.data
     m = x.max(axis=axis, keepdims=True)
-    if np.logical_or.reduce(m == -np.inf, axis=None):
-        raise DegenerateSliceError("softmax: slice is entirely -inf")
     out = x - m
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
@@ -461,8 +453,6 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
     x = a.data
     m = x.max(axis=axis, keepdims=True)
-    if np.logical_or.reduce(m == -np.inf, axis=None):
-        raise DegenerateSliceError("log_softmax: slice is entirely -inf")
     shifted = x - m
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out = shifted - lse
@@ -471,10 +461,7 @@ def log_softmax(a, axis: int = -1) -> Tensor:
         p = np.exp(out)
         return (g - p * g.sum(axis=axis, keepdims=True),)
 
-    return _trace(out, (a,), bwd, "log_softmax", check_finite=False)
-
-# log_softmax of a masked (-inf) logit is legitimately -inf; downstream use
-# multiplies by a zero one-hot there, so the check is on the caller.
+    return _trace(out, (a,), bwd, "log_softmax")
 
 
 def _norm_axes(axis, ndim: int):
@@ -495,39 +482,38 @@ def _reduced_count(shape: tuple, axes: tuple, op: str) -> int:
     return n
 
 
-def _spread(g: np.ndarray, shape: tuple, axes: tuple, keepdims: bool) -> np.ndarray:
+def _spread(g: np.ndarray, shape: tuple, axes: tuple) -> np.ndarray:
     """A reduction's output gradient copied across the reduced ``axes``."""
-    if not keepdims:
-        g = g.reshape([1 if i in axes else n for i, n in enumerate(shape)])
+    g = g.reshape([1 if i in axes else n for i, n in enumerate(shape)])
     full = np.empty(shape, dtype=g.dtype)
     full[...] = g
     return full
 
 
-def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(a, axis=None) -> Tensor:
     a = as_tensor(a)
     x = a.data
     axes = _norm_axes(axis, x.ndim)
     _reduced_count(x.shape, axes, "reduce_sum")
-    out = np.add.reduce(x, axis=axes, keepdims=keepdims)
+    out = np.add.reduce(x, axis=axes)
 
     def bwd(g):
-        return (_spread(g, x.shape, axes, keepdims),)
+        return (_spread(g, x.shape, axes),)
 
     return _trace(out, (a,), bwd, "reduce_sum")
 
 
-def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_mean(a, axis=None) -> Tensor:
     """The sum over ``axis`` divided by the count, as ``np.mean`` computes it:
     the same values, bit for bit, while the count is exact in the dtype."""
     a = as_tensor(a)
     x = a.data
     axes = _norm_axes(axis, x.ndim)
     n = _reduced_count(x.shape, axes, "reduce_mean")
-    out = np.add.reduce(x, axis=axes, keepdims=keepdims) / n
+    out = np.add.reduce(x, axis=axes) / n
 
     def bwd(g):
-        return (_spread(g / n, x.shape, axes, keepdims),)
+        return (_spread(g / n, x.shape, axes),)
 
     return _trace(out, (a,), bwd, "reduce_mean")
 
@@ -610,11 +596,8 @@ def index(a, key) -> Tensor:
 
 
 def masked_fill(a, keep: np.ndarray, value: float) -> Tensor:
-    """Where ``keep`` is True pass input through, elsewhere write ``value``.
-
-    The fill value may be -inf (mask-before-softmax); gradient flows only
-    through kept entries.
-    """
+    """Where ``keep`` is True pass input through, elsewhere write the finite
+    ``value``; gradient flows only through kept entries."""
     a = as_tensor(a)
     keep = np.asarray(keep, dtype=bool)
     out = np.where(keep, a.data, value)
@@ -622,4 +605,4 @@ def masked_fill(a, keep: np.ndarray, value: float) -> Tensor:
     def bwd(g):
         return (_unbroadcast(np.where(keep, g, 0.0), a.shape),)
 
-    return _trace(out, (a,), bwd, "masked_fill", check_finite=False)
+    return _trace(out, (a,), bwd, "masked_fill")

@@ -26,7 +26,6 @@ class VolumeSample:
 
     image: np.ndarray
     label: np.ndarray
-    spacing_mm: Tuple[float, float, float] = (1.0, 1.0, 1.0)
 
 
 def one_hot(labels: np.ndarray, num_classes: int, dtype) -> np.ndarray:
@@ -64,16 +63,18 @@ def dice_ce_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the moment decays and the denominator's smoothing
+ADAM_WEIGHT_DECAY = 1e-5  # the decoupled decay, per unit of learning rate
 
 
 def adamw_update(value: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-                 t: int, lr: float, scratch: np.ndarray, weight_decay: float = 0.0) -> None:
+                 t: int, lr: float, scratch: np.ndarray) -> None:
     """One moment update with bias correction and decoupled decay, in place.
 
     ``scratch`` is a [2, *value.shape] buffer of value's dtype; every step
     writes into it or into value, m and v. The operations run in the order of
     the textbook form ``value -= lr*m_hat / (sqrt(v_hat) + ADAM_EPS)`` then
-    ``value -= lr*weight_decay*value``, so the results are bit-identical to it.
+    ``value -= lr*ADAM_WEIGHT_DECAY*value``, so the results are bit-identical
+    to it.
     """
     a, b = scratch[0, ...], scratch[1, ...]  # arrays even for 0-d values
     np.multiply(grad, 1.0 - ADAM_BETA1, out=a)
@@ -90,17 +91,15 @@ def adamw_update(value: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarr
     b += ADAM_EPS
     a /= b
     value -= a
-    if weight_decay:
-        np.multiply(value, lr * weight_decay, out=a)
-        value -= a
+    np.multiply(value, lr * ADAM_WEIGHT_DECAY, out=a)
+    value -= a
 
 
 class AdamW:
     """Moment-based optimizer with decoupled weight decay over named tensors."""
 
-    def __init__(self, named_params: Sequence[Tuple[str, Tensor]], weight_decay: float = 0.0):
+    def __init__(self, named_params: Sequence[Tuple[str, Tensor]]):
         self.named_params = list(named_params)
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.named_params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.named_params}
@@ -115,7 +114,7 @@ class AdamW:
             if self._scratch.size < 2 * n or self._scratch.dtype != p.data.dtype:
                 self._scratch = np.empty(2 * n, dtype=p.data.dtype)
             adamw_update(p.data, p.grad, self.m[name], self.v[name], self.t, lr,
-                         self._scratch[:2 * n].reshape((2,) + p.data.shape), self.weight_decay)
+                         self._scratch[:2 * n].reshape((2,) + p.data.shape))
 
     def zero_grad(self) -> None:
         for _, p in self.named_params:
@@ -187,12 +186,13 @@ def synth_volumes(seed: int, n: int, size: int, classes: int) -> List[VolumeSamp
 def train_loop(net, samples: Sequence[VolumeSample], cfg: TrainConfig,
                checkpoint_path: Optional[str] = None) -> List[Dict]:
     """Seeded full loop; returns per-step history rows
-    (step, loss, mdsc, lr). Aborts with the step index if the loss diverges:
-    a NaN or Inf in the forward, the loss or the backward."""
+    (step, loss, mdsc, lr) and, given a path, saves the trained parameters
+    there at the end. Aborts with the step index if the loss diverges: a NaN
+    or Inf in the forward, the loss or the backward."""
     cfg.validate()
     order_rng = T.rng(cfg.seed)
     named = list(net.named_parameters())
-    opt = AdamW(named, weight_decay=cfg.weight_decay)
+    opt = AdamW(named)
     num_classes = net.cfg.num_classes
     history = []
     n = len(samples)
@@ -213,8 +213,6 @@ def train_loop(net, samples: Sequence[VolumeSample], cfg: TrainConfig,
         pred = np.argmax(logits.data, axis=1)
         history.append({"step": step, "loss": loss_val,
                         "mdsc": mdsc_batch(pred, labels, num_classes), "lr": lr})
-        if checkpoint_path and cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
-            save_checkpoint(named, checkpoint_path)
     if checkpoint_path:
         save_checkpoint(named, checkpoint_path)
     return history

@@ -26,18 +26,25 @@ def _paths(base: str) -> Tuple[str, str]:
     return base + ".vol", base + ".json"
 
 
+def _check_sidecar(dims: Sequence, spacing: Sequence[float], where: str) -> None:
+    """The sidecar rule, checked on write and on read (module docstring)."""
+    if len(dims) != 3 or not all(type(d) is int and d > 0 for d in dims):
+        raise VolumeIOError(f"{where}: dims must be three positive ints, got {list(dims)}")
+    if len(spacing) != 3 or not all(math.isfinite(s) and s > 0 for s in spacing):
+        raise VolumeIOError(f"{where}: spacing_mm must be three finite positive numbers, got {list(spacing)}")
+
+
 def write_volume(base: str, array: np.ndarray, spacing_mm: Sequence[float] = (1.0, 1.0, 1.0),
                  dtype: str = "f32") -> None:
     if dtype not in _DTYPES:
         raise VolumeIOError(f"dtype must be one of {sorted(_DTYPES)}, got {dtype!r}")
     arr = np.asarray(array)
-    if arr.ndim != 3:
-        raise VolumeIOError(f"volumes are 3-D (D,H,W), got shape {arr.shape}")
+    spacing = [float(s) for s in spacing_mm]
     vol_path, json_path = _paths(base)
+    _check_sidecar(arr.shape, spacing, f"cannot write {json_path}")
     with open(vol_path, "wb") as fh:
         fh.write(np.ascontiguousarray(arr, dtype=_DTYPES[dtype]).tobytes())
-    sidecar = {"dims": list(arr.shape), "spacing_mm": [float(s) for s in spacing_mm],
-               "dtype": dtype}
+    sidecar = {"dims": list(arr.shape), "spacing_mm": spacing, "dtype": dtype}
     with open(json_path, "w") as fh:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")
@@ -56,11 +63,7 @@ def read_volume(base: str) -> Tuple[np.ndarray, Tuple[float, float, float]]:
         dtype = _DTYPES[sidecar["dtype"]]
     except (KeyError, TypeError, ValueError) as err:
         raise VolumeIOError(f"bad sidecar {json_path}: {err}") from err
-    if len(dims) != 3 or not all(type(d) is int and d > 0 for d in dims):
-        raise VolumeIOError(f"bad sidecar {json_path}: dims must be three positive ints, got {list(dims)}")
-    if len(spacing) != 3 or not all(math.isfinite(s) and s > 0 for s in spacing):
-        raise VolumeIOError(f"bad sidecar {json_path}: spacing_mm must be three finite positive "
-                            f"numbers, got {list(spacing)}")
+    _check_sidecar(dims, spacing, f"bad sidecar {json_path}")
     raw = np.fromfile(vol_path, dtype=dtype)
     expected = int(np.prod(dims))
     if raw.size != expected:

@@ -137,6 +137,19 @@ def test_volume_bad_dims_or_spacing_rejected(tmp_path, key, value):
         read_volume(str(tmp_path / "v"))
 
 
+@pytest.mark.parametrize("shape, spacing, fragment", [
+    ((2, 2, 2), (1.0, float("nan")), "spacing_mm"),
+    ((2, 2, 2), (1.0, float("nan"), 1.0), "spacing_mm"),
+    ((2, 2, 2), (1.0, 0.0, 1.0), "spacing_mm"),
+    ((2, 2), (1.0, 1.0, 1.0), "dims"),
+    ((2, 0, 2), (1.0, 1.0, 1.0), "dims"),
+])
+def test_volume_write_checks_the_sidecar_rule_before_any_file(tmp_path, shape, spacing, fragment):
+    with pytest.raises(VolumeIOError, match=f"cannot write .*v.json: {fragment}"):
+        write_volume(str(tmp_path / "v"), np.zeros(shape), spacing_mm=spacing)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_volume_missing_file(tmp_path):
     with pytest.raises(VolumeIOError, match="missing"):
         read_volume(str(tmp_path / "ghost"))

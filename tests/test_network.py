@@ -105,7 +105,7 @@ def test_indivisible_extent_rejected():
         net(Tensor(np.zeros((1, 1, 6, 8, 8))))
 
 
-@pytest.mark.parametrize("field", ["experts_l2", "layers_per_stage"])
+@pytest.mark.parametrize("field", ["layers_per_stage"])
 def test_per_stage_lists_need_one_entry_per_stage(field):
     with pytest.raises(ConfigError, match=re.escape(f"{field} (4,) must have one entry per stage (2)")):
         NetworkConfig(num_classes=2, stem_channels=4, experts=(1, 2), base_group_size=8,

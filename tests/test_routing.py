@@ -223,11 +223,11 @@ def test_level1_closed_form_two_experts():
 
 
 def test_level2_single_expert_is_plain_ffn():
-    cfg = StageConfig(dim=2, num_experts=1, group_size=2, slots_per_expert=1, num_experts_l2=1)
-    layer = HierarchicalMoE(cfg, T.rng(14))
+    rng = T.rng(14)
+    router, experts = nn.Linear(2, 1, rng), ExpertBank(1, 2, rng)
     seq = Tensor(T.rng(15).uniform(-1, 1, (1, 4, 2)))
-    out = level2_route(seq, layer.router2, layer.experts2)
-    assert np.allclose(out.data, expert_fns(layer.experts2)[0](seq.data), atol=1e-15)
+    out = level2_route(seq, router, experts)
+    assert np.allclose(out.data, expert_fns(experts)[0](seq.data), atol=1e-15)
 
 
 def test_level2_zero_router_uniform_mixture():

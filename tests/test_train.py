@@ -12,7 +12,8 @@ from hsmoe.gradcheck import grad_check, gradient_flow
 from hsmoe.metrics import mdsc
 from hsmoe.network import SegNet
 from hsmoe.tensor import Tensor
-from hsmoe.train import AdamW, TrainingDiverged, adamw_update, cosine_lr, dice_ce_loss, synth_volumes, train_loop
+from hsmoe.train import (ADAM_WEIGHT_DECAY, AdamW, TrainingDiverged, adamw_update, cosine_lr, dice_ce_loss,
+                         synth_volumes, train_loop)
 
 
 def mini_net(num_classes=2, seed=0):
@@ -65,12 +66,14 @@ def test_loss_gradient_two_class_case():
 # optimizer
 
 
-def test_adamw_zero_gradient_no_decay_leaves_params():
+def test_adamw_zero_gradient_only_decays_params():
     value = np.array([1.0, -2.0])
     m = np.zeros(2)
     v = np.zeros(2)
     adamw_update(value, np.zeros(2), m, v, t=1, lr=0.1, scratch=np.empty((2, 2)))
-    assert np.array_equal(value, [1.0, -2.0])
+    want = np.array([1.0, -2.0])
+    want -= 0.1 * ADAM_WEIGHT_DECAY * want  # the moment step is exactly 0
+    assert np.array_equal(value, want)
 
 
 def test_adamw_first_step_hand_computed():
@@ -80,6 +83,7 @@ def test_adamw_first_step_hand_computed():
     adamw_update(value, np.ones(1), m, v, t=1, lr=0.01, scratch=np.empty((2, 1)))
     # bias-corrected first step: m_hat = 1, v_hat = 1 -> update lr/(1+eps)
     want = 0.5 - 0.01 * 1.0 / (1.0 + 1e-8)
+    want -= 0.01 * ADAM_WEIGHT_DECAY * want
     assert abs(value[0] - want) < 1e-15
 
 
@@ -98,11 +102,12 @@ def test_adamw_decoupled_decay_shrinks_params():
     value = np.array([1.0])
     m = np.zeros(1)
     v = np.zeros(1)
-    adamw_update(value, np.zeros(1), m, v, t=1, lr=0.5, scratch=np.empty((2, 1)), weight_decay=0.1)
-    assert abs(value[0] - (1.0 - 0.5 * 0.1)) < 1e-15
+    adamw_update(value, np.zeros(1), m, v, t=1, lr=0.5, scratch=np.empty((2, 1)))
+    assert abs(value[0] - (1.0 - 0.5 * ADAM_WEIGHT_DECAY)) < 1e-15
 
 
-def _adamw_textbook(value, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+def _adamw_textbook(value, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8,
+                    weight_decay=ADAM_WEIGHT_DECAY):
     """AdamW as written before the in-place form, with a temporary per operation."""
     m *= beta1
     m += (1.0 - beta1) * grad
@@ -111,8 +116,7 @@ def _adamw_textbook(value, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8, 
     m_hat = m / (1.0 - beta1 ** t)
     v_hat = v / (1.0 - beta2 ** t)
     value -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    if weight_decay:
-        value -= lr * weight_decay * value
+    value -= lr * weight_decay * value
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -121,13 +125,13 @@ def test_adamw_in_place_is_bit_identical_to_textbook_form(dtype):
     shapes = [(3, 4), (), (50,), (2, 3, 2), (7,)]  # 0-d; sizes that grow the shared scratch and that reuse it
     params = [Tensor(g.uniform(-1, 1, sh).astype(dtype), requires_grad=True) for sh in shapes]
     ref = [(p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)) for p in params]
-    opt = AdamW([(f"p{i}", p) for i, p in enumerate(params)], weight_decay=1e-2)
+    opt = AdamW([(f"p{i}", p) for i, p in enumerate(params)])
     for step in range(1, 21):
         for p in params:
             p.grad = g.standard_normal(p.shape).astype(dtype)
         opt.step(lr=0.05 / step)
         for p, (value, m, v) in zip(params, ref):
-            _adamw_textbook(value, p.grad, m, v, step, 0.05 / step, weight_decay=1e-2)
+            _adamw_textbook(value, p.grad, m, v, step, 0.05 / step)
     for i, (p, (value, m, v)) in enumerate(zip(params, ref)):
         assert p.data.dtype == dtype
         assert np.array_equal(p.data, value), f"p{i}"
