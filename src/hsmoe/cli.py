@@ -344,32 +344,36 @@ def _eval_case(case_id: str, pred: np.ndarray, gt: np.ndarray, num_classes: int,
 
 def cmd_eval(run: RunConfig, args) -> int:
     num_classes = run.num_classes
-    cases = []
     if args.pred_dir:
         if not args.gt_dir:
             raise ConfigError("--pred-dir requires --gt-dir")
         if not os.path.isdir(args.pred_dir):
             raise ConfigError(f"--pred-dir {args.pred_dir} is not a directory")
-        names = sorted(f[:-4] for f in os.listdir(args.pred_dir) if f.endswith(".vol"))
-        if not names:
+        cases = sorted(f[:-4] for f in os.listdir(args.pred_dir) if f.endswith(".vol"))
+        if not cases:
             raise ConfigError(f"no .vol files in {args.pred_dir}")
-        for name in names:
+
+        def load(name):  # in the worker: reads overlap scoring, and at most --threads cases are held
             pred, spacing = read_volume(os.path.join(args.pred_dir, name))
             gt, _ = read_volume(os.path.join(args.gt_dir, name))
-            cases.append((name, pred, gt, spacing))
+            return name, pred, gt, spacing
     else:
         if not args.checkpoint:
             raise ConfigError("eval needs --checkpoint (or --pred-dir/--gt-dir)")
         net, data = _net_and_data(run, run.seed + 2)
         load_into(net, args.checkpoint)
+        cases = []
         for i, sample in enumerate(data):
             with no_grad():
                 logits = net(Tensor(sample.image[None]))
             pred = np.argmax(logits.data, axis=1)[0]
             cases.append((f"case{i:03d}", pred, sample.label, (1.0, 1.0, 1.0)))
 
+        def load(case):
+            return case
+
     def work(case):
-        name, pred, gt, spacing = case
+        name, pred, gt, spacing = load(case)
         return _eval_case(name, pred, gt, num_classes, spacing)
 
     # pool threads do not inherit numpy's errstate, a context variable: each

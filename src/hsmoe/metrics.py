@@ -10,12 +10,14 @@ here for reproducibility. ``spacing`` is the voxel size along (D, H, W).
 Each nearest neighbour is found in two stages, and both run on every call.
 First a stencil: the target surface is marked on a voxel grid, and the integer
 offsets of the cube [-R, R]^3 are walked in ascending spacing-weighted length,
-one gather per offset over the source points still open. A point settles when
-its nearest hit is provably nearer than anything outside the cube. The points
-it leaves open get candidates from one matmul per chunk, |g|² − 2 s·g on
-centred coordinates, and every target within that matmul's rounding bound of
-the best is re-measured exactly. Either way the distance reported is the
-brute-force ((s − g)**2).sum() on the true nearest pair.
+in three batches (the zero offset, the six nearest, the rest) with one gather
+per batch over the source points still open. A point's first hit bounds which
+later hits are measured, exactly as in a walk one offset at a time, and the
+point settles when its nearest hit is provably nearer than anything outside
+the cube. The points it leaves open get candidates from one matmul per chunk,
+|g|² − 2 s·g on centred coordinates, and every target within that matmul's
+rounding bound of the best is re-measured exactly. Either way the distance
+reported is the brute-force ((s − g)**2).sum() on the true nearest pair.
 """
 
 from __future__ import annotations
@@ -71,21 +73,26 @@ def mdsc(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> float:
 
 
 def surface_voxels(mask: np.ndarray) -> np.ndarray:
-    """Indices [P,3] of mask voxels with a face neighbor outside the mask."""
+    """Indices [P,3] of mask voxels with a face neighbor outside the mask, in
+    raster order."""
     m = np.asarray(mask, dtype=bool)
     if m.ndim != 3:
         raise MetricError(f"mask must be 3-D, got shape {m.shape}")
     if not m.any():
         raise EmptyMaskError("empty structure has no surface")
     padded = np.pad(m, 1, constant_values=False)
-    interior = m.copy()
-    D, H, W = m.shape
-    for axis, extent in enumerate((D, H, W)):
-        for off in (0, 2):
-            sl = [slice(1, 1 + D), slice(1, 1 + H), slice(1, 1 + W)]
-            sl[axis] = slice(off, off + extent)
-            interior &= padded[tuple(sl)]
-    return np.argwhere(m & ~interior)
+    _, Hp, Wp = padded.shape
+    flat = padded.ravel()
+    # the six face neighbours are flat shifts of the padded mask: only a padding voxel's shift
+    # can wrap across a row or a plane, and padding is never on the surface
+    o = Hp * Wp
+    core = flat[o:-o]
+    interior = core.copy()
+    for step in (1, Wp, o):
+        interior &= flat[o - step:flat.size - o - step]
+        interior &= flat[o + step:flat.size - o + step]
+    at = np.flatnonzero(core & ~interior) + o
+    return np.stack(np.unravel_index(at, padded.shape), axis=1) - 1
 
 
 _CHUNK_SCORES = 100_000  # entries of one chunk's [rows, |dst|] score matrix (0.8 MB: stays in L2)
@@ -146,13 +153,23 @@ def _stencil_min_d2(src_idx: np.ndarray, dst_idx: np.ndarray, sp: np.ndarray) ->
     d2 = np.full(len(src), np.inf)
     limit = np.full(len(src), bound)  # a first hit past the bound could not settle
     open_ = np.arange(len(src))
-    for off, key in zip(cube[order], keys[order]):
-        open_ = open_[limit[open_] >= key]
-        if not len(open_):
-            break
-        hit = open_[occupied[at[open_] + off @ strides]]
-        limit[hit[d2[hit] == np.inf]] = key + band
-        d2[hit] = np.minimum(d2[hit], ((src[hit] - (src_idx[hit] + off) * sp) ** 2).sum(-1))
+    # three batches in key order: the zero offset, the six nearest (where a one-voxel shift
+    # settles) and the rest. Within a batch a point's first hit sets its limit, and every hit
+    # keyed within the limit is measured, as a walk one offset at a time would measure it
+    for batch in (order[:1], order[1:7], order[7:]):
+        offs, key = cube[batch], keys[batch]
+        deltas = offs @ strides
+        open_ = open_[limit[open_] >= key[0]]
+        rows = max(1, _CHUNK_SCORES // len(batch))
+        for i in range(0, len(open_), rows):
+            pts = open_[i:i + rows]
+            occ = occupied[at[pts, None] + deltas]
+            first = occ.argmax(axis=1)
+            fresh = occ[np.arange(len(pts)), first] & (d2[pts] == np.inf) & (key[first] <= limit[pts])
+            limit[pts[fresh]] = key[first[fresh]] + band
+            r, c = np.nonzero(occ & (key <= limit[pts, None]))
+            hit = pts[r]
+            np.minimum.at(d2, hit, ((src[hit] - (src_idx[hit] + offs[c]) * sp) ** 2).sum(-1))
     return d2, d2 + band < bound
 
 
@@ -174,6 +191,8 @@ def hd95(pred_mask: np.ndarray, gt_mask: np.ndarray,
     sp = np.asarray(spacing, dtype=np.float64)
     if sp.shape != (3,) or not (np.isfinite(sp).all() and (sp > 0).all()):
         raise MetricError(f"spacing must be three finite positive numbers, got {spacing!r}")
+    if np.shape(pred_mask) != np.shape(gt_mask):
+        raise MetricError(f"mask shapes differ: {np.shape(pred_mask)} vs {np.shape(gt_mask)}")
     P = surface_voxels(pred_mask)
     G = surface_voxels(gt_mask)
     pooled = np.concatenate([_nearest_dists(P, G, sp), _nearest_dists(G, P, sp)])

@@ -234,3 +234,37 @@ def hd95_naive(pred_mask, gt_mask, spacing=(1.0, 1.0, 1.0)):
     pooled.sort()
     rank = math.ceil(0.95 * len(pooled))  # nearest-rank, 1-based
     return pooled[rank - 1]
+
+
+def stencil_walk_naive(src_idx, dst_idx, sp, radius):
+    """HD95's stencil walked one offset at a time: the offsets of the cube
+    [-radius, radius]^3 in ascending spacing-weighted length, one gather per
+    offset over the source points still open. A point's first hit sets its
+    limit to that offset's key plus the rounding band; every later hit keyed
+    within the limit is measured exactly. Returns (d2, settled)."""
+    src_idx = np.asarray(src_idx)
+    sp = np.asarray(sp, dtype=np.float64)
+    R = radius
+    src = src_idx * sp
+    top = np.maximum(src_idx.max(0), dst_idx.max(0))
+    extent = top + 1 + 2 * R
+    strides = np.array([extent[1] * extent[2], extent[2], 1])
+    occupied = np.zeros(int(np.prod(extent)), dtype=bool)
+    occupied[(dst_idx + R) @ strides] = True
+    at = (src_idx + R) @ strides
+    cube = np.indices((2 * R + 1,) * 3).reshape(3, -1).T - R
+    keys = ((cube * sp) ** 2).sum(-1)
+    order = np.argsort(keys, kind="stable")
+    bound = ((R + 1) * sp.min()) ** 2
+    band = 16 * np.finfo(np.float64).eps * ((top * sp).max() ** 2 + bound)
+    d2 = np.full(len(src), np.inf)
+    limit = np.full(len(src), bound)
+    open_ = np.arange(len(src))
+    for off, key in zip(cube[order], keys[order]):
+        open_ = open_[limit[open_] >= key]
+        if not len(open_):
+            break
+        hit = open_[occupied[at[open_] + off @ strides]]
+        limit[hit[d2[hit] == np.inf]] = key + band
+        d2[hit] = np.minimum(d2[hit], ((src[hit] - (src_idx[hit] + off) * sp) ** 2).sum(-1))
+    return d2, d2 + band < bound

@@ -772,6 +772,29 @@ def test_eval_class_id_outside_range_names_the_volume(tmp_path, capsys, volume):
     _assert_validation_error(code, err, f"b: {volume} contains class ids outside [0, 2)")
 
 
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("bad_class_in,want", [(None, "missing volume file: {gt}/c.vol"),
+                                               ("b", "b: pred contains class ids outside [0, 2)")])
+def test_eval_reports_the_first_failing_case_in_name_order(tmp_path, capsys, threads, bad_class_in, want):
+    # cases a–d: no gt volume for c, and a class id out of range in the pred of ``bad_class_in``
+    dirs = {kind: tmp_path / kind for kind in ("pred", "gt")}
+    for path in dirs.values():
+        path.mkdir()
+    for name in "abcd":
+        lab = np.zeros((4, 4, 4), dtype=np.int64)
+        lab[1:3, 1:3, 1:3] = 1
+        if name != "c":
+            write_volume(str(dirs["gt"] / name), lab, dtype="u8")
+        if name == bad_class_in:
+            lab[0, 0, 0] = 7
+        write_volume(str(dirs["pred"] / name), lab, dtype="u8")
+    code, _, err = run_cli(capsys, "eval", "--classes", "2", "--threads", threads,
+                           "--pred-dir", str(dirs["pred"]), "--gt-dir", str(dirs["gt"]),
+                           "--out", str(tmp_path / "m.csv"), "--json-out", str(tmp_path / "m.json"))
+    _assert_validation_error(code, err, want.format(gt=dirs["gt"]))
+    assert not (tmp_path / "m.csv").exists() and not (tmp_path / "m.json").exists()
+
+
 def test_threads_flag_gives_same_eval_results(tmp_path, capsys):
     pred_dir = tmp_path / "pred"
     gt_dir = tmp_path / "gt"

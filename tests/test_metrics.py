@@ -18,7 +18,7 @@ from hsmoe.metrics import (
     mdsc,
 )
 
-from oracles import dice_naive, hd95_naive
+from oracles import dice_naive, hd95_naive, stencil_walk_naive, surface_points_naive
 
 
 def test_dsc_identical_masks():
@@ -264,12 +264,13 @@ def test_hd95_nearest_pair_at_the_completeness_bound(fallback_rows):
         _assert_bitwise_brute(a, b, spacing)
 
 
+# axis steps one ulp apart: their keys differ by far less than the rounding band
+_ULP_SPACING = (0.3, float(np.nextafter(0.3, 1.0)), float(np.nextafter(np.nextafter(0.3, 1.0), 1.0)))
+
+
 def test_hd95_near_ties_inside_the_band_match_bruteforce_bitwise(fallback_rows):
-    # axis steps one ulp apart: their keys differ by far less than the rounding band, so
     # the walk keeps checking past the first hit and takes the exact minimum
-    sp = [0.3]
-    for _ in range(2):
-        sp.append(float(np.nextafter(sp[-1], 1.0)))
+    sp = _ULP_SPACING
     g = T.rng(10)
     for _ in range(3):
         _assert_bitwise_brute(g.uniform(size=(16, 16, 16)) > 0.5,
@@ -285,12 +286,93 @@ def test_hd95_one_voxel_shift_settles_every_point_in_the_stencil(fallback_rows):
     _assert_bitwise_brute(a, b, (1.0, 1.0, 1.0))
 
 
+def _assert_stencil_is_the_walk(src_idx, dst_idx, spacing):
+    sp = np.asarray(spacing, dtype=np.float64)
+    d2, settled = metrics._stencil_min_d2(src_idx, dst_idx, sp)
+    want_d2, want_settled = stencil_walk_naive(src_idx, dst_idx, sp, metrics._STENCIL_RADIUS)
+    assert np.array_equal(d2, want_d2)
+    assert np.array_equal(settled, want_settled)
+    return d2, settled
+
+
+@pytest.mark.parametrize("budget", [None, 97])
+@pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 1.3, 2.1), (0.5, 0.5, 3.0), (1.1, 0.9, 1.0),
+                                     _ULP_SPACING])
+def test_stencil_batches_equal_the_walk_one_offset_at_a_time(monkeypatch, fallback_rows, budget, spacing):
+    if budget is not None:  # many row chunks per batch
+        monkeypatch.setattr(metrics, "_CHUNK_SCORES", budget)
+    g = T.rng(12)
+    for _ in range(3):
+        a = metrics.surface_voxels(g.uniform(size=(14, 12, 13)) > 0.55)
+        b = metrics.surface_voxels(g.uniform(size=(14, 12, 13)) > 0.9)
+        _assert_stencil_is_the_walk(a, b, spacing)
+        _assert_stencil_is_the_walk(b, a, spacing)
+    a = metrics.surface_voxels(_ball((24, 24, 24), (11, 12, 11), 8))
+    b = metrics.surface_voxels(_ball((24, 24, 24), (12, 11, 13), 7))
+    _assert_stencil_is_the_walk(a, b, spacing)
+
+
+def test_stencil_first_hit_past_the_bound_leaves_the_point_open(fallback_rows):
+    # at R = 2 and unit spacing the corner offset (2,2,2) is keyed 12, past the bound 9: its hit
+    # is not taken, so the point stays open; (2,2,1), keyed 9, is taken and settles nothing
+    src = np.array([[4, 4, 4]])
+    for dst, want_d2 in [([[6, 6, 6]], np.inf), ([[6, 6, 5]], 9.0)]:
+        d2, settled = _assert_stencil_is_the_walk(src, np.array(dst), (1.0, 1.0, 1.0))
+        assert d2[0] == want_d2 and not settled[0]
+
+
+def test_stencil_near_tie_inside_the_band_takes_the_exact_minimum(fallback_rows):
+    # one step along each axis, their keys one or two ulps apart: the first hit is the shortest
+    # key, yet every offset keyed within the band is measured
+    src = np.array([[3, 3, 3]])
+    dst = np.array([[3, 3, 4], [3, 4, 3], [4, 3, 3]])
+    d2, settled = _assert_stencil_is_the_walk(src, dst, _ULP_SPACING)
+    sp = np.asarray(_ULP_SPACING)
+    assert d2[0] == min(((src[0] * sp - q * sp) ** 2).sum() for q in dst) and settled[0]
+
+
 @pytest.mark.parametrize("spacing", [(1.0, 1.0), (float("nan"), 1.0, 1.0), (0.0, 1.0, 1.0),
                                      (1.0, -1.0, 1.0), (1.0, 1.0, float("inf"))])
 def test_hd95_rejects_a_bad_spacing(spacing):
     m = _ball((6, 6, 6), (3, 3, 3), 2)
     with pytest.raises(MetricError, match="spacing"):
         hd95(m, m, spacing)
+
+
+def test_hd95_rejects_masks_of_different_shapes():
+    with pytest.raises(MetricError, match=r"mask shapes differ: \(4, 4, 4\) vs \(6, 4, 4\)"):
+        hd95(np.ones((4, 4, 4), dtype=bool), np.ones((6, 4, 4), dtype=bool))
+
+
+# ---------------------------------------------------------------------------
+# surface voxels, against the per-voxel loop
+
+
+def _surface_cases():
+    g = T.rng(11)
+    for shape, p in [((7, 8, 9), 0.5), ((10, 6, 5), 0.8), ((5, 5, 5), 0.2)]:
+        yield g.uniform(size=shape) < p
+    faces = _ball((9, 10, 11), (4, 5, 5), 6)  # clipped by all six faces of the volume
+    assert faces[0].any() and faces[-1].any() and faces[:, 0].any() and faces[:, -1].any()
+    assert faces[..., 0].any() and faces[..., -1].any()
+    yield faces
+    one = np.zeros((5, 6, 7), dtype=bool)
+    one[2, 3, 4] = True
+    yield one
+    yield np.ones((4, 5, 6), dtype=bool)
+    slab = np.zeros((6, 7, 8), dtype=bool)
+    slab[:, 3] = True
+    yield slab
+    yield g.uniform(size=(1, 5, 7)) < 0.6
+    yield g.uniform(size=(9, 1, 4)) < 0.6
+
+
+@pytest.mark.parametrize("mask", list(_surface_cases()))
+def test_surface_voxels_equal_the_per_voxel_loop_in_order(mask):
+    got = metrics.surface_voxels(mask)
+    want = np.array(surface_points_naive(mask), dtype=np.int64).reshape(-1, 3)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
