@@ -16,6 +16,7 @@ import contextvars
 import csv
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
@@ -372,9 +373,20 @@ def cmd_eval(run: RunConfig, args) -> int:
         def load(case):
             return case
 
+    failed = threading.Event()
+
     def work(case):
-        name, pred, gt, spacing = load(case)
-        return _eval_case(name, pred, gt, num_classes, spacing)
+        # cases start in name order, so once one has failed every case that
+        # starts later comes after it: it is skipped, and the error stays the
+        # first failing case's
+        if failed.is_set():
+            return []
+        try:
+            name, pred, gt, spacing = load(case)
+            return _eval_case(name, pred, gt, num_classes, spacing)
+        except Exception:
+            failed.set()
+            raise
 
     # pool threads do not inherit numpy's errstate, a context variable: each
     # case runs in its own copy of this thread's context

@@ -68,7 +68,11 @@ class TapeError(TensorError):
 
 
 class TapeNode:
-    """One recorded operation: inputs, a backward closure, and a sequence id."""
+    """One recorded operation: inputs, a backward closure, and a sequence id.
+
+    ``backward`` consumes the node: it sets ``backward_fn`` to None and
+    ``inputs`` to ``()``, so a consumed node keeps nothing of the graph alive.
+    """
 
     __slots__ = ("inputs", "backward_fn", "seq", "op")
 
@@ -256,6 +260,12 @@ def backward(loss: Tensor) -> None:
     Each leaf gradient is checked as it is deposited: a NaN or Inf raises
     ``NumericalError`` naming the op whose backward produced it. The closures
     run quiet, so that error is the only sign of an overflow in them.
+
+    Each node is consumed as the sweep passes it, whether or not a gradient
+    reached it: it drops its closure and its inputs, so activations are freed
+    as the sweep goes and afterwards a caller's ``loss`` keeps only its own
+    data. A walk that meets a consumed node raises ``TapeError`` before it
+    would follow the node's (now empty) inputs.
     """
     prof = _PROFILE
     start = perf_counter()
@@ -278,15 +288,16 @@ def backward(loss: Tensor) -> None:
                 raise TapeError("tape already consumed: re-run the forward pass before calling backward again")
             topo.append(t)
             stack.extend(t.node.inputs)
-    topo.sort(key=lambda t: t.node.seq, reverse=True)
+    topo.sort(key=lambda t: t.node.seq)
 
     grads = {id(loss): np.ones_like(loss.data)}
     closures = 0.0
-    for t in topo:
+    while topo:  # latest node first; popping lets each tensor die once nothing else holds it
+        t = topo.pop()
         g = grads.pop(id(t), None)
         node = t.node
         if g is None:
-            node.backward_fn = None
+            node.backward_fn, node.inputs = None, ()
             continue
         if prof is None:
             in_grads = node.backward_fn(g)
@@ -306,7 +317,7 @@ def backward(loss: Tensor) -> None:
                 inp.grad = np.array(ig) if inp.grad is None else inp.grad + ig
                 if not np.logical_and.reduce(np.isfinite(inp.grad), axis=None):
                     raise NumericalError(f"{node.op} backward: non-finite gradient (NaN/Inf surfaced, not propagated)")
-        node.backward_fn = None  # consume the tape node
+        node.backward_fn, node.inputs = None, ()  # consume the node: drop its closure and inputs
     if prof is not None:
         prof.mark = perf_counter()
         prof.backward_s["backward"] += prof.mark - start - closures

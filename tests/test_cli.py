@@ -795,6 +795,33 @@ def test_eval_reports_the_first_failing_case_in_name_order(tmp_path, capsys, thr
     assert not (tmp_path / "m.csv").exists() and not (tmp_path / "m.json").exists()
 
 
+def test_eval_stops_scoring_after_the_first_failing_case(tmp_path, capsys, monkeypatch):
+    # cases a–d at one thread, a class id out of range in a's pred: b–d are never scored
+    dirs = {kind: tmp_path / kind for kind in ("pred", "gt")}
+    for path in dirs.values():
+        path.mkdir()
+    for name in "abcd":
+        lab = np.zeros((4, 4, 4), dtype=np.int64)
+        lab[1:3, 1:3, 1:3] = 1
+        write_volume(str(dirs["gt"] / name), lab, dtype="u8")
+        if name == "a":
+            lab[0, 0, 0] = 7
+        write_volume(str(dirs["pred"] / name), lab, dtype="u8")
+    scored = []
+    eval_case = cli._eval_case
+
+    def spy(name, *args):
+        scored.append(name)
+        return eval_case(name, *args)
+
+    monkeypatch.setattr(cli, "_eval_case", spy)
+    code, _, err = run_cli(capsys, "eval", "--classes", "2", "--threads", "1",
+                           "--pred-dir", str(dirs["pred"]), "--gt-dir", str(dirs["gt"]),
+                           "--out", str(tmp_path / "m.csv"), "--json-out", str(tmp_path / "m.json"))
+    _assert_validation_error(code, err, "a: pred contains class ids outside [0, 2)")
+    assert scored == ["a"]
+
+
 def test_threads_flag_gives_same_eval_results(tmp_path, capsys):
     pred_dir = tmp_path / "pred"
     gt_dir = tmp_path / "gt"

@@ -2,6 +2,7 @@
 
 import itertools
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -226,6 +227,29 @@ def test_backward_twice_without_reforward_raises():
     T.backward(loss)
     with pytest.raises(TapeError):
         T.backward(loss)
+
+
+def test_backward_frees_the_graph_it_consumes():
+    x = leaf(np.ones(3))
+    h = T.mul(x, 2.0)  # an intermediate that feeds only the add
+    data = weakref.ref(h.data)
+    loss = T.reduce_sum(T.add(h, x))
+    del h
+    assert data() is not None  # the recorded graph holds it
+    T.backward(loss)
+    assert data() is None  # ``loss`` is still referenced, but its consumed node no longer is
+    assert loss.node.inputs == () and loss.node.backward_fn is None
+    assert np.array_equal(x.grad, np.full(3, 3.0))
+
+
+def test_backward_through_a_subgraph_consumed_by_an_earlier_loss_raises():
+    x = leaf(np.ones(3))
+    h = T.mul(x, x)
+    other = T.reduce_sum(h)  # recorded, never differentiated
+    T.backward(T.reduce_sum(T.mul(h, 3.0)))
+    assert h.node.inputs == () and h.node.backward_fn is None
+    with pytest.raises(TapeError, match="tape already consumed"):
+        T.backward(other)
 
 
 def test_grad_accumulates_over_multiple_uses():

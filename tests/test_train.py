@@ -1,7 +1,9 @@
 """Loss, optimizer, schedule, synthetic data, and the training loop."""
 
+import gc
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +250,34 @@ def test_profile_totals_match_a_step():
     # outside the block nothing is recorded
     T.backward(dice_ce_loss(net(x), sample.label[None]))
     assert sum(prof.nodes.values()) == nodes
+
+
+def test_a_step_holds_no_graph_after_its_backward():
+    # the tiny train step (4x16^3): what the caller's ``logits`` and ``loss``
+    # keep alive from one step's end to the next step's forward
+    net = SegNet(tiny_config(num_classes=3), seed=0)
+    opt = AdamW(list(net.named_parameters()))
+    data = synth_volumes(seed=1, n=4, size=16, classes=3)
+    images = Tensor(np.stack([s.image for s in data]))
+    labels = np.stack([s.label for s in data])
+    held = []
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            opt.zero_grad()
+            logits = net(images)
+            loss = dice_ce_loss(logits, labels)
+            T.backward(loss)
+            opt.step(1e-3)
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            del logits, loss
+            gc.collect()
+            held.append(before - tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    # the logits' own 384 KiB and little else; the whole graph is ~14 MB
+    assert max(held) < 2 * 2**20, held
 
 
 def test_gradient_flow_reaches_every_parameter():
