@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import tensor as T
-from .config import SCAN_BLOCK_SIZE, ConfigError, NetworkConfig, StageConfig
+from .config import ConfigError, NetworkConfig, StageConfig
 from .network import SegNet
 from .routing import FFN_RATIO, HierarchicalMoE
 from .tensor import Tensor
@@ -106,8 +106,8 @@ def routing_sweep(n_values: Sequence[int], group_size: int = 256, seed: int = 0,
 
 def scan_sweep(n_values: Sequence[int], seed: int = 0) -> List[Dict]:
     """Wall time of the blocked selective-scan recurrence over sequence length:
-    ``linear_recurrence`` on [1, N, 8, 2] operands in blocks of
-    ``SCAN_BLOCK_SIZE`` (the model's), min over 5 repeats.
+    ``linear_recurrence`` on [1, N, 8, 2] operands in blocks of the model's
+    ``ssm.SCAN_BLOCK_SIZE``, min over 5 repeats.
 
     Those widths do not keep the sweep in one cache regime: each
     [1, N, 8, 2] f64 operand is 128 N bytes, so it fits a 2 MB L2 at
@@ -116,7 +116,7 @@ def scan_sweep(n_values: Sequence[int], seed: int = 0) -> List[Dict]:
     per-offset steps flattens it, and at large N the operands leaving cache
     steepen it.
     """
-    from .ssm import linear_recurrence
+    from .ssm import SCAN_BLOCK_SIZE, linear_recurrence
 
     gen = T.rng(seed)
     rows = []

@@ -51,12 +51,11 @@ class GatedSpatialConv(nn.Module):
 class BlockLayer(nn.Module):
     """One layer of the stage composition with both residual paths."""
 
-    def __init__(self, stage: StageConfig, norm: str, ssm_state_dim: int,
-                 scan_block_size: int, rng: np.random.Generator):
+    def __init__(self, stage: StageConfig, norm: str, ssm_state_dim: int, rng: np.random.Generator):
         d = stage.dim
         self.gsc = GatedSpatialConv(d, rng)
         self.norm_scan = nn.make_norm(norm, d)
-        self.scan = GatedSSM(d, ssm_state_dim, rng, scan_block_size)
+        self.scan = GatedSSM(d, ssm_state_dim, rng)
         self.norm_moe = nn.make_norm(norm, d)
         self.moe = HierarchicalMoE(stage, rng)
         self.proj = nn.Linear(d, d, rng)
@@ -75,9 +74,8 @@ class EncoderBlock(nn.Module):
     """A stack of ``layers`` BlockLayers sharing one stage configuration."""
 
     def __init__(self, stage: StageConfig, layers: int, norm: str, ssm_state_dim: int,
-                 scan_block_size: int, rng: np.random.Generator):
-        self.layers = [BlockLayer(stage, norm, ssm_state_dim, scan_block_size, rng)
-                       for _ in range(layers)]
+                 rng: np.random.Generator):
+        self.layers = [BlockLayer(stage, norm, ssm_state_dim, rng) for _ in range(layers)]
 
     def __call__(self, x: Tensor) -> Tensor:
         for layer in self.layers:

@@ -18,7 +18,8 @@ class CheckpointError(RuntimeError):
     pass
 
 
-def _paths(base: str) -> Tuple[str, str]:
+def checkpoint_paths(base: str) -> Tuple[str, str]:
+    """The manifest and payload files of checkpoint ``base``."""
     if base.endswith(".json") or base.endswith(".bin"):
         base = base.rsplit(".", 1)[0]
     return base + ".json", base + ".bin"
@@ -37,7 +38,7 @@ def save_checkpoint(named_params: Iterable, base: str) -> None:
             "offset": len(payload),
         })
         payload.extend(np.ascontiguousarray(p.data, dtype=_DTYPES[tag]).tobytes())
-    json_path, bin_path = _paths(base)
+    json_path, bin_path = checkpoint_paths(base)
     with open(json_path, "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
@@ -46,7 +47,7 @@ def save_checkpoint(named_params: Iterable, base: str) -> None:
 
 
 def load_checkpoint(base: str) -> Dict[str, np.ndarray]:
-    json_path, bin_path = _paths(base)
+    json_path, bin_path = checkpoint_paths(base)
     for path in (json_path, bin_path):
         if not os.path.exists(path):
             raise CheckpointError(f"missing checkpoint file: {path}")

@@ -24,14 +24,14 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from . import bench as bench_mod, tensor as T
-from .checkpoint import CheckpointError, load_into
+from .checkpoint import CheckpointError, checkpoint_paths, load_into
 from .config import ConfigError, NetworkConfig, PRESETS, TrainConfig
 from .metrics import (EmptyMaskError, MetricError, _check_labels, count_parameters, dsc_per_class,
                       hd95, summarize, write_metrics_json)
 from .network import SegNet
 from .suites import MODULE_SUITES
-from .tensor import NumericalError, Tensor, no_grad
-from .train import TrainingDiverged, synth_volumes, train_loop
+from .tensor import NumericalError
+from .train import TrainingDiverged, predict, synth_volumes, train_loop
 from .volio import VolumeIOError, read_volume
 
 EXIT_OK = 0
@@ -96,7 +96,6 @@ _NETWORK_OVERRIDE_KEYS = {
     "network.slots_per_expert": ("slots_per_expert", int),
     "network.layers_per_stage": ("layers_per_stage", "int_list"),
     "network.ssm_state_dim": ("ssm_state_dim", int),
-    "network.scan_block_size": ("scan_block_size", int),
 }
 _ALL_KEYS = (*_SCALAR_KEYS, *_NETWORK_OVERRIDE_KEYS)
 _REQUIRED_NETWORK_KEYS = ("stem_channels", "experts", "base_group_size", "slots_per_expert")
@@ -119,31 +118,33 @@ def _convert(raw: str, kind) -> object:
 
 
 def parse_config_file(path: str) -> Dict[str, object]:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        with open(path) as fh:
+            lines_read = fh.readlines()
+    except OSError as err:  # missing, a directory, or not readable
+        raise ConfigError(f"cannot read config file {path}: {err.strerror}") from err
     values: Dict[str, object] = {}
     lines: Dict[str, int] = {}  # the line each key was given on
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
-            key, raw = (part.strip() for part in stripped.split("=", 1))
-            if key in _SCALAR_KEYS:
-                kind = _SCALAR_KEYS[key][1]
-            elif key in _NETWORK_OVERRIDE_KEYS:
-                _, kind = _NETWORK_OVERRIDE_KEYS[key]
-            else:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in lines:
-                raise ConfigError(f"{path}:{lineno}: key {key!r} given twice, on lines {lines[key]} and {lineno}")
-            lines[key] = lineno
-            try:
-                values[key] = _convert(raw, kind)
-            except ConfigError as err:
-                raise ConfigError(f"{path}:{lineno}: {key}: {err}") from err
+    for lineno, line in enumerate(lines_read, 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
+        key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key in _SCALAR_KEYS:
+            kind = _SCALAR_KEYS[key][1]
+        elif key in _NETWORK_OVERRIDE_KEYS:
+            _, kind = _NETWORK_OVERRIDE_KEYS[key]
+        else:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} given twice, on lines {lines[key]} and {lineno}")
+        lines[key] = lineno
+        try:
+            values[key] = _convert(raw, kind)
+        except ConfigError as err:
+            raise ConfigError(f"{path}:{lineno}: {key}: {err}") from err
     return values
 
 
@@ -210,6 +211,23 @@ def build_run_config(config_path: Optional[str], args=None) -> RunConfig:
     return run
 
 
+def _check_outputs(args, *dests: str) -> None:
+    """Before any work: every file the run will write under these flags (by
+    dest) must have an existing directory and must not itself be a
+    directory, so a bad path is a validation error, not a lost run."""
+    for dest in dests:
+        base = getattr(args, dest)
+        if not base:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        for path in checkpoint_paths(base) if dest == "checkpoint" else (base,):
+            folder = os.path.dirname(path) or "."
+            if not os.path.isdir(folder):
+                raise ConfigError(f"{flag} {base}: directory {folder} does not exist")
+            if os.path.isdir(path):
+                raise ConfigError(f"{flag} {base}: {path} is a directory")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -259,6 +277,7 @@ def cmd_bench(run: RunConfig, args) -> int:
         raise ConfigError(f"need --min-exp < --max-exp (a slope needs two sizes), got {args.min_exp} for both")
     if args.repeats < 1:
         raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
+    _check_outputs(args, "out", "network_out")
     n_values = [2 ** k for k in range(args.min_exp, args.max_exp + 1)]
     if args.network_out:
         bench_mod.volume_shapes_for(n_values)  # reject sizes the network cannot take before any sweep
@@ -313,6 +332,7 @@ def _net_and_data(run: RunConfig, data_seed: int):
 
 
 def cmd_train(run: RunConfig, args) -> int:
+    _check_outputs(args, "history", "checkpoint")
     net, data = _net_and_data(run, run.seed + 1)
     run.train.seed = run.seed
     history = train_loop(net, data, run.train, checkpoint_path=args.checkpoint)
@@ -344,6 +364,7 @@ def _eval_case(case_id: str, pred: np.ndarray, gt: np.ndarray, num_classes: int,
 
 
 def cmd_eval(run: RunConfig, args) -> int:
+    _check_outputs(args, "out", "json_out")
     num_classes = run.num_classes
     if args.pred_dir:
         if not args.gt_dir:
@@ -363,12 +384,8 @@ def cmd_eval(run: RunConfig, args) -> int:
             raise ConfigError("eval needs --checkpoint (or --pred-dir/--gt-dir)")
         net, data = _net_and_data(run, run.seed + 2)
         load_into(net, args.checkpoint)
-        cases = []
-        for i, sample in enumerate(data):
-            with no_grad():
-                logits = net(Tensor(sample.image[None]))
-            pred = np.argmax(logits.data, axis=1)[0]
-            cases.append((f"case{i:03d}", pred, sample.label, (1.0, 1.0, 1.0)))
+        cases = [(f"case{i:03d}", predict(net, sample.image), sample.label, (1.0, 1.0, 1.0))
+                 for i, sample in enumerate(data)]
 
         def load(case):
             return case

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-SCAN_BLOCK_SIZE = 64  # the selective scan's block length: the model's, the sweeps' and the suites'
 EXPERTS_L2_FACTOR = 2  # the global second level has this many experts per first-level expert
 
 
@@ -52,7 +51,8 @@ class NetworkConfig:
     counts per stage (one entry each, increasing with depth), a base group
     size halved at every stage, and a fixed slot count per expert. Channels
     double per stage from the stem. The per-stage ``stages`` are derived from
-    these fields, so they cannot disagree with them."""
+    these fields, so they cannot disagree with them. The scan's block length
+    is not a field: it is the kernel's constant ``ssm.SCAN_BLOCK_SIZE``."""
 
     num_classes: int
     stem_channels: int
@@ -62,7 +62,6 @@ class NetworkConfig:
     layers_per_stage: Optional[Tuple[int, ...]] = None  # defaults to one layer per stage
     norm: str = "dyt"
     ssm_state_dim: int = 8
-    scan_block_size: int = SCAN_BLOCK_SIZE
 
     def __post_init__(self):
         if self.layers_per_stage is None:
@@ -79,7 +78,7 @@ class NetworkConfig:
                 raise ConfigError(f"{name} entries must be >= 1, got {list(getattr(self, name))}")
         if self.norm not in ("dyt", "ln"):
             raise ConfigError(f"norm must be 'dyt' or 'ln', got {self.norm!r}")
-        for name in ("stem_channels", "slots_per_expert", "ssm_state_dim", "scan_block_size"):
+        for name in ("stem_channels", "slots_per_expert", "ssm_state_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if any(a >= b for a, b in zip(self.experts, self.experts[1:])):

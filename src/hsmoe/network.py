@@ -84,8 +84,7 @@ class SegNet(nn.Module):
     def __init__(self, cfg: NetworkConfig, seed: Optional[int] = 0):
         rng = None if seed is None else T.rng(seed)
         self.stem = Stem(IN_CHANNELS, cfg.stem_channels, rng)
-        self.blocks = [EncoderBlock(stage, cfg.layers_per_stage[i], cfg.norm,
-                                    cfg.ssm_state_dim, cfg.scan_block_size, rng)
+        self.blocks = [EncoderBlock(stage, cfg.layers_per_stage[i], cfg.norm, cfg.ssm_state_dim, rng)
                        for i, stage in enumerate(cfg.stages)]
         self.downs = [DownSample(cfg.channels[i], rng) for i in range(cfg.num_stages - 1)]
         self.ups = [UpBlock(cfg.channels[i], rng) for i in range(cfg.num_stages - 1)]

@@ -111,7 +111,6 @@ class DynamicTanh(Module):
         self.w = Tensor(np.ones(dim), requires_grad=True)
         self.b = Tensor(np.zeros(dim), requires_grad=True)
         self.alpha = Tensor(np.asarray(0.5), requires_grad=True)
-        self.dim = dim
 
     def __call__(self, x: Tensor) -> Tensor:
         """One tape op ("dyt") in the order of the traced composition, so its

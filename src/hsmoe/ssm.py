@@ -26,8 +26,9 @@ from typing import Tuple
 import numpy as np
 
 from . import nn, tensor as T
-from .config import SCAN_BLOCK_SIZE
 from .tensor import Tensor
+
+SCAN_BLOCK_SIZE = 64  # the model's block length L: what ``selective_scan`` passes to the kernel
 
 
 def _to_blocks(v: np.ndarray, L: int) -> np.ndarray:
@@ -182,7 +183,6 @@ class SSMParams(nn.Module):
         self.output_map = nn.Linear(dim, state_dim, rng)
         self.skip = Tensor(np.ones(dim), requires_grad=True)
         self.dim = dim
-        self.state_dim = state_dim
 
     def discretize(self, x: Tensor) -> Tuple[Tensor, Tensor, Tensor, Tensor]:
         """delta [B,N,d], A [d,n], B [B,N,n] and C [B,N,n] for ``selective_scan_fn``."""
@@ -191,27 +191,28 @@ class SSMParams(nn.Module):
         return delta, A, self.input_map(x), self.output_map(x)
 
 
-def selective_scan(params: SSMParams, x: Tensor, block_size: int = SCAN_BLOCK_SIZE) -> Tensor:
-    """Input-dependent linear-time scan: [B,N,d] -> [B,N,d]."""
+def selective_scan(params: SSMParams, x: Tensor) -> Tensor:
+    """Input-dependent linear-time scan: [B,N,d] -> [B,N,d], in blocks of
+    ``SCAN_BLOCK_SIZE`` steps."""
     if x.ndim != 3 or x.shape[-1] != params.dim:
         raise T.ShapeError(f"selective_scan expects [B,N,{params.dim}], got {x.shape}")
-    return selective_scan_fn(x, *params.discretize(x), params.skip, block_size)
+    return selective_scan_fn(x, *params.discretize(x), params.skip, SCAN_BLOCK_SIZE)
 
 
 class GatedSSM(nn.Module):
-    """Gated scan layer: project to two branches, scan one, sigmoid-gate,
-    project out. Shape-preserving on [B,N,d]."""
+    """Gated scan layer: project to two branches, scan one (``selective_scan``,
+    blocks of ``SCAN_BLOCK_SIZE``), sigmoid-gate, project out.
+    Shape-preserving on [B,N,d]."""
 
-    def __init__(self, dim: int, state_dim: int, rng: np.random.Generator, block_size: int = SCAN_BLOCK_SIZE):
+    def __init__(self, dim: int, state_dim: int, rng: np.random.Generator):
         self.in_proj = nn.Linear(dim, 2 * dim, rng)
         self.ssm = SSMParams(dim, state_dim, rng)
         self.out_proj = nn.Linear(dim, dim, rng)
         self.dim = dim
-        self.block_size = block_size
 
     def __call__(self, x: Tensor) -> Tensor:
         both = self.in_proj(x)
         main = both[..., : self.dim]
         gate = both[..., self.dim:]
-        y = selective_scan(self.ssm, main, self.block_size)
+        y = selective_scan(self.ssm, main)
         return self.out_proj(T.mul(y, T.sigmoid(gate)))

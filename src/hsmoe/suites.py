@@ -89,7 +89,7 @@ def block_suite() -> List[CheckResult]:
     xc = Tensor(g.uniform(-1, 1, (1, 2, 3, 3, 3)))
     results.append(grad_check(lambda: weighted_sum_loss(gsc(xc)), dict(gsc.named_parameters()),
                               name="block/gsc", tol=1e-6))
-    block = EncoderBlock(stage, 1, "dyt", 2, 16, g)
+    block = EncoderBlock(stage, 1, "dyt", 2, g)
     xb = Tensor(g.uniform(-1, 1, (1, 2, 2, 2, 2)))
     results.append(grad_check(lambda: weighted_sum_loss(block(xb)), dict(block.named_parameters()),
                               name="block/full", tol=1e-4))
@@ -99,7 +99,7 @@ def block_suite() -> List[CheckResult]:
 def network_suite() -> List[CheckResult]:
     cfg = NetworkConfig(num_classes=2, stem_channels=4, experts=(1, 2),
                         base_group_size=8, slots_per_expert=1,
-                        ssm_state_dim=2, scan_block_size=16)
+                        ssm_state_dim=2)
     net = SegNet(cfg, seed=106)
     x = Tensor(T.rng(107).uniform(0, 1, (1, 1, 8, 8, 8)))
     return [grad_check(lambda: weighted_sum_loss(net(x)), dict(net.named_parameters()),

@@ -223,12 +223,13 @@ def mdsc_batch(pred: np.ndarray, labels: np.ndarray, num_classes: int) -> float:
     return float(np.mean([mdsc(p, l, num_classes) for p, l in zip(pred, labels)]))
 
 
+def predict(net, image: np.ndarray) -> np.ndarray:
+    """The argmax label volume of one [C,D,H,W] image, recording no tape."""
+    with T.no_grad():
+        logits = net(Tensor(image[None]))
+    return np.argmax(logits.data, axis=1)[0]
+
+
 def evaluate_mdsc(net, samples: Sequence[VolumeSample]) -> float:
-    """Argmax predictions over full volumes, one at a time, recording no tape."""
-    scores = []
-    for s in samples:
-        with T.no_grad():
-            logits = net(Tensor(s.image[None]))
-        pred = np.argmax(logits.data, axis=1)[0]
-        scores.append(mdsc(pred, s.label, net.cfg.num_classes))
-    return float(np.mean(scores))
+    """Mean foreground Dice of ``predict`` over full volumes, one at a time."""
+    return float(np.mean([mdsc(predict(net, s.image), s.label, net.cfg.num_classes) for s in samples]))

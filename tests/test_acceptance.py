@@ -168,7 +168,7 @@ def test_criterion_5_scan_equivalence_and_causality():
 
 def test_criterion_6_residual_identity_bitwise():
     stage = StageConfig(dim=4, num_experts=2, group_size=8, slots_per_expert=2)
-    block = EncoderBlock(stage, 2, "dyt", 4, 16, T.rng(66))
+    block = EncoderBlock(stage, 2, "dyt", 4, T.rng(66))
     zero_residual_branches(block)
     x = Tensor(T.rng(67).uniform(-1, 1, (2, 4, 2, 4, 2)))
     out = block(x)

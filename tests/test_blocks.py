@@ -11,7 +11,7 @@ from hsmoe.tensor import Tensor
 
 def make_block(dim=2, layers=1, norm="dyt", seed=0, group=4):
     stage = StageConfig(dim=dim, num_experts=2, group_size=group, slots_per_expert=1)
-    return EncoderBlock(stage, layers, norm, ssm_state_dim=2, scan_block_size=16, rng=T.rng(seed))
+    return EncoderBlock(stage, layers, norm, ssm_state_dim=2, rng=T.rng(seed))
 
 
 def test_tokens_roundtrip_is_bitwise():

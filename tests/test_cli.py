@@ -59,16 +59,26 @@ def test_config_unknown_key_rejected(tmp_path):
 
 # settings that were constants in every preset and run: the cosine schedule,
 # group sizes halving by stage, FFN width 2d, the data noise, one input channel,
-# twice the experts at the second level, the weight decay, one save at the end
+# twice the experts at the second level, the weight decay, one save at the end,
+# the scan's block length
 @pytest.mark.parametrize("line", ["train.cosine = false", "network.group_ratio = 0.25",
                                   "network.ffn_ratio = 4", "network.in_channels = 2",
                                   "data.noise_sigma = 0.1", "network.experts_l2 = [4, 6]",
-                                  "train.weight_decay = 1e-5", "train.checkpoint_every = 100"])
+                                  "train.weight_decay = 1e-5", "train.checkpoint_every = 100",
+                                  "network.scan_block_size = 64"])
 def test_removed_setting_is_unknown_key(tmp_path, capsys, line):
     path = tmp_path / "old.cfg"
     path.write_text(line + "\n")
     code, _, err = run_cli(capsys, "train", "--config", str(path))
     _assert_validation_error(code, err, "unknown key", repr(line.split(" = ")[0]))
+
+
+@pytest.mark.parametrize("config", ["a directory", "missing.cfg"])
+def test_config_file_that_cannot_be_read_is_validation_error(tmp_path, capsys, config):
+    path = tmp_path if config == "a directory" else tmp_path / config
+    code, out, err = run_cli(capsys, "describe", "--config", str(path))
+    _assert_validation_error(code, err, f"cannot read config file {path}: ")
+    assert out == ""
 
 
 @pytest.mark.parametrize("threads", ["0", "-5"])
@@ -263,7 +273,7 @@ def _assert_validation_error(code, err, *fragments):
 @pytest.mark.parametrize("command", ["describe", "train", "eval"])
 def test_partial_network_override_names_missing_keys(tmp_path, capsys, command):
     path = tmp_path / "part.cfg"
-    path.write_text("network.scan_block_size = 0\n")
+    path.write_text("network.ssm_state_dim = 0\n")
     extra = ["--checkpoint", str(tmp_path / "ck")] if command == "eval" else []
     code, _, err = run_cli(capsys, command, "--config", str(path), *extra)
     _assert_validation_error(code, err, "network.stem_channels", "network.experts",
@@ -277,8 +287,7 @@ def _layout_with(key, value):
 
 
 # the error names the key the file gave, also for a value each stage reads
-@pytest.mark.parametrize("key", ["scan_block_size", "ssm_state_dim", "stem_channels", "slots_per_expert",
-                                 "experts"])
+@pytest.mark.parametrize("key", ["ssm_state_dim", "stem_channels", "slots_per_expert", "experts"])
 @pytest.mark.parametrize("command", ["describe", "train"])
 def test_network_width_below_one_is_validation_error(tmp_path, capsys, key, command):
     value = "[0, 1]" if key == "experts" else "0"
@@ -314,7 +323,7 @@ def test_base_group_size_must_halve_over_every_stage(tmp_path, capsys):
     _assert_validation_error(code, err, "base group size 7 must be a positive multiple of 2")
 
 
-@pytest.mark.parametrize("key", ["scan_block_size", "ssm_state_dim", "stem_channels"])
+@pytest.mark.parametrize("key", ["ssm_state_dim", "stem_channels"])
 def test_network_config_validate_rejects_zero_widths(key):
     from dataclasses import replace
     from hsmoe.config import tiny_config
@@ -842,3 +851,42 @@ def test_threads_flag_gives_same_eval_results(tmp_path, capsys):
         assert code == EXIT_OK
         outs.append(pathlib.Path(mcsv).read_text())
     assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# output paths
+
+
+def _cheap_run_argv(command, tmp_path):
+    """A short run of ``command`` whose output paths are all writable."""
+    if command == "train":
+        return ["train", "--steps", "1", "--volumes", "1", "--history", str(tmp_path / "h.csv"),
+                "--checkpoint", str(tmp_path / "ck")]
+    if command == "bench":
+        return ["bench", "--min-exp", "6", "--max-exp", "7", "--repeats", "1", "--out", str(tmp_path / "r.csv"),
+                "--network-out", str(tmp_path / "n.csv")]
+    return _label_dir_argv(tmp_path)
+
+
+@pytest.mark.parametrize("bad", ["missing directory", "a directory"])
+@pytest.mark.parametrize("command,flag", [("train", "--history"), ("train", "--checkpoint"), ("bench", "--out"),
+                                          ("bench", "--network-out"), ("eval", "--out"), ("eval", "--json-out")])
+def test_unwritable_output_path_is_validation_error_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                   command, flag, bad):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the output paths were checked")
+
+    for owner, name in ((cli, "train_loop"), (cli, "_eval_case"), (cli.bench_mod, "routing_sweep"),
+                        (cli.bench_mod, "network_sweep")):
+        monkeypatch.setattr(owner, name, no_work)
+    argv = _cheap_run_argv(command, tmp_path)
+    if bad == "missing directory":
+        path, fragment = tmp_path / "nowhere" / "out", f"directory {tmp_path / 'nowhere'} does not exist"
+    else:  # a directory where the file would go; --checkpoint base x.json writes x.json and x.bin
+        path, fragment = tmp_path / "taken.json", f"{tmp_path / 'taken.json'} is a directory"
+        path.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run_cli(capsys, *argv, flag, str(path))
+    _assert_validation_error(code, err, f"error: {flag} {path}: ", fragment)
+    assert out == ""
+    assert sorted(tmp_path.rglob("*")) == before  # no checkpoint, history, CSV or JSON written

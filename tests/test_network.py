@@ -15,7 +15,7 @@ from hsmoe.tensor import Tensor
 def mini_config(num_classes=2, norm="dyt"):
     return NetworkConfig(num_classes=num_classes, stem_channels=4,
                          experts=(1, 2), base_group_size=8, slots_per_expert=1,
-                         ssm_state_dim=2, scan_block_size=16, norm=norm)
+                         ssm_state_dim=2, norm=norm)
 
 
 def test_stem_production_shape():

@@ -21,7 +21,7 @@ from hsmoe.train import (ADAM_WEIGHT_DECAY, AdamW, TrainingDiverged, adamw_updat
 def mini_net(num_classes=2, seed=0):
     cfg = NetworkConfig(num_classes=num_classes, stem_channels=4,
                         experts=(1, 2), base_group_size=8, slots_per_expert=1,
-                        ssm_state_dim=2, scan_block_size=16)
+                        ssm_state_dim=2)
     return SegNet(cfg, seed=seed)
 
 
@@ -286,7 +286,7 @@ def test_gradient_flow_reaches_every_parameter():
     # legitimately zero
     cfg = NetworkConfig(num_classes=2, stem_channels=4, experts=(2, 3),
                         base_group_size=8, slots_per_expert=2,
-                        ssm_state_dim=2, scan_block_size=16)
+                        ssm_state_dim=2)
     net = SegNet(cfg, seed=16)
     sample = synth_volumes(seed=17, n=1, size=8, classes=2)[0]
     loss = dice_ce_loss(net(Tensor(sample.image[None])), sample.label[None])
@@ -300,7 +300,7 @@ def test_gradient_flow_reaches_every_parameter():
 def test_gradient_flow_reports_each_stacked_expert():
     cfg = NetworkConfig(num_classes=2, stem_channels=4, experts=(2, 3),
                         base_group_size=8, slots_per_expert=2,
-                        ssm_state_dim=2, scan_block_size=16)
+                        ssm_state_dim=2)
     net = SegNet(cfg, seed=16)
     bank = net.blocks[1].layers[0].moe.experts2
     bank.w2.data[4] = 0.0  # expert 4's output no longer depends on its first linear
@@ -334,7 +334,7 @@ def test_evaluate_mdsc_records_no_tape_and_training_still_works(monkeypatch):
     # two experts and slots per stage, so every parameter gets a gradient
     cfg = NetworkConfig(num_classes=2, stem_channels=4, experts=(2, 3),
                         base_group_size=8, slots_per_expert=2,
-                        ssm_state_dim=2, scan_block_size=16)
+                        ssm_state_dim=2)
     net = SegNet(cfg, seed=19)
     data = synth_volumes(seed=20, n=2, size=8, classes=2)
     recorded = []
