@@ -1,12 +1,10 @@
 """Operator surface: ``hsmoe {describe,gradcheck,bench,train,eval}``.
 
-Configuration comes from an optional ``key = value`` file (dotted keys,
-unknown keys rejected), environment overrides HSMOE_SEED / HSMOE_THREADS,
-then command-line flags, in increasing precedence. Each subcommand accepts
-only the flags, and file keys, it reads, and eval in label-directory mode
-reads fewer of them than in checkpoint mode; an environment value applies
-only where its key is read. Exit codes: 0 success, 1 validation
-error (usage errors included), 2 runtime/numerical failure.
+A run's settings come from command-line flags alone; a flag not given keeps
+its field's default in ``RunConfig``. Each subcommand accepts only the flags
+it reads, and eval in label-directory mode reads fewer of them than in
+checkpoint mode. Exit codes: 0 success, 1 validation error (usage errors
+included), 2 runtime/numerical failure.
 """
 
 from __future__ import annotations
@@ -18,8 +16,8 @@ import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -53,157 +51,57 @@ class DataConfig:
 
 @dataclass
 class RunConfig:
+    """A run's settings. A setting flag's dest is the name of the field it
+    sets, here or in ``train`` or ``data``; ``--seed`` sets ``seed`` and
+    ``train.seed``."""
+
     seed: int = 0
     threads: int = 1
     precision: str = "f64"
     preset: str = "tiny"
     num_classes: int = 3
     norm: str = "dyt"
-    network_overrides: Dict = field(default_factory=dict)
     train: TrainConfig = field(default_factory=TrainConfig)
     data: DataConfig = field(default_factory=DataConfig)
 
     def network(self) -> NetworkConfig:
-        if self.network_overrides:
-            missing = [f"network.{k}" for k in _REQUIRED_NETWORK_KEYS if k not in self.network_overrides]
-            if missing:
-                raise ConfigError(f"network.* overrides describe a whole network; missing {', '.join(missing)}")
-            return NetworkConfig(num_classes=self.num_classes, norm=self.norm, **self.network_overrides)
-        if self.preset not in PRESETS:
-            raise ConfigError(f"unknown preset {self.preset!r}; choose from {sorted(PRESETS)}")
         return PRESETS[self.preset](num_classes=self.num_classes, norm=self.norm)
 
 
-# config key: (the RunConfig attribute it sets, its type, the flag that overrides it)
-_SCALAR_KEYS = {
-    "seed": ("seed", int, "--seed"),
-    "threads": ("threads", int, "--threads"),
-    "precision": ("precision", str, "--precision"),
-    "network.preset": ("preset", str, "--preset"),
-    "network.num_classes": ("num_classes", int, "--classes"),
-    "network.norm": ("norm", str, "--norm"),
-    "train.lr": ("train.lr", float, "--lr"),
-    "train.batch_size": ("train.batch_size", int, "--batch-size"),
-    "train.steps": ("train.steps", int, "--steps"),
-    "data.num_volumes": ("data.num_volumes", int, "--volumes"),
-    "data.size": ("data.size", int, "--size"),
-}
-
-_NETWORK_OVERRIDE_KEYS = {
-    "network.stem_channels": ("stem_channels", int),
-    "network.experts": ("experts", "int_list"),
-    "network.base_group_size": ("base_group_size", int),
-    "network.slots_per_expert": ("slots_per_expert", int),
-    "network.layers_per_stage": ("layers_per_stage", "int_list"),
-    "network.ssm_state_dim": ("ssm_state_dim", int),
-}
-_ALL_KEYS = (*_SCALAR_KEYS, *_NETWORK_OVERRIDE_KEYS)
-_REQUIRED_NETWORK_KEYS = ("stem_channels", "experts", "base_group_size", "slots_per_expert")
-
-_ENV_KEYS = {"HSMOE_SEED": "seed", "HSMOE_THREADS": "threads"}
-
 _PRECISIONS = {"f64": np.float64, "f32": np.float32}
 
-
-def _convert(raw: str, kind) -> object:
-    raw = raw.strip()
-    if kind == "int_list":
-        if not (raw.startswith("[") and raw.endswith("]")):
-            raise ConfigError(f"expected a list like [2,3,4], got {raw!r}")
-        return tuple(_convert(v, int) for v in raw[1:-1].split(",") if v.strip())
-    try:
-        return kind(raw)
-    except ValueError as err:
-        raise ConfigError(f"bad value {raw!r}: {err}") from err
+# eval's flags that only checkpoint mode reads, by dest: it rebuilds the network
+# and data, while label-directory mode (--pred-dir) reads only --classes and
+# --threads of the settings
+_CHECKPOINT_MODE_FLAGS = {"seed": "--seed", "precision": "--precision", "preset": "--preset",
+                          "norm": "--norm", "num_volumes": "--volumes", "size": "--size",
+                          "checkpoint": "--checkpoint"}
 
 
-def parse_config_file(path: str) -> Dict[str, object]:
-    try:
-        with open(path) as fh:
-            lines_read = fh.readlines()
-    except OSError as err:  # missing, a directory, or not readable
-        raise ConfigError(f"cannot read config file {path}: {err.strerror}") from err
-    values: Dict[str, object] = {}
-    lines: Dict[str, int] = {}  # the line each key was given on
-    for lineno, line in enumerate(lines_read, 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key in _SCALAR_KEYS:
-            kind = _SCALAR_KEYS[key][1]
-        elif key in _NETWORK_OVERRIDE_KEYS:
-            _, kind = _NETWORK_OVERRIDE_KEYS[key]
-        else:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in lines:
-            raise ConfigError(f"{path}:{lineno}: key {key!r} given twice, on lines {lines[key]} and {lineno}")
-        lines[key] = lineno
-        try:
-            values[key] = _convert(raw, kind)
-        except ConfigError as err:
-            raise ConfigError(f"{path}:{lineno}: {key}: {err}") from err
-    return values
-
-
-# eval with --pred-dir scores label volumes and reads only these settings; without
-# it, eval rebuilds the network and data and reads every eval setting but --gt-dir
-_LABEL_DIR_KEYS = {"network.num_classes", "threads"}
-
-
-def _reader(args) -> Tuple[str, Set[str]]:
-    """Who reads the run's settings, named for messages, and the config keys
-    it reads: every key of a section one of its flags sets, or in eval's
-    label-directory mode ``_LABEL_DIR_KEYS`` alone. A flag given that the
-    reader does not read is a validation error."""
-    given = vars(args)
-    sections = {key.split(".")[0] for key in given if key in _SCALAR_KEYS}
-    reader, unread = f"'hsmoe {args.command}'", []
-    read = {key for key in _ALL_KEYS if key.split(".")[0] in sections}
-    if args.command == "eval" and args.pred_dir:
-        reader, read = f"{reader} in label-directory mode (--pred-dir)", _LABEL_DIR_KEYS
-        unread = ["--checkpoint"] * (args.checkpoint is not None)
-    elif args.command == "eval":
-        reader += " in checkpoint mode (no --pred-dir)"
-        unread = ["--gt-dir"] * (args.gt_dir is not None)
-    unread = [flag for key, (_, _, flag) in _SCALAR_KEYS.items()
-              if given.get(key) is not None and key not in read] + unread
+def _check_eval_mode(args) -> None:
+    """A flag given to ``eval`` that its mode does not read is a validation error."""
+    if args.command != "eval":
+        return
+    if args.pred_dir:
+        mode = "label-directory mode (--pred-dir)"
+        unread = [flag for dest, flag in _CHECKPOINT_MODE_FLAGS.items() if getattr(args, dest) is not None]
+    else:
+        mode, unread = "checkpoint mode (no --pred-dir)", ["--gt-dir"] * (args.gt_dir is not None)
     if unread:
-        raise ConfigError(f"{reader} does not read {', '.join(unread)}")
-    return reader, read
+        raise ConfigError(f"'hsmoe eval' in {mode} does not read {', '.join(unread)}")
 
 
-def build_run_config(config_path: Optional[str], args=None) -> RunConfig:
-    """The run's settings: defaults, then the config file, then HSMOE_*
-    environment variables, then command-line flags; validated last, so a
-    bad value is rejected wherever it came from. A flag's dest is the config
-    key it overrides, so flags apply through the same table as file values.
-    A file key ``_reader`` says is not read is rejected, and an environment
-    value applies only where its key is read (every key without ``args``).
-    A ``--preset`` flag replaces any explicit network layout from the file."""
-    run = RunConfig()
-    values = parse_config_file(config_path) if config_path else {}
-    given = vars(args) if args else {}
-    reader, read = _reader(args) if args else ("", set(_ALL_KEYS))
-    ignored = [key for key in values if key not in read]
-    if ignored:
-        raise ConfigError(f"{config_path}: {reader} does not read {', '.join(ignored)}")
-    values.update((key, _convert(os.environ[var], _SCALAR_KEYS[key][1]))
-                  for var, key in _ENV_KEYS.items() if var in os.environ and key in read)
-    flags = {key: value for key, value in given.items() if key in _SCALAR_KEYS and value is not None}
-    if "network.preset" in flags:
-        values = {key: value for key, value in values.items() if key not in _NETWORK_OVERRIDE_KEYS}
-    values.update(flags)
-    for key, value in values.items():
-        if key in _NETWORK_OVERRIDE_KEYS:
-            run.network_overrides[_NETWORK_OVERRIDE_KEYS[key][0]] = value
-        else:
-            section, _, attr = _SCALAR_KEYS[key][0].rpartition(".")
-            setattr(getattr(run, section) if section else run, attr, value)
-    if run.precision not in _PRECISIONS:
-        raise ConfigError(f"precision must be f64 or f32, got {run.precision!r}")
+def build_run_config(args) -> RunConfig:
+    """The run's settings: each setting flag given is copied onto its field,
+    and the result is validated."""
+    _check_eval_mode(args)
+    given = {dest: value for dest, value in vars(args).items() if value is not None}
+
+    def fields_given(cls) -> Dict[str, object]:
+        return {f.name: given[f.name] for f in fields(cls) if f.name in given}
+
+    run = RunConfig(**fields_given(RunConfig), train=TrainConfig(**fields_given(TrainConfig)),
+                    data=DataConfig(**fields_given(DataConfig)))
     if run.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {run.threads}")
     run.train.validate()
@@ -213,19 +111,25 @@ def build_run_config(config_path: Optional[str], args=None) -> RunConfig:
 
 def _check_outputs(args, *dests: str) -> None:
     """Before any work: every file the run will write under these flags (by
-    dest) must have an existing directory and must not itself be a
-    directory, so a bad path is a validation error, not a lost run."""
+    dest) must have an existing directory, must not itself be a directory
+    and must not be a file another of them writes, so a bad path is a
+    validation error, not a lost run."""
+    writers: Dict[str, str] = {}  # each file's real path: the flag that writes it
     for dest in dests:
         base = getattr(args, dest)
         if not base:
             continue
-        flag = "--" + dest.replace("_", "-")
+        flag = f"--{dest.replace('_', '-')} {base}"
         for path in checkpoint_paths(base) if dest == "checkpoint" else (base,):
             folder = os.path.dirname(path) or "."
             if not os.path.isdir(folder):
-                raise ConfigError(f"{flag} {base}: directory {folder} does not exist")
+                raise ConfigError(f"{flag}: directory {folder} does not exist")
             if os.path.isdir(path):
-                raise ConfigError(f"{flag} {base}: {path} is a directory")
+                raise ConfigError(f"{flag}: {path} is a directory")
+            real = os.path.realpath(path)
+            if real in writers:
+                raise ConfigError(f"{flag}: {path} is also written by {writers[real]}")
+            writers[real] = flag
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +141,7 @@ def cmd_describe(run: RunConfig, args) -> int:
     size = args.extent
     cfg.check_extents((size,), "--size")
     out = sys.stdout
-    print(f"preset: {run.preset if not run.network_overrides else 'custom'}", file=out)
+    print(f"preset: {run.preset}", file=out)
     print(f"stem_channels: {cfg.stem_channels}", file=out)
     print(f"channels: {list(cfg.channels)}", file=out)
     print(f"experts_level1: {list(cfg.experts)}", file=out)
@@ -334,7 +238,6 @@ def _net_and_data(run: RunConfig, data_seed: int):
 def cmd_train(run: RunConfig, args) -> int:
     _check_outputs(args, "history", "checkpoint")
     net, data = _net_and_data(run, run.seed + 1)
-    run.train.seed = run.seed
     history = train_loop(net, data, run.train, checkpoint_path=args.checkpoint)
     _write_csv(args.history, ["step", "loss", "mdsc", "lr"], history)
     last = history[-1]
@@ -342,7 +245,7 @@ def cmd_train(run: RunConfig, args) -> int:
           f"train mDSC {last['mdsc']:.4f}")
     print(f"history written to {args.history}")
     if args.checkpoint:
-        print(f"checkpoint written to {args.checkpoint}.json/.bin")
+        print("checkpoint written to {} and {}".format(*checkpoint_paths(args.checkpoint)))
     return EXIT_OK
 
 
@@ -369,11 +272,15 @@ def cmd_eval(run: RunConfig, args) -> int:
     if args.pred_dir:
         if not args.gt_dir:
             raise ConfigError("--pred-dir requires --gt-dir")
-        if not os.path.isdir(args.pred_dir):
-            raise ConfigError(f"--pred-dir {args.pred_dir} is not a directory")
-        cases = sorted(f[:-4] for f in os.listdir(args.pred_dir) if f.endswith(".vol"))
+        folders = {"--pred-dir": args.pred_dir, "--gt-dir": args.gt_dir}
+        for flag, folder in folders.items():
+            if not os.path.isdir(folder):
+                raise ConfigError(f"{flag} {folder} is not a directory")
+        # a case found on one side only fails, as its missing volume, in name order
+        cases = sorted({f[:-4] for folder in folders.values() for f in os.listdir(folder)
+                        if f.endswith(".vol")})
         if not cases:
-            raise ConfigError(f"no .vol files in {args.pred_dir}")
+            raise ConfigError(f"no .vol files in {args.pred_dir} or {args.gt_dir}")
 
         def load(name):  # in the worker: reads overlap scoring, and at most --threads cases are held
             pred, spacing = read_volume(os.path.join(args.pred_dir, name))
@@ -431,31 +338,25 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _key_flag(parser: argparse.ArgumentParser, key: str, **kwargs) -> None:
-    """The flag that overrides config key ``key``: the key is its dest, and
-    its value converts as the config file's value does."""
-    _, kind, flag = _SCALAR_KEYS[key]
-    parser.add_argument(flag, dest=key, type=kind, help=f"sets {key}", **kwargs)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Each subcommand accepts exactly the flags it reads, each defined once
-    on a parent parser; the top-level parser takes only the subcommand."""
-    config, seed, threads, precision, network, data = (_Parser(add_help=False) for _ in range(6))
-    config.add_argument("--config", metavar="FILE", help="key = value config file")
-    _key_flag(seed, "seed", metavar="N")
-    _key_flag(threads, "threads", metavar="N")
-    _key_flag(precision, "precision", choices=tuple(_PRECISIONS))
-    _key_flag(network, "network.preset", choices=tuple(PRESETS))
-    _key_flag(network, "network.num_classes", metavar="C")
-    _key_flag(network, "network.norm", choices=("dyt", "ln"))
-    _key_flag(data, "data.num_volumes", metavar="N")
-    _key_flag(data, "data.size", metavar="S")
+    on a parent parser; the top-level parser takes only the subcommand. A
+    setting flag's dest is its ``RunConfig`` field, and it defaults to None,
+    so the field keeps its default."""
+    seed, threads, precision, network, data = (_Parser(add_help=False) for _ in range(5))
+    seed.add_argument("--seed", type=int, metavar="N", help="seeds the network, data and sweeps")
+    threads.add_argument("--threads", type=int, metavar="N", help="eval's worker threads")
+    precision.add_argument("--precision", choices=tuple(_PRECISIONS))
+    network.add_argument("--preset", choices=tuple(PRESETS))
+    network.add_argument("--classes", dest="num_classes", type=int, metavar="C", help="classes, background included")
+    network.add_argument("--norm", choices=("dyt", "ln"), help="block normalization")
+    data.add_argument("--volumes", dest="num_volumes", type=int, metavar="N", help="synthetic volumes")
+    data.add_argument("--size", type=int, metavar="S", help="synthetic volume extent")
 
     parser = _Parser(prog="hsmoe", description="hierarchical soft-MoE segmentation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("describe", parents=[config, network],
+    p = sub.add_parser("describe", parents=[network],
                        help="echo schedules, stage shapes, parameter count")
     p.add_argument("--size", type=int, default=64, dest="extent", help="reference input extent")
 
@@ -463,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modules", nargs="+", choices=tuple(MODULE_SUITES), metavar="MODULE",
                    help=f"subset of: {' '.join(MODULE_SUITES)}")
 
-    p = sub.add_parser("bench", parents=[config, seed], help="scaling sweeps and cost accounting")
+    p = sub.add_parser("bench", parents=[seed], help="scaling sweeps and cost accounting")
     p.add_argument("--out", default="bench_routing.csv")
     p.add_argument("--network-out", default=None)
     p.add_argument("--compare-norms", action="store_true")
@@ -472,15 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-size", type=int, default=256)
     p.add_argument("--repeats", type=int, default=3)
 
-    p = sub.add_parser("train", parents=[config, seed, precision, network, data],
-                       help="train on synthetic volumes")
-    _key_flag(p, "train.steps", metavar="N")
-    _key_flag(p, "train.lr", metavar="LR")
-    _key_flag(p, "train.batch_size", metavar="B")
+    p = sub.add_parser("train", parents=[seed, precision, network, data], help="train on synthetic volumes")
+    p.add_argument("--steps", type=int, metavar="N")
+    p.add_argument("--lr", type=float, metavar="LR")
+    p.add_argument("--batch-size", type=int, metavar="B")
     p.add_argument("--history", default="history.csv")
     p.add_argument("--checkpoint", default="checkpoint")
 
-    p = sub.add_parser("eval", parents=[config, seed, threads, precision, network, data],
+    p = sub.add_parser("eval", parents=[seed, threads, precision, network, data],
                        help="metrics from a checkpoint or label volumes")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--pred-dir", default=None)
@@ -506,7 +406,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             flag = argv[0].split("=", 1)[0]
             raise ConfigError(f"{flag} goes after the subcommand, as in 'hsmoe <command> {flag} ...'")
         args = build_parser().parse_args(argv)
-        run = build_run_config(getattr(args, "config", None), args)
+        run = build_run_config(args)
         # quiet: an overflow raises NumericalError, and numpy's warning would repeat it
         return T._quiet(_COMMANDS[args.command])(run, args)
     except (ConfigError, CheckpointError, VolumeIOError, MetricError) as err:

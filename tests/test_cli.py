@@ -1,4 +1,4 @@
-"""CLI contracts: config parsing, describe echoes, exit codes, pipelines."""
+"""CLI contracts: flags, describe echoes, exit codes, pipelines."""
 
 import argparse
 import csv
@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from hsmoe import cli, tensor as T
-from hsmoe.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, build_run_config, main, parse_config_file
-from hsmoe.config import ConfigError
+from hsmoe.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, build_run_config, main
+from hsmoe.config import ConfigError, NetworkConfig
 from hsmoe.volio import write_volume
 
 
@@ -25,87 +25,37 @@ def run_cli(capsys, *argv):
 
 
 # ---------------------------------------------------------------------------
-# config file
+# run settings: flags alone
 
 
-def test_config_file_roundtrip(tmp_path):
+def test_config_flag_is_usage_error_on_every_subcommand(tmp_path, capsys):
     path = tmp_path / "run.cfg"
-    path.write_text(
-        "# comment\n"
-        "seed = 11\n"
-        "threads = 2\n"
-        "network.preset = full\n"
-        "train.lr = 2e-3\n"
-        "train.steps = 5\n"
-        "data.size = 8\n"
-        "network.experts = [2, 3]\n"
-    )
-    values = parse_config_file(str(path))
-    assert values["seed"] == 11
-    assert values["network.experts"] == (2, 3)
-    run = build_run_config(str(path))
-    assert run.seed == 11 and run.threads == 2
-    assert run.train.lr == 2e-3 and run.train.steps == 5
-    assert run.data.size == 8
-    assert run.network_overrides["experts"] == (2, 3)
+    path.write_text("")
+    for command in ("describe", "gradcheck", "bench", "train", "eval"):
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        _assert_validation_error(code, err, f"unrecognized arguments: --config {path}")
+        assert out == ""
 
 
-def test_config_unknown_key_rejected(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("network.bogus = 3\n")
-    with pytest.raises(ConfigError, match="unknown key"):
-        parse_config_file(str(path))
+def test_hsmoe_environment_variables_change_and_reject_nothing(tmp_path, capsys, monkeypatch):
+    def outputs(tag):
+        """train's history, and the CSV of eval on its checkpoint, each written under ``tag``."""
+        ck = str(tmp_path / f"ck{tag}")
+        for argv in (["train", "--steps", "1", "--batch-size", "1", "--volumes", "1",
+                      "--history", str(tmp_path / f"h{tag}.csv"), "--checkpoint", ck],
+                     ["eval", "--checkpoint", ck, "--volumes", "1", "--out", str(tmp_path / f"m{tag}.csv"),
+                      "--json-out", str(tmp_path / f"m{tag}.json")]):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == EXIT_OK, err
+        return [(tmp_path / f"{kind}{tag}.csv").read_text() for kind in "hm"]
 
-
-# settings that were constants in every preset and run: the cosine schedule,
-# group sizes halving by stage, FFN width 2d, the data noise, one input channel,
-# twice the experts at the second level, the weight decay, one save at the end,
-# the scan's block length
-@pytest.mark.parametrize("line", ["train.cosine = false", "network.group_ratio = 0.25",
-                                  "network.ffn_ratio = 4", "network.in_channels = 2",
-                                  "data.noise_sigma = 0.1", "network.experts_l2 = [4, 6]",
-                                  "train.weight_decay = 1e-5", "train.checkpoint_every = 100",
-                                  "network.scan_block_size = 64"])
-def test_removed_setting_is_unknown_key(tmp_path, capsys, line):
-    path = tmp_path / "old.cfg"
-    path.write_text(line + "\n")
-    code, _, err = run_cli(capsys, "train", "--config", str(path))
-    _assert_validation_error(code, err, "unknown key", repr(line.split(" = ")[0]))
-
-
-@pytest.mark.parametrize("config", ["a directory", "missing.cfg"])
-def test_config_file_that_cannot_be_read_is_validation_error(tmp_path, capsys, config):
-    path = tmp_path if config == "a directory" else tmp_path / config
-    code, out, err = run_cli(capsys, "describe", "--config", str(path))
-    _assert_validation_error(code, err, f"cannot read config file {path}: ")
-    assert out == ""
-
-
-@pytest.mark.parametrize("threads", ["0", "-5"])
-def test_threads_flag_below_one_is_validation_error(capsys, threads):
-    code, _, err = run_cli(capsys, "eval", "--threads", threads)
-    assert code == EXIT_VALIDATION
-    assert "threads must be >= 1" in err
-
-
-def test_env_overrides_seed(tmp_path, monkeypatch):
-    path = tmp_path / "run.cfg"
-    path.write_text("seed = 1\n")
+    want = outputs("")
     monkeypatch.setenv("HSMOE_SEED", "99")
-    assert build_run_config(str(path)).seed == 99
+    monkeypatch.setenv("HSMOE_THREADS", "0")
+    assert outputs("env") == want
 
 
-@pytest.mark.parametrize("command,text,keys", [
-    ("train", "threads = 4\n", "threads"),
-    ("describe", "seed = 3\nprecision = f32\nnetwork.norm = ln\n", "seed, precision"),
-])
-def test_config_key_the_subcommand_ignores_is_validation_error(tmp_path, capsys, command, text, keys):
-    path = tmp_path / "run.cfg"
-    path.write_text(text)
-    code, _, err = run_cli(capsys, command, "--config", str(path))
-    _assert_validation_error(code, err, f"'hsmoe {command}' does not read {keys}")
-
-
+# nothing reads HSMOE_* values, so a bad one harms no subcommand
 def test_env_settings_stay_ambient_for_every_subcommand(capsys, monkeypatch):
     monkeypatch.setenv("HSMOE_SEED", "3")
     monkeypatch.setenv("HSMOE_THREADS", "2")
@@ -124,10 +74,11 @@ def test_env_value_applies_only_where_its_key_is_read(capsys, monkeypatch, var, 
     assert code == EXIT_OK, err
 
 
-def test_bad_env_value_is_validation_error(capsys, monkeypatch):
-    monkeypatch.setenv("HSMOE_THREADS", "two")
-    code, _, err = run_cli(capsys, "eval", "--checkpoint", "ck")
-    _assert_validation_error(code, err, "bad value 'two'")
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_threads_flag_below_one_is_validation_error(capsys, threads):
+    code, _, err = run_cli(capsys, "eval", "--threads", threads)
+    assert code == EXIT_VALIDATION
+    assert "threads must be >= 1" in err
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +88,13 @@ def test_bad_env_value_is_validation_error(capsys, monkeypatch):
 _NETWORK_FLAGS = {"--preset", "--classes", "--norm"}
 _DATA_FLAGS = {"--volumes", "--size"}
 _FLAGS = {
-    "describe": {"--config", "--size"} | _NETWORK_FLAGS,
+    "describe": {"--size"} | _NETWORK_FLAGS,
     "gradcheck": {"--modules"},
-    "bench": {"--config", "--seed", "--out", "--network-out", "--compare-norms", "--min-exp",
+    "bench": {"--seed", "--out", "--network-out", "--compare-norms", "--min-exp",
               "--max-exp", "--group-size", "--repeats"},
-    "train": {"--config", "--seed", "--precision", "--steps", "--lr", "--batch-size", "--history",
+    "train": {"--seed", "--precision", "--steps", "--lr", "--batch-size", "--history",
               "--checkpoint"} | _NETWORK_FLAGS | _DATA_FLAGS,
-    "eval": {"--config", "--seed", "--threads", "--precision", "--checkpoint", "--pred-dir",
+    "eval": {"--seed", "--threads", "--precision", "--checkpoint", "--pred-dir",
              "--gt-dir", "--out", "--json-out"} | _NETWORK_FLAGS | _DATA_FLAGS,
 }
 
@@ -225,15 +176,6 @@ def test_describe_full_lists_parameters_without_touching_their_memory():
     assert peak_kb < 100 * 1024, f"describe --preset full peaked at {peak_kb / 1024:.0f} MB"
 
 
-def test_describe_invalid_monotonicity_is_validation_error(tmp_path, capsys):
-    path = tmp_path / "bad.cfg"
-    path.write_text("network.experts = [4, 3]\nnetwork.base_group_size = 8\n"
-                    "network.slots_per_expert = 1\nnetwork.stem_channels = 4\n")
-    code, _, err = run_cli(capsys, "describe", "--config", str(path))
-    assert code == EXIT_VALIDATION
-    assert "increase strictly" in err
-
-
 def test_unknown_flag_is_validation_error(capsys):
     code, _, err = run_cli(capsys, "describe", "--nope")
     assert code == EXIT_VALIDATION
@@ -259,10 +201,6 @@ def test_describe_classes_flag_sizes_the_head(capsys):
     assert counts[1] - counts[0] == 3 * (8 + 1)
 
 
-_LAYOUT = ("network.stem_channels = 4\nnetwork.experts = [2, 3]\n"
-           "network.base_group_size = 8\nnetwork.slots_per_expert = 1\n")
-
-
 def _assert_validation_error(code, err, *fragments):
     assert code == EXIT_VALIDATION, err
     assert err.startswith("error: ") and "Traceback" not in err, err
@@ -270,66 +208,29 @@ def _assert_validation_error(code, err, *fragments):
         assert fragment in err, err
 
 
-@pytest.mark.parametrize("command", ["describe", "train", "eval"])
-def test_partial_network_override_names_missing_keys(tmp_path, capsys, command):
-    path = tmp_path / "part.cfg"
-    path.write_text("network.ssm_state_dim = 0\n")
-    extra = ["--checkpoint", str(tmp_path / "ck")] if command == "eval" else []
-    code, _, err = run_cli(capsys, command, "--config", str(path), *extra)
-    _assert_validation_error(code, err, "network.stem_channels", "network.experts",
-                             "network.base_group_size", "network.slots_per_expert")
-
-
-def _layout_with(key, value):
-    """``_LAYOUT`` with ``network.<key> = value`` in place of its line, or added."""
-    lines = [line for line in _LAYOUT.splitlines() if not line.startswith(f"network.{key} =")]
-    return "\n".join(lines + [f"network.{key} = {value}"]) + "\n"
-
-
-# the error names the key the file gave, also for a value each stage reads
+# the error names the field, also for a value each stage reads
 @pytest.mark.parametrize("key", ["ssm_state_dim", "stem_channels", "slots_per_expert", "experts"])
-@pytest.mark.parametrize("command", ["describe", "train"])
-def test_network_width_below_one_is_validation_error(tmp_path, capsys, key, command):
-    value = "[0, 1]" if key == "experts" else "0"
-    path = tmp_path / "bad.cfg"
-    path.write_text(_layout_with(key, value))
-    code, _, err = run_cli(capsys, command, "--config", str(path))
-    _assert_validation_error(code, err, f"error: {key} ", f"must be >= 1, got {value}")
-
-
-def test_config_key_given_twice_is_validation_error(tmp_path, capsys):
-    path = tmp_path / "twice.cfg"
-    path.write_text(_LAYOUT + "network.stem_channels = 8\n")
-    code, out, err = run_cli(capsys, "describe", "--config", str(path))
-    _assert_validation_error(code, err, "key 'network.stem_channels' given twice, on lines 1 and 5")
-    assert out == ""
-
-
-@pytest.mark.parametrize("line,fragment", [("network.experts = [2, x]", "bad value 'x'"),
-                                           ("network.experts = 2", "expected a list"),
-                                           ("network.stem_channels = two", "bad value 'two'")])
-def test_bad_config_value_names_file_line_and_key(tmp_path, capsys, line, fragment):
-    path = tmp_path / "bad.cfg"
-    path.write_text("network.num_classes = 3\n" + line + "\n")
-    code, out, err = run_cli(capsys, "describe", "--config", str(path))
-    _assert_validation_error(code, err, f"{path}:2: {line.split(' = ')[0]}: ", fragment)
-    assert out == ""
-
-
-def test_base_group_size_must_halve_over_every_stage(tmp_path, capsys):
-    path = tmp_path / "odd.cfg"
-    path.write_text(_LAYOUT.replace("base_group_size = 8", "base_group_size = 7"))
-    code, _, err = run_cli(capsys, "describe", "--config", str(path))
-    _assert_validation_error(code, err, "base group size 7 must be a positive multiple of 2")
-
-
-@pytest.mark.parametrize("key", ["ssm_state_dim", "stem_channels"])
 def test_network_config_validate_rejects_zero_widths(key):
     from dataclasses import replace
     from hsmoe.config import tiny_config
 
-    with pytest.raises(ConfigError, match=f"{key} must be >= 1"):
-        replace(tiny_config(), **{key: 0})
+    value, shown = ((0, 1, 2, 3), "[0, 1, 2, 3]") if key == "experts" else (0, "0")
+    with pytest.raises(ConfigError) as err:
+        replace(tiny_config(), **{key: value})
+    assert str(err.value).startswith(f"{key} ") and str(err.value).endswith(f"must be >= 1, got {shown}")
+
+
+_LAYOUT = dict(num_classes=3, stem_channels=4, experts=(2, 3), base_group_size=8, slots_per_expert=1)
+
+
+def test_expert_counts_must_increase_strictly_with_depth():
+    with pytest.raises(ConfigError, match="increase strictly"):
+        NetworkConfig(**{**_LAYOUT, "experts": (4, 3)})
+
+
+def test_base_group_size_must_halve_over_every_stage():
+    with pytest.raises(ConfigError, match="base group size 7 must be a positive multiple of 2"):
+        NetworkConfig(**{**_LAYOUT, "base_group_size": 7})
 
 
 @pytest.mark.parametrize("argv,fragment", [
@@ -358,29 +259,23 @@ def test_describe_size_must_be_positive_multiple(capsys, size):
 def test_run_flags_merge_in_build_run_config():
     args = cli.build_parser().parse_args(["train", "--steps", "7", "--lr", "0.5", "--batch-size", "3",
                                           "--volumes", "5", "--size", "32", "--classes", "4"])
-    run = build_run_config(None, args)
+    run = build_run_config(args)
     assert (run.train.steps, run.train.lr, run.train.batch_size) == (7, 0.5, 3)
     assert (run.data.num_volumes, run.data.size, run.num_classes) == (5, 32, 4)
     # describe's --size is the echoed reference extent, not the data size
-    run = build_run_config(None, cli.build_parser().parse_args(["describe", "--size", "32"]))
+    run = build_run_config(cli.build_parser().parse_args(["describe", "--size", "32"]))
     assert run.data.size == cli.DataConfig().size
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
-def test_every_setting_flag_sets_its_config_key(tmp_path, command):
+def test_every_setting_flag_sets_its_config_key(command):
     flags = ["--seed", "9", "--precision", "f32", "--preset", "full", "--classes", "4",
              "--norm", "ln", "--volumes", "5", "--size", "32"]
     flags += ["--threads", "3"] if command == "eval" else []
-    run = build_run_config(None, cli.build_parser().parse_args([command, *flags]))
-    assert (run.seed, run.precision, run.preset, run.num_classes, run.norm,
-            run.data.num_volumes, run.data.size) == (9, "f32", "full", 4, "ln", 5, 32)
+    run = build_run_config(cli.build_parser().parse_args([command, *flags]))
+    assert (run.seed, run.train.seed, run.precision, run.preset, run.num_classes, run.norm,
+            run.data.num_volumes, run.data.size) == (9, 9, "f32", "full", 4, "ln", 5, 32)
     assert run.threads == (3 if command == "eval" else 1)
-    # a --preset flag replaces the file's explicit layout
-    path = tmp_path / "layout.cfg"
-    path.write_text(_LAYOUT)
-    assert build_run_config(str(path)).network_overrides
-    args = cli.build_parser().parse_args([command, "--config", str(path), "--preset", "tiny"])
-    assert not build_run_config(args.config, args).network_overrides
 
 
 # ---------------------------------------------------------------------------
@@ -503,13 +398,11 @@ def test_bench_flags_reach_the_sweeps(tmp_path, capsys, monkeypatch):
         return {"dyt": 1.0, "ln": 2.0}
 
     monkeypatch.setattr(bench, "norm_comparison", norm_comparison)
-    path = tmp_path / "seed.cfg"
-    path.write_text("seed = 4\n")
-    code, out, _ = run_cli(capsys, "bench", "--config", str(path), "--out", str(tmp_path / "r.csv"),
+    code, out, _ = run_cli(capsys, "bench", "--seed", "4", "--out", str(tmp_path / "r.csv"),
                            "--min-exp", "6", "--max-exp", "7", "--group-size", "32", "--repeats", "2")
     assert code == EXIT_OK
     assert calls == {"routing": {"n_values": [64, 128], "group_size": 32, "seed": 4, "repeats": 2}}
-    code, out, _ = run_cli(capsys, "bench", "--config", str(path), "--seed", "8",
+    code, out, _ = run_cli(capsys, "bench", "--seed", "8",
                            "--out", str(tmp_path / "r.csv"), "--min-exp", "6", "--max-exp", "7",
                            "--network-out", str(tmp_path / "n.csv"), "--compare-norms")
     assert code == EXIT_OK
@@ -566,6 +459,14 @@ def test_train_eval_f32_roundtrip(tmp_path, capsys):
     _assert_validation_error(code, err, "dtype mismatch")
 
 
+def test_train_names_the_checkpoint_files_it_wrote(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "train", "--steps", "1", "--volumes", "1", "--batch-size", "1",
+                             "--history", str(tmp_path / "h.csv"), "--checkpoint", str(tmp_path / "ck.json"))
+    assert code == EXIT_OK, err
+    assert f"checkpoint written to {tmp_path / 'ck.json'} and {tmp_path / 'ck.bin'}\n" in out
+    assert (tmp_path / "ck.json").exists() and (tmp_path / "ck.bin").exists()
+
+
 @pytest.mark.parametrize("precision", ["f64", "f32"])
 def test_precision_casts_network_and_data(precision):
     """Every parameter, image and gradient takes the run's dtype; the values
@@ -575,7 +476,7 @@ def test_precision_casts_network_and_data(precision):
     from hsmoe.train import dice_ce_loss, synth_volumes
 
     dtype = cli._PRECISIONS[precision]
-    run = build_run_config(None, cli.build_parser().parse_args(
+    run = build_run_config(cli.build_parser().parse_args(
         ["train", "--precision", precision, "--classes", "2", "--volumes", "2"]))
     net, data = cli._net_and_data(run, data_seed=1)
     ref = SegNet(tiny_config(num_classes=2), seed=0)
@@ -666,6 +567,22 @@ def test_eval_missing_pred_dir_is_validation_error(tmp_path, capsys):
     assert not (tmp_path / "m.csv").exists()
 
 
+def test_eval_gt_dir_that_is_not_a_directory_is_validation_error(tmp_path, capsys):
+    argv, missing = _label_dir_argv(tmp_path), tmp_path / "nowhere"
+    argv[argv.index("--gt-dir") + 1] = str(missing)
+    code, _, err = run_cli(capsys, *argv)
+    _assert_validation_error(code, err, f"--gt-dir {missing} is not a directory")
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_eval_ground_truth_case_without_a_prediction_fails(tmp_path, capsys):
+    argv = _label_dir_argv(tmp_path)  # case a in both directories
+    write_volume(str(tmp_path / "gt" / "b"), np.zeros((4, 4, 4)), dtype="u8")
+    code, _, err = run_cli(capsys, *argv)
+    _assert_validation_error(code, err, f"missing volume file: {tmp_path / 'pred' / 'b.vol'}")
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_eval_identical_pred_gt_fixture(tmp_path, capsys):
     pred_dir = tmp_path / "pred"
     gt_dir = tmp_path / "gt"
@@ -710,23 +627,10 @@ def test_eval_label_dir_mode_rejects_a_flag_it_does_not_read(tmp_path, capsys, f
     assert not (tmp_path / "m.csv").exists()
 
 
-@pytest.mark.parametrize("line", ["seed = 5", "precision = f32", "network.preset = full", "network.norm = ln",
-                                  "data.num_volumes = 7", "data.size = 32", "network.stem_channels = 4"])
-def test_eval_label_dir_mode_rejects_a_config_key_it_does_not_read(tmp_path, capsys, line):
-    path = tmp_path / "run.cfg"
-    path.write_text("network.num_classes = 2\nthreads = 2\n" + line + "\n")
-    code, _, err = run_cli(capsys, *_label_dir_argv(tmp_path), "--config", str(path))
-    _assert_validation_error(code, err, f"{path}: 'hsmoe eval' in label-directory mode (--pred-dir) "
-                             f"does not read {line.split(' = ')[0]}")
-    assert not (tmp_path / "m.csv").exists()
-
-
 def test_eval_label_dir_mode_reads_classes_and_threads_and_leaves_the_seed_ambient(tmp_path, capsys,
                                                                                    monkeypatch):
-    path = tmp_path / "run.cfg"
-    path.write_text("network.num_classes = 2\nthreads = 2\n")
-    monkeypatch.setenv("HSMOE_SEED", "not a seed")  # not read in this mode, so neither applied nor rejected
-    code, out, err = run_cli(capsys, *_label_dir_argv(tmp_path), "--config", str(path))
+    monkeypatch.setenv("HSMOE_SEED", "not a seed")  # nothing reads the environment
+    code, out, err = run_cli(capsys, *_label_dir_argv(tmp_path))
     assert code == EXIT_OK, err
     assert "evaluated 1 cases over 1 foreground classes" in out
 
@@ -868,17 +772,21 @@ def _cheap_run_argv(command, tmp_path):
     return _label_dir_argv(tmp_path)
 
 
-@pytest.mark.parametrize("bad", ["missing directory", "a directory"])
-@pytest.mark.parametrize("command,flag", [("train", "--history"), ("train", "--checkpoint"), ("bench", "--out"),
-                                          ("bench", "--network-out"), ("eval", "--out"), ("eval", "--json-out")])
-def test_unwritable_output_path_is_validation_error_before_any_work(tmp_path, capsys, monkeypatch,
-                                                                   command, flag, bad):
+def _forbid_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work ran before the output paths were checked")
 
     for owner, name in ((cli, "train_loop"), (cli, "_eval_case"), (cli.bench_mod, "routing_sweep"),
                         (cli.bench_mod, "network_sweep")):
         monkeypatch.setattr(owner, name, no_work)
+
+
+@pytest.mark.parametrize("bad", ["missing directory", "a directory"])
+@pytest.mark.parametrize("command,flag", [("train", "--history"), ("train", "--checkpoint"), ("bench", "--out"),
+                                          ("bench", "--network-out"), ("eval", "--out"), ("eval", "--json-out")])
+def test_unwritable_output_path_is_validation_error_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                   command, flag, bad):
+    _forbid_work(monkeypatch)
     argv = _cheap_run_argv(command, tmp_path)
     if bad == "missing directory":
         path, fragment = tmp_path / "nowhere" / "out", f"directory {tmp_path / 'nowhere'} does not exist"
@@ -890,3 +798,23 @@ def test_unwritable_output_path_is_validation_error_before_any_work(tmp_path, ca
     _assert_validation_error(code, err, f"error: {flag} {path}: ", fragment)
     assert out == ""
     assert sorted(tmp_path.rglob("*")) == before  # no checkpoint, history, CSV or JSON written
+
+
+# the second file names the first's, directly, by a checkpoint base, or through a directory
+@pytest.mark.parametrize("command,first,second,written", [
+    ("train", ("--history", "ck.json"), ("--checkpoint", "ck"), "ck.json"),
+    ("eval", ("--out", "m"), ("--json-out", "m"), "m"),
+    ("bench", ("--out", "r.csv"), ("--network-out", "sub/../r.csv"), "sub/../r.csv"),
+], ids=["train", "eval", "bench"])
+def test_two_outputs_naming_one_file_is_validation_error_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                        command, first, second, written):
+    _forbid_work(monkeypatch)
+    argv = _cheap_run_argv(command, tmp_path)
+    (tmp_path / "sub").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    (flag1, name1), (flag2, name2) = first, second
+    code, out, err = run_cli(capsys, *argv, flag1, str(tmp_path / name1), flag2, str(tmp_path / name2))
+    _assert_validation_error(code, err, f"error: {flag2} {tmp_path / name2}: {tmp_path / written} "
+                             f"is also written by {flag1} {tmp_path / name1}")
+    assert out == ""
+    assert sorted(tmp_path.rglob("*")) == before

@@ -24,7 +24,7 @@ script of each tree to compare two trees, then diff the two files:
     diff /tmp/parent.json /tmp/change.json && echo bit-identical
 
 Digests depend on the platform's BLAS, so compare files written on one
-machine. BLAS runs on one thread, and HSMOE_* environment values are dropped.
+machine. BLAS runs on one thread.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ import tempfile
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
-for _var in [v for v in os.environ if v.startswith("HSMOE_")]:
-    del os.environ[_var]
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 import numpy as np  # noqa: E402
