@@ -220,6 +220,22 @@ def test_network_config_validate_rejects_zero_widths(key):
     assert str(err.value).startswith(f"{key} ") and str(err.value).endswith(f"must be >= 1, got {shown}")
 
 
+# a preset whose layout has a zero width: each stage that builds the network
+# reports the field as a validation error, before any file is written
+@pytest.mark.parametrize("key", ["ssm_state_dim", "stem_channels", "slots_per_expert", "experts"])
+@pytest.mark.parametrize("command", ["describe", "train"])
+def test_network_width_below_one_is_validation_error(tmp_path, capsys, monkeypatch, key, command):
+    from dataclasses import replace
+    from hsmoe.config import PRESETS, tiny_config
+
+    value, shown = ((0, 1, 2, 3), "[0, 1, 2, 3]") if key == "experts" else (0, "0")
+    monkeypatch.setitem(PRESETS, "zero", lambda **kw: replace(tiny_config(**kw), **{key: value}))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, command, "--preset", "zero")
+    _assert_validation_error(code, err, f"error: {key} ", f"must be >= 1, got {shown}")
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
 _LAYOUT = dict(num_classes=3, stem_channels=4, experts=(2, 3), base_group_size=8, slots_per_expert=1)
 
 
