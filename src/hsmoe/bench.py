@@ -13,7 +13,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from . import tensor as T
+from . import nn, tensor as T
 from .config import ConfigError, NetworkConfig, StageConfig
 from .network import SegNet
 from .routing import FFN_RATIO, HierarchicalMoE
@@ -174,15 +174,13 @@ def norm_comparison(seed: int = 0) -> Dict[str, float]:
     forward buries the swapped component under conv/scan/routing cost.
     Interleaved rounds with min-statistics cancel machine-load drift.
     """
-    from . import nn
-
     gen = T.rng(seed + 1)
-    layers = {"dyt": nn.DynamicTanh(8), "ln": nn.LayerNorm(8)}
-    totals = {"dyt": 0.0, "ln": 0.0}
+    layers = {name: norm(8) for name, norm in nn.NORMS.items()}
+    totals = dict.fromkeys(layers, 0.0)
     with T.no_grad():
         for n in (2 ** 12, 2 ** 13, 2 ** 14):
             x = Tensor(gen.uniform(-1, 1, (1, n, 8)))
-            best = {"dyt": math.inf, "ln": math.inf}
+            best = dict.fromkeys(layers, math.inf)
             for name, layer in layers.items():
                 layer(x)  # warmup
             for _ in range(15):

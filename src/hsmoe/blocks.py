@@ -54,9 +54,9 @@ class BlockLayer(nn.Module):
     def __init__(self, stage: StageConfig, norm: str, ssm_state_dim: int, rng: np.random.Generator):
         d = stage.dim
         self.gsc = GatedSpatialConv(d, rng)
-        self.norm_scan = nn.make_norm(norm, d)
+        self.norm_scan = nn.NORMS[norm](d)
         self.scan = GatedSSM(d, ssm_state_dim, rng)
-        self.norm_moe = nn.make_norm(norm, d)
+        self.norm_moe = nn.NORMS[norm](d)
         self.moe = HierarchicalMoE(stage, rng)
         self.proj = nn.Linear(d, d, rng)
 

@@ -10,7 +10,9 @@ from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
-_DTYPES = {"f64": "<f8", "f32": "<f4"}
+from .tensor import PRECISIONS
+
+_TAGS = {dtype: tag for tag, dtype in PRECISIONS.items()}  # a parameter's dtype: its manifest tag
 _FORMAT = "hsmoe-checkpoint-v2"
 
 
@@ -30,14 +32,13 @@ def save_checkpoint(named_params: Iterable, base: str) -> None:
     manifest = {"format": _FORMAT, "params": []}
     payload = bytearray()
     for name, p in named_params:
-        tag = "f64" if p.data.dtype == np.float64 else "f32"
         manifest["params"].append({
             "name": name,
             "shape": list(p.data.shape),
-            "dtype": tag,
+            "dtype": _TAGS[p.data.dtype],
             "offset": len(payload),
         })
-        payload.extend(np.ascontiguousarray(p.data, dtype=_DTYPES[tag]).tobytes())
+        payload.extend(np.ascontiguousarray(p.data, dtype=p.data.dtype.newbyteorder("<")).tobytes())
     json_path, bin_path = checkpoint_paths(base)
     with open(json_path, "w") as fh:
         json.dump(manifest, fh, indent=2)
@@ -64,7 +65,7 @@ def load_checkpoint(base: str) -> Dict[str, np.ndarray]:
         with open(bin_path, "rb") as fh:
             blob = fh.read()
         for entry in manifest["params"]:
-            dt = np.dtype(_DTYPES[entry["dtype"]])
+            dt = PRECISIONS[entry["dtype"]].newbyteorder("<")
             count = int(np.prod(entry["shape"])) if entry["shape"] else 1
             arr = np.frombuffer(blob, dtype=dt, count=count, offset=entry["offset"])
             out[entry["name"]] = arr.reshape(entry["shape"]).astype(dt.newbyteorder("=")).copy()

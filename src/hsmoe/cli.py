@@ -23,10 +23,11 @@ import numpy as np
 
 from . import bench as bench_mod, tensor as T
 from .checkpoint import CheckpointError, checkpoint_paths, load_into
-from .config import ConfigError, NetworkConfig, PRESETS, TrainConfig
+from .config import ConfigError, NetworkConfig, PRESETS, TrainConfig, check_at_least
 from .metrics import (EmptyMaskError, MetricError, _check_labels, count_parameters, dsc_per_class,
                       hd95, summarize, write_metrics_json)
 from .network import SegNet
+from .nn import NORMS
 from .suites import MODULE_SUITES
 from .tensor import NumericalError
 from .train import TrainingDiverged, predict, synth_volumes, train_loop
@@ -37,23 +38,11 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 
-@dataclass
-class DataConfig:
-    num_volumes: int = 8
-    size: int = 16
-
-    def validate(self) -> "DataConfig":
-        for name in ("num_volumes", "size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        return self
-
-
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """A run's settings. A setting flag's dest is the name of the field it
-    sets, here or in ``train`` or ``data``; ``--seed`` sets ``seed`` and
-    ``train.seed``."""
+    """A run's settings, checked as they are built. A setting flag's dest is
+    the name of the field it sets, here or in ``train``; ``--seed`` sets
+    ``seed`` and ``train.seed``."""
 
     seed: int = 0
     threads: int = 1
@@ -61,14 +50,17 @@ class RunConfig:
     preset: str = "tiny"
     num_classes: int = 3
     norm: str = "dyt"
+    num_volumes: int = 8  # the synthetic data's count and extent
+    size: int = 16
     train: TrainConfig = field(default_factory=TrainConfig)
-    data: DataConfig = field(default_factory=DataConfig)
+
+    def __post_init__(self):
+        check_at_least(self, ("seed",), least=0)
+        check_at_least(self, ("threads", "num_volumes", "size"))
 
     def network(self) -> NetworkConfig:
         return PRESETS[self.preset](num_classes=self.num_classes, norm=self.norm)
 
-
-_PRECISIONS = {"f64": np.float64, "f32": np.float32}
 
 # eval's flags that only checkpoint mode reads, by dest: it rebuilds the network
 # and data, while label-directory mode (--pred-dir) reads only --classes and
@@ -93,20 +85,14 @@ def _check_eval_mode(args) -> None:
 
 def build_run_config(args) -> RunConfig:
     """The run's settings: each setting flag given is copied onto its field,
-    and the result is validated."""
+    and the configs check themselves as they are built."""
     _check_eval_mode(args)
     given = {dest: value for dest, value in vars(args).items() if value is not None}
 
     def fields_given(cls) -> Dict[str, object]:
         return {f.name: given[f.name] for f in fields(cls) if f.name in given}
 
-    run = RunConfig(**fields_given(RunConfig), train=TrainConfig(**fields_given(TrainConfig)),
-                    data=DataConfig(**fields_given(DataConfig)))
-    if run.threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {run.threads}")
-    run.train.validate()
-    run.data.validate()
-    return run
+    return RunConfig(**fields_given(RunConfig), train=TrainConfig(**fields_given(TrainConfig)))
 
 
 def _check_outputs(args, *dests: str) -> None:
@@ -179,16 +165,14 @@ def cmd_bench(run: RunConfig, args) -> int:
         raise ConfigError(f"need 0 <= --min-exp <= --max-exp, got {args.min_exp} and {args.max_exp}")
     if args.min_exp == args.max_exp:
         raise ConfigError(f"need --min-exp < --max-exp (a slope needs two sizes), got {args.min_exp} for both")
-    if args.repeats < 1:
-        raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
+    check_at_least(args, ("repeats",), label="--{}")
     _check_outputs(args, "out", "network_out")
     n_values = [2 ** k for k in range(args.min_exp, args.max_exp + 1)]
     if args.network_out:
         bench_mod.volume_shapes_for(n_values)  # reject sizes the network cannot take before any sweep
     rows = bench_mod.routing_sweep(n_values, group_size=args.group_size, seed=run.seed,
                                    repeats=args.repeats)
-    _write_csv(args.out, ["N", "K", "E", "S", "G", "wall_ms", "est_flops",
-                          "assign_flops_grouped", "assign_flops_global"], rows)
+    _write_csv(args.out, rows)
     slope = bench_mod.fit_loglog_slope([r["N"] for r in rows], [r["wall_ms"] for r in rows])
     print(f"routing sweep written to {args.out}")
     print(f"routing log-log slope: {slope:.3f}")
@@ -196,7 +180,7 @@ def cmd_bench(run: RunConfig, args) -> int:
     print(f"grouped assignment cost <= global at equal N: {'yes' if ok else 'NO'}")
     if args.network_out:
         net_rows = bench_mod.network_sweep(n_values, seed=run.seed, repeats=args.repeats)
-        _write_csv(args.network_out, ["N", "shape", "wall_ms"], net_rows)
+        _write_csv(args.network_out, net_rows)
         net_slope = bench_mod.fit_loglog_slope([r["N"] for r in net_rows],
                                                [r["wall_ms"] for r in net_rows])
         print(f"network sweep written to {args.network_out}")
@@ -208,12 +192,13 @@ def cmd_bench(run: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _write_csv(path: str, fieldnames: List[str], rows: List[Dict]) -> None:
-    """A header of ``fieldnames``, then one line per row."""
+def _write_csv(path: str, rows: List[Dict]) -> None:
+    """A header of the first row's keys, then one line per row (no rows: an empty file)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
+        if rows:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
 
 
 def _net_and_data(run: RunConfig, data_seed: int):
@@ -223,10 +208,9 @@ def _net_and_data(run: RunConfig, data_seed: int):
     are drawn in f64 and then cast, so f32 holds the f64 draw rounded, and an
     f64 run casts nothing."""
     cfg = run.network()
-    cfg.check_extents((run.data.size,), "data size")
-    dtype = _PRECISIONS[run.precision]
-    data = synth_volumes(seed=data_seed, n=run.data.num_volumes, size=run.data.size,
-                         classes=run.num_classes)
+    cfg.check_extents((run.size,), "data size")
+    dtype = T.PRECISIONS[run.precision]
+    data = synth_volumes(seed=data_seed, n=run.num_volumes, size=run.size, classes=run.num_classes)
     for sample in data:
         sample.image = sample.image.astype(dtype, copy=False)
     net = SegNet(cfg, seed=run.seed)
@@ -239,7 +223,7 @@ def cmd_train(run: RunConfig, args) -> int:
     _check_outputs(args, "history", "checkpoint")
     net, data = _net_and_data(run, run.seed + 1)
     history = train_loop(net, data, run.train, checkpoint_path=args.checkpoint)
-    _write_csv(args.history, ["step", "loss", "mdsc", "lr"], history)
+    _write_csv(args.history, history)
     last = history[-1]
     print(f"trained {len(history)} steps; final loss {last['loss']:.4f} "
           f"train mDSC {last['mdsc']:.4f}")
@@ -318,7 +302,7 @@ def cmd_eval(run: RunConfig, args) -> int:
         futures = [pool.submit(contextvars.copy_context().run, work, case) for case in cases]
         per_case = [f.result() for f in futures]
     rows = [row for case_rows in per_case for row in case_rows]
-    _write_csv(args.out, ["case_id", "class", "dsc", "hd95"], rows)  # hd95 blank when undefined
+    _write_csv(args.out, rows)  # hd95 blank when undefined
     summary = summarize(rows, num_classes)
     write_metrics_json(summary, args.json_out)
     print(f"evaluated {len(cases)} cases over {num_classes - 1} foreground classes")
@@ -346,10 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
     seed, threads, precision, network, data = (_Parser(add_help=False) for _ in range(5))
     seed.add_argument("--seed", type=int, metavar="N", help="seeds the network, data and sweeps")
     threads.add_argument("--threads", type=int, metavar="N", help="eval's worker threads")
-    precision.add_argument("--precision", choices=tuple(_PRECISIONS))
+    precision.add_argument("--precision", choices=tuple(T.PRECISIONS))
     network.add_argument("--preset", choices=tuple(PRESETS))
     network.add_argument("--classes", dest="num_classes", type=int, metavar="C", help="classes, background included")
-    network.add_argument("--norm", choices=("dyt", "ln"), help="block normalization")
+    network.add_argument("--norm", choices=tuple(NORMS), help="block normalization")
     data.add_argument("--volumes", dest="num_volumes", type=int, metavar="N", help="synthetic volumes")
     data.add_argument("--size", type=int, metavar="S", help="synthetic volume extent")
 
@@ -399,13 +383,22 @@ _COMMANDS = {
 }
 
 
+def _subcommand_flags(parser: argparse.ArgumentParser) -> set:
+    """Every flag that some subcommand of ``parser`` defines."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt for p in sub.choices.values() for a in p._actions for opt in a.option_strings}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
-            flag = argv[0].split("=", 1)[0]
-            raise ConfigError(f"{flag} goes after the subcommand, as in 'hsmoe <command> {flag} ...'")
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        flag = argv[0].split("=", 1)[0] if argv else ""
+        if flag.startswith("-") and flag not in ("-h", "--help"):  # a flag before the subcommand
+            if flag in _subcommand_flags(parser):
+                raise ConfigError(f"{flag} goes after the subcommand, as in 'hsmoe <command> {flag} ...'")
+            raise ConfigError(f"unrecognized arguments: {flag}")
+        args = parser.parse_args(argv)
         run = build_run_config(args)
         # quiet: an overflow raises NumericalError, and numpy's warning would repeat it
         return T._quiet(_COMMANDS[args.command])(run, args)

@@ -3,14 +3,29 @@ training settings, plus the named presets."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
+
+from .nn import NORMS
 
 EXPERTS_L2_FACTOR = 2  # the global second level has this many experts per first-level expert
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent configuration."""
+
+
+def check_at_least(config, names: Sequence[str], least: int = 1, label: str = "{}") -> None:
+    """Each field named is >= ``least`` (a count: 1; a seed: 0), or for a
+    tuple each of its entries is. ``label`` formats a name in the message."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, tuple):
+            if min(value) < least:
+                raise ConfigError(f"{label.format(name)} entries must be >= {least}, got {list(value)}")
+        elif value < least:
+            raise ConfigError(f"{label.format(name)} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -23,9 +38,7 @@ class StageConfig:
     slots_per_expert: int
 
     def __post_init__(self):
-        for name in ("dim", "num_experts", "group_size", "slots_per_expert"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"StageConfig.{name} must be >= 1, got {getattr(self, name)}")
+        check_at_least(self, ("dim", "num_experts", "group_size", "slots_per_expert"), label="StageConfig.{}")
 
     @property
     def num_experts_l2(self) -> int:
@@ -66,21 +79,16 @@ class NetworkConfig:
     def __post_init__(self):
         if self.layers_per_stage is None:
             object.__setattr__(self, "layers_per_stage", (1,) * self.num_stages)
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
+        check_at_least(self, ("num_classes",), least=2)
         if self.num_stages < 2:
             raise ConfigError(f"need at least 2 stages, got {self.num_stages}")
         if len(self.layers_per_stage) != self.num_stages:
             raise ConfigError(f"layers_per_stage {self.layers_per_stage} must have one entry per stage "
                               f"({self.num_stages})")
-        for name in ("experts", "layers_per_stage"):
-            if min(getattr(self, name)) < 1:
-                raise ConfigError(f"{name} entries must be >= 1, got {list(getattr(self, name))}")
-        if self.norm not in ("dyt", "ln"):
-            raise ConfigError(f"norm must be 'dyt' or 'ln', got {self.norm!r}")
-        for name in ("stem_channels", "slots_per_expert", "ssm_state_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_at_least(self, ("experts", "layers_per_stage", "stem_channels", "slots_per_expert",
+                              "ssm_state_dim"))
+        if self.norm not in NORMS:
+            raise ConfigError(f"norm must be {' or '.join(map(repr, NORMS))}, got {self.norm!r}")
         if any(a >= b for a, b in zip(self.experts, self.experts[1:])):
             raise ConfigError(f"expert counts must increase strictly with depth, "
                               f"got {list(self.experts)}")
@@ -128,17 +136,15 @@ def full_config(num_classes: int = 3, norm: str = "dyt") -> NetworkConfig:
 PRESETS = {"tiny": tiny_config, "full": full_config}
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     lr: float = 1e-4
     batch_size: int = 2
     steps: int = 300
     seed: int = 0
 
-    def validate(self) -> "TrainConfig":
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
-        for name in ("steps", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        return self
+    def __post_init__(self):
+        if not 0 < self.lr < math.inf:  # NaN fails the comparison too
+            raise ConfigError(f"lr must be > 0 and finite, got {self.lr}")
+        check_at_least(self, ("steps", "batch_size"))
+        check_at_least(self, ("seed",), least=0)

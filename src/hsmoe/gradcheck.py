@@ -3,7 +3,7 @@
 Central differences (step ``FD_STEP``, f64) against tape gradients, with a
 relative error floored (``REL_FLOOR``, scaled by the gradients' RMS) to keep
 FD noise on near-zero coordinates from dominating.
-The per-module suites at the bottom are what ``hsmoe gradcheck`` runs.
+The per-module suites in ``hsmoe.suites`` are what ``hsmoe gradcheck`` runs.
 """
 
 from __future__ import annotations

@@ -173,12 +173,8 @@ class LayerNorm(Module):
         return T._trace(out, (x, self.gamma, self.beta), bwd, "layernorm")
 
 
-def make_norm(kind: str, dim: int) -> Module:
-    if kind == "dyt":
-        return DynamicTanh(dim)
-    if kind == "ln":
-        return LayerNorm(dim)
-    raise ValueError(f"unknown normalization {kind!r}; choose 'dyt' or 'ln'")
+# the block normalizations by name: each class is built from its channel count
+NORMS = {"dyt": DynamicTanh, "ln": LayerNorm}
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 DEFAULT_DTYPE = np.float64
-# dtype objects, not the type objects: ``in`` then matches an array's dtype by
-# identity, where a type object is converted to a dtype on every comparison
-_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+# a tensor's precisions by name (``--precision``, checkpoint tags), as dtype objects:
+# ``in`` then matches an array's dtype by identity, not converting a type object each time
+PRECISIONS = {"f64": np.dtype(np.float64), "f32": np.dtype(np.float32)}
+_FLOAT_DTYPES = tuple(PRECISIONS.values())
 
 _SEQ = itertools.count()
 _RECORDING = True  # process-wide, switched off inside no_grad()
@@ -443,6 +444,7 @@ def matmul(a, b) -> Tensor:
     return _trace(out, (a, b), bwd, "matmul")
 
 
+@_quiet
 def softmax(a, axis: int = -1) -> Tensor:
     """Stable softmax along ``axis`` (the maximum is subtracted first); a -inf
     entry beside finite ones gives an exact 0, as numpy's ``exp`` does."""
@@ -460,6 +462,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _trace(out, (a,), bwd, "softmax")
 
 
+@_quiet
 def log_softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
     x = a.data

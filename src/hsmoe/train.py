@@ -189,7 +189,6 @@ def train_loop(net, samples: Sequence[VolumeSample], cfg: TrainConfig,
     (step, loss, mdsc, lr) and, given a path, saves the trained parameters
     there at the end. Aborts with the step index if the loss diverges: a NaN
     or Inf in the forward, the loss or the backward."""
-    cfg.validate()
     order_rng = T.rng(cfg.seed)
     named = list(net.named_parameters())
     opt = AdamW(named)

@@ -5,6 +5,7 @@ import csv
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,7 @@ import pytest
 
 from hsmoe import cli, tensor as T
 from hsmoe.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, build_run_config, main
-from hsmoe.config import ConfigError, NetworkConfig
+from hsmoe.config import ConfigError, NetworkConfig, TrainConfig
 from hsmoe.volio import write_volume
 
 
@@ -121,10 +122,14 @@ def test_each_subcommand_accepts_exactly_the_flags_it_reads():
     ["gradcheck", "--config", "run.cfg"],
     ["bench", "--precision", "f32"],
     ["train", "--threads", "2"],
+    ["--nope", "describe"],
 ])
 def test_flag_a_command_does_not_read_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
-    if argv[0].startswith("-"):  # placed before the subcommand: the error names the flag
+    if argv[0] in ("--config", "--nope"):  # before the subcommand, and no subcommand defines it
+        _assert_validation_error(code, err, f"unrecognized arguments: {argv[0]}")
+        assert "after the subcommand" not in err
+    elif argv[0].startswith("-"):  # placed before the subcommand: the error names the flag
         _assert_validation_error(code, err, argv[0], "after the subcommand")
     else:
         _assert_validation_error(code, err)
@@ -259,10 +264,33 @@ def test_base_group_size_must_halve_over_every_stage():
     (["train", "--classes", "0"], "num_classes must be >= 2"),
     (["eval", "--checkpoint", "ck", "--volumes", "0"], "num_volumes must be >= 1"),
     (["eval", "--checkpoint", "ck", "--size", "0"], "size must be >= 1"),
+    (["train", "--lr", "nan"], "lr must be > 0"),
+    (["train", "--lr", "inf"], "lr must be > 0"),
 ])
 def test_bad_run_flag_is_validation_error(capsys, argv, fragment):
     code, _, err = run_cli(capsys, *argv)
     _assert_validation_error(code, err, fragment)
+
+
+@pytest.mark.parametrize("argv", [["train"], ["bench"], ["eval", "--checkpoint", "ck"]])
+def test_negative_seed_is_validation_error_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    _assert_validation_error(code, err, "error: seed must be >= 0, got -1")
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cls,kwargs,fragment", [
+    (TrainConfig, {"lr": float("nan")}, "lr must be > 0"),
+    (TrainConfig, {"lr": float("-inf")}, "lr must be > 0"),
+    (TrainConfig, {"steps": 0}, "steps must be >= 1, got 0"),
+    (TrainConfig, {"seed": -1}, "seed must be >= 0, got -1"),
+    (cli.RunConfig, {"seed": -1}, "seed must be >= 0, got -1"),
+    (cli.RunConfig, {"num_volumes": 0}, "num_volumes must be >= 1, got 0"),
+], ids=["train-lr-nan", "train-lr-neg-inf", "train-steps", "train-seed", "run-seed", "run-volumes"])
+def test_run_settings_check_themselves_at_construction(cls, kwargs, fragment):
+    with pytest.raises(ConfigError, match=re.escape(fragment)):
+        cls(**kwargs)
 
 
 @pytest.mark.parametrize("size", ["0", "-16", "24"])
@@ -277,10 +305,10 @@ def test_run_flags_merge_in_build_run_config():
                                           "--volumes", "5", "--size", "32", "--classes", "4"])
     run = build_run_config(args)
     assert (run.train.steps, run.train.lr, run.train.batch_size) == (7, 0.5, 3)
-    assert (run.data.num_volumes, run.data.size, run.num_classes) == (5, 32, 4)
+    assert (run.num_volumes, run.size, run.num_classes) == (5, 32, 4)
     # describe's --size is the echoed reference extent, not the data size
     run = build_run_config(cli.build_parser().parse_args(["describe", "--size", "32"]))
-    assert run.data.size == cli.DataConfig().size
+    assert run.size == cli.RunConfig().size
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
@@ -290,7 +318,7 @@ def test_every_setting_flag_sets_its_config_key(command):
     flags += ["--threads", "3"] if command == "eval" else []
     run = build_run_config(cli.build_parser().parse_args([command, *flags]))
     assert (run.seed, run.train.seed, run.precision, run.preset, run.num_classes, run.norm,
-            run.data.num_volumes, run.data.size) == (9, 9, "f32", "full", 4, "ln", 5, 32)
+            run.num_volumes, run.size) == (9, 9, "f32", "full", 4, "ln", 5, 32)
     assert run.threads == (3 if command == "eval" else 1)
 
 
@@ -491,7 +519,7 @@ def test_precision_casts_network_and_data(precision):
     from hsmoe.network import SegNet
     from hsmoe.train import dice_ce_loss, synth_volumes
 
-    dtype = cli._PRECISIONS[precision]
+    dtype = T.PRECISIONS[precision]
     run = build_run_config(cli.build_parser().parse_args(
         ["train", "--precision", precision, "--classes", "2", "--volumes", "2"]))
     net, data = cli._net_and_data(run, data_seed=1)

@@ -28,6 +28,9 @@ def test_exactness_probe_writes_every_output_group(tmp_path):
     ln_params = [name for name, _ in SegNet(tiny_config(3, norm="ln"), seed=0).named_parameters()]
     want = {"describe/tiny", "describe/full", "infer48/logits", "train/history"}
     want |= {f"eval/seed{seed}/{kind}" for seed in range(4) for kind in ("csv", "json")}
+    want |= {f"cli/{precision}/{key}" for precision in ("f64", "f32")
+             for key in ("train/history", "train/checkpoint.json", "train/checkpoint.bin", "eval/csv",
+                         "eval/json")}
     want |= {f"train/param/{name}" for name in params}
     for norm, names in (("dyt", params), ("ln", ln_params)):
         for dtype in ("float64", "float32"):

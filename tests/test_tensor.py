@@ -88,8 +88,18 @@ def test_softmax_reference_values():
 
 def test_softmax_degenerate_slice_raises():
     # an entirely -inf slice has no softmax: -inf - -inf is NaN, and the output check raises
-    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="softmax: non-finite"):
+    with pytest.raises(NumericalError, match="softmax: non-finite"):
         T.softmax(Tensor(np.array([[-np.inf, -np.inf], [0.0, 1.0]])), axis=-1)
+
+
+@pytest.mark.parametrize("op", [T.softmax, T.log_softmax])
+@pytest.mark.parametrize("row", [[-np.inf, -np.inf], [np.inf, 0.0]])
+def test_softmax_non_finite_slice_raises_only_numerical_error(op, row):
+    # numpy's RuntimeWarning would only repeat the error, and as an error it would replace it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=f"{op.__name__}: non-finite"):
+            op(Tensor(np.array([row, [0.0, 1.0]])), axis=-1)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -108,7 +118,7 @@ def test_softmax_bit_identical_to_numpy(dtype):
         grad = want * (w - np.sum(w * want, axis=axis, keepdims=True))
         assert xs.grad.dtype == dtype and np.array_equal(xs.grad, grad)
     x[1, 2] = -np.inf
-    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="softmax: non-finite"):
+    with pytest.raises(NumericalError, match="softmax: non-finite"):
         T.softmax(Tensor(x), axis=-1)
 
 

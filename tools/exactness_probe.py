@@ -14,7 +14,10 @@ bytes as shape). The outputs are:
 - every ``CheckResult`` of ``run_suites()``;
 - the stdout of ``hsmoe describe --preset tiny`` and ``--preset full``;
 - ``hsmoe eval``'s CSV and JSON over four 64^3 label-volume cases shaped as
-  the benchmark's eval-labels workload, for four seeds.
+  the benchmark's eval-labels workload, for four seeds;
+- in f64 and in f32: the history CSV and both checkpoint files of a 2-step
+  ``hsmoe train`` on one 16^3 volume, and the CSV and JSON of checkpoint-mode
+  ``hsmoe eval`` on that checkpoint.
 
 The program is imported from the ``src`` next to this script, so run the
 script of each tree to compare two trees, then diff the two files:
@@ -61,6 +64,8 @@ def digest(value) -> dict:
     if isinstance(value, str):
         raw = value.encode()
         return {"sha256": hashlib.sha256(raw).hexdigest(), "dtype": "text", "shape": [len(raw)]}
+    if isinstance(value, bytes):
+        value = np.frombuffer(value, dtype=np.uint8)
     arr = np.ascontiguousarray(value)
     return {"sha256": hashlib.sha256(arr.tobytes()).hexdigest(), "dtype": str(arr.dtype),
             "shape": list(arr.shape)}
@@ -150,6 +155,25 @@ def evaluation(out: dict, root: str) -> None:
                 out[f"eval/seed{seed}/{name}"] = digest(fh.read())
 
 
+def cli_files(out: dict, root: str) -> None:
+    """The files ``hsmoe train`` and checkpoint-mode ``hsmoe eval`` write,
+    per precision; the checkpoint's payload as bytes, the others as text."""
+    for precision in ("f64", "f32"):
+        folder = os.path.join(root, precision)
+        os.makedirs(folder)
+        files = {key: os.path.join(folder, name) for key, name in (
+            ("train/history", "h.csv"), ("train/checkpoint.json", "ck.json"),
+            ("train/checkpoint.bin", "ck.bin"), ("eval/csv", "m.csv"), ("eval/json", "m.json"))}
+        data = ["--precision", precision, "--volumes", "1", "--size", "16"]
+        run_cli(["train", *data, "--steps", "2", "--batch-size", "1", "--history", files["train/history"],
+                 "--checkpoint", os.path.join(folder, "ck")])
+        run_cli(["eval", *data, "--checkpoint", os.path.join(folder, "ck"), "--out", files["eval/csv"],
+                 "--json-out", files["eval/json"]])
+        for key, path in files.items():
+            with open(path, "rb" if path.endswith(".bin") else "r") as fh:
+                out[f"cli/{precision}/{key}"] = digest(fh.read())
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -162,6 +186,7 @@ def main(argv) -> int:
     describe(out)
     with tempfile.TemporaryDirectory() as root:
         evaluation(out, root)
+        cli_files(out, root)
     with open(argv[0], "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")
