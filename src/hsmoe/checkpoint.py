@@ -68,7 +68,8 @@ def load_checkpoint(base: str) -> Dict[str, np.ndarray]:
             dt = PRECISIONS[entry["dtype"]].newbyteorder("<")
             count = int(np.prod(entry["shape"])) if entry["shape"] else 1
             arr = np.frombuffer(blob, dtype=dt, count=count, offset=entry["offset"])
-            out[entry["name"]] = arr.reshape(entry["shape"]).astype(dt.newbyteorder("=")).copy()
+            # astype copies: a writable array of its own, not a view of ``blob``
+            out[entry["name"]] = arr.reshape(entry["shape"]).astype(dt.newbyteorder("="))
     except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise CheckpointError(f"malformed checkpoint {base}: {type(err).__name__}: {err}") from err
     return out

@@ -40,8 +40,9 @@ EXIT_RUNTIME = 2
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A run's settings, checked as they are built. A setting flag's dest is
-    the name of the field it sets, here or in ``train``; ``--seed`` sets
+    """A run's settings, checked as they are built, the network they name
+    included, whether or not the subcommand builds it. A setting flag's dest
+    is the name of the field it sets, here or in ``train``; ``--seed`` sets
     ``seed`` and ``train.seed``."""
 
     seed: int = 0
@@ -57,6 +58,7 @@ class RunConfig:
     def __post_init__(self):
         check_at_least(self, ("seed",), least=0)
         check_at_least(self, ("threads", "num_volumes", "size"))
+        self.network()  # the preset, norm and class-count rules
 
     def network(self) -> NetworkConfig:
         return PRESETS[self.preset](num_classes=self.num_classes, norm=self.norm)

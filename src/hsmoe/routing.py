@@ -68,8 +68,8 @@ def slot_assign(grouped: Tensor, valid: np.ndarray, slot_emb: Tensor
     a softmax over the combined expert-slot dimension (m = e*S + s). Masking
     is row-granular: an invalid token has its whole row suppressed, realized
     as an exact-zero dispatch row so padded content can never reach a slot
-    (and gets zero gradient). Returns slots [B,G,E,S,d] and dispatch weights
-    A [B,G,K,M].
+    (and gets zero gradient). Returns slots [B,G,M,d], the layout the two
+    routing levels and ``combine`` take, and dispatch weights A [B,G,K,M].
     """
     B, G, K, d = grouped.shape
     E, S, d2 = slot_emb.shape
@@ -81,8 +81,8 @@ def slot_assign(grouped: Tensor, valid: np.ndarray, slot_emb: Tensor
     weights = T.softmax(logits, axis=-1)
     if not valid.all():
         weights = T.masked_fill(weights, valid.reshape(B, G, K, 1).astype(bool), 0.0)
-    slots_flat = T.matmul(T.transpose(weights), grouped)  # [B,G,M,K] @ [B,G,K,d]
-    return T.reshape(slots_flat, (B, G, E, S, d)), weights
+    slots = T.matmul(T.permute(weights, (0, 1, 3, 2)), grouped)  # [B,G,M,K] @ [B,G,K,d]
+    return slots, weights
 
 
 def _mix(outs: Tensor, gate: Tensor) -> Tensor:
@@ -95,9 +95,7 @@ def _mix(outs: Tensor, gate: Tensor) -> Tensor:
     lead = gate.ndim - 1
     w = gate.data.transpose((lead,) + tuple(range(lead)))[..., None]  # [E, *lead', 1]
     experts = outs.data
-    out = w[0] * experts[0]
-    for e in range(1, len(experts)):
-        out += w[e] * experts[e]
+    out = np.add.reduce(w * experts, axis=0)
 
     def bwd(g):
         dgate = (experts * g).sum(axis=-1)  # [E, *lead]
@@ -197,10 +195,7 @@ class HierarchicalMoE(nn.Module):
         self.cfg = cfg
 
     def __call__(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
-        B, N, d = x.shape
-        cfg = self.cfg
-        grouped, valid = group_and_pad(x, mask, cfg.group_size)
+        grouped, valid = group_and_pad(x, mask, self.cfg.group_size)
         slots, weights = slot_assign(grouped, valid, self.slot_emb)
-        y1 = level1_route(T.reshape(slots, (B, grouped.shape[1], cfg.slots_per_group, d)),
-                          self.router1, self.experts1)
-        return combine(level2_route(y1, self.router2, self.experts2), weights, N)
+        y1 = level1_route(slots, self.router1, self.experts1)
+        return combine(level2_route(y1, self.router2, self.experts2), weights, x.shape[1])

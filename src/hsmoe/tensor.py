@@ -30,6 +30,7 @@ backward, and counts their tape nodes; outside one it costs a global check.
 from __future__ import annotations
 
 import contextlib
+import heapq
 import itertools
 from collections import Counter
 from time import perf_counter
@@ -174,7 +175,7 @@ class Profile:
     the start of the profile, or the end of the last ``backward``) to its
     own, so work between ops, such as a layer's glue code, is charged to the
     op that follows it. The backward time of an op is the time in its
-    closures; ``backward``'s own bookkeeping (the walk, the accumulation and
+    closures; ``backward``'s own bookkeeping (the heap, the accumulation and
     the leaf checks) is the line named "backward".
     """
 
@@ -258,15 +259,23 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss; fills ``grad`` on leaf tensors.
 
+    One sweep over a max-heap of tape nodes keyed on ``seq``: a node is pushed
+    when the first gradient reaches it, and since its consumers were created
+    after it, it is popped only once they have all run and its gradient is
+    complete. Closures so run in descending ``seq``, and a fan-in adds its
+    terms in that order.
+
     Each leaf gradient is checked as it is deposited: a NaN or Inf raises
     ``NumericalError`` naming the op whose backward produced it. The closures
     run quiet, so that error is the only sign of an overflow in them.
 
-    Each node is consumed as the sweep passes it, whether or not a gradient
-    reached it: it drops its closure and its inputs, so activations are freed
-    as the sweep goes and afterwards a caller's ``loss`` keeps only its own
-    data. A walk that meets a consumed node raises ``TapeError`` before it
-    would follow the node's (now empty) inputs.
+    A node is consumed once its closure has run: it drops its closure and its
+    inputs, so activations are freed as the sweep goes and afterwards a
+    caller's ``loss`` keeps only its own data; a node no gradient reaches is
+    left as it is. Popping a consumed node (a
+    graph that shares nodes with an earlier loss) raises ``TapeError``; the
+    nodes later on the tape than it have run and been consumed by then, so
+    the forward pass must be re-run.
     """
     prof = _PROFILE
     start = perf_counter()
@@ -276,30 +285,14 @@ def backward(loss: Tensor) -> None:
         if loss.requires_grad:
             loss.grad = np.ones_like(loss.data)
         return
-    topo = []
-    visited = set()
-    stack = [loss]
-    while stack:
-        t = stack.pop()
-        if id(t) in visited:
-            continue
-        visited.add(id(t))
-        if t.node is not None:
-            if t.node.backward_fn is None:
-                raise TapeError("tape already consumed: re-run the forward pass before calling backward again")
-            topo.append(t)
-            stack.extend(t.node.inputs)
-    topo.sort(key=lambda t: t.node.seq)
-
-    grads = {id(loss): np.ones_like(loss.data)}
+    grads = {loss.node: np.ones_like(loss.data)}
+    heap = [(-loss.node.seq, loss.node)]  # seq is unique, so nodes are never compared
     closures = 0.0
-    while topo:  # latest node first; popping lets each tensor die once nothing else holds it
-        t = topo.pop()
-        g = grads.pop(id(t), None)
-        node = t.node
-        if g is None:
-            node.backward_fn, node.inputs = None, ()
-            continue
+    while heap:
+        node = heapq.heappop(heap)[1]
+        if node.backward_fn is None:
+            raise TapeError("tape already consumed: re-run the forward pass before calling backward again")
+        g = grads.pop(node)
         if prof is None:
             in_grads = node.backward_fn(g)
         else:
@@ -311,9 +304,14 @@ def backward(loss: Tensor) -> None:
         for inp, ig in zip(node.inputs, in_grads):
             if ig is None:
                 continue
-            if inp.node is not None:
-                acc = grads.get(id(inp))
-                grads[id(inp)] = ig if acc is None else acc + ig
+            src = inp.node
+            if src is not None:
+                acc = grads.get(src)
+                if acc is None:
+                    heapq.heappush(heap, (-src.seq, src))
+                    grads[src] = ig
+                else:
+                    grads[src] = acc + ig
             elif inp.requires_grad:
                 inp.grad = np.array(ig) if inp.grad is None else inp.grad + ig
                 if not np.logical_and.reduce(np.isfinite(inp.grad), axis=None):
@@ -558,13 +556,6 @@ def permute(a, axes) -> Tensor:
         return (g.transpose(inv),)
 
     return _trace(out, (a,), bwd, "permute", check_finite=False)
-
-
-def transpose(a) -> Tensor:
-    """Swap the last two axes."""
-    a = as_tensor(a)
-    order = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
-    return permute(a, order)
 
 
 def concatenate(tensors: Sequence, axis: int = 0) -> Tensor:

@@ -287,7 +287,10 @@ def test_negative_seed_is_validation_error_before_any_work(tmp_path, capsys, mon
     (TrainConfig, {"seed": -1}, "seed must be >= 0, got -1"),
     (cli.RunConfig, {"seed": -1}, "seed must be >= 0, got -1"),
     (cli.RunConfig, {"num_volumes": 0}, "num_volumes must be >= 1, got 0"),
-], ids=["train-lr-nan", "train-lr-neg-inf", "train-steps", "train-seed", "run-seed", "run-volumes"])
+    (cli.RunConfig, {"num_classes": 1}, "num_classes must be >= 2, got 1"),
+    (cli.RunConfig, {"norm": "bn"}, "norm must be 'dyt' or 'ln', got 'bn'"),
+], ids=["train-lr-nan", "train-lr-neg-inf", "train-steps", "train-seed", "run-seed", "run-volumes",
+        "run-classes", "run-norm"])
 def test_run_settings_check_themselves_at_construction(cls, kwargs, fragment):
     with pytest.raises(ConfigError, match=re.escape(fragment)):
         cls(**kwargs)
@@ -677,6 +680,13 @@ def test_eval_label_dir_mode_reads_classes_and_threads_and_leaves_the_seed_ambie
     code, out, err = run_cli(capsys, *_label_dir_argv(tmp_path))
     assert code == EXIT_OK, err
     assert "evaluated 1 cases over 1 foreground classes" in out
+
+
+def test_eval_label_dir_mode_checks_the_class_count(tmp_path, capsys):
+    # one class names no foreground class to score: rejected as in checkpoint mode, before any case is read
+    code, out, err = run_cli(capsys, *_label_dir_argv(tmp_path), "--classes", "1")
+    _assert_validation_error(code, err, "error: num_classes must be >= 2, got 1")
+    assert out == "" and not (tmp_path / "m.csv").exists() and not (tmp_path / "m.json").exists()
 
 
 def test_eval_checkpoint_mode_rejects_gt_dir(tmp_path, capsys):

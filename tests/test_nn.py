@@ -128,7 +128,7 @@ def test_tiny_forward_tape_and_parameter_census():
             stack.extend(t.node.inputs)
             # the head's stem_channels-wide full-resolution map is never built
             assert t.shape != (4, cfg.stem_channels) + x.shape[2:]
-    assert len(seen) == 319, f"{len(seen)} tape nodes in one tiny forward"
+    assert len(seen) == 311, f"{len(seen)} tape nodes in one tiny forward"
     assert len(net.parameters()) == 198
     # one node per norm call: two per encoder layer (DyT or LN), two LNs per decoder stage
     encoder_norms = 2 * sum(cfg.layers_per_stage)

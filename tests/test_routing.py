@@ -105,7 +105,7 @@ def test_slot_assign_matches_direct_loop():
     for g in range(2):
         for m in range(2):
             want = sum(A.data[0, g, k, m] * x[0, g * 2 + k] for k in range(2))
-            assert np.allclose(slots.data[0, g, m, 0], want, atol=1e-15)
+            assert np.allclose(slots.data[0, g, m], want, atol=1e-15)
 
 
 def test_padding_rows_get_exact_zero_dispatch():

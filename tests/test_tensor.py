@@ -262,6 +262,46 @@ def test_backward_through_a_subgraph_consumed_by_an_earlier_loss_raises():
         T.backward(other)
 
 
+def test_backward_runs_each_reached_node_once_latest_first():
+    x = leaf([1.0, -2.0])
+    h = T.tanh(x)
+    sq = T.mul(h, h)  # one node that takes the same tensor twice
+    loss = T.reduce_sum(T.add(T.add(sq, T.mul(h, 3.0)), T.sigmoid(x)))  # fan-in on h and on x
+    ran, seen, stack = [], set(), [loss]
+    while stack:  # wrap every closure once, as perfbench does
+        t = stack.pop()
+        if t.node is not None and t.node not in seen:
+            seen.add(t.node)
+
+            def wrapped(g, node=t.node, fn=t.node.backward_fn):
+                ran.append(node.seq)
+                return fn(g)
+
+            t.node.backward_fn = wrapped
+            stack.extend(t.node.inputs)
+    T.backward(loss)
+    assert len(ran) == 7  # tanh, two muls, sigmoid, two adds, reduce_sum
+    assert all(a > b for a, b in zip(ran, ran[1:])), ran
+    hx = np.tanh([1.0, -2.0])
+    sx = 1.0 / (1.0 + np.exp([-1.0, 2.0]))
+    assert np.allclose(x.grad, (2.0 * hx + 3.0) * (1.0 - hx * hx) + sx * (1.0 - sx), atol=1e-15)
+
+
+def test_backward_into_a_consumed_node_has_run_the_nodes_after_it():
+    x = leaf(np.ones(3))
+    h = T.mul(x, x)
+    later = T.mul(h, 2.0)  # recorded after h, differentiated only through ``other``
+    other = T.reduce_sum(later)
+    T.backward(T.reduce_sum(T.mul(h, 3.0)))
+    x.grad = None
+    with pytest.raises(TapeError, match="tape already consumed"):
+        T.backward(other)
+    # the sweep ran and consumed the nodes later on the tape than h before it reached h
+    for t in (other, later):
+        assert t.node.backward_fn is None and t.node.inputs == ()
+    assert x.grad is None
+
+
 def test_grad_accumulates_over_multiple_uses():
     x = leaf([1.0, 2.0])
     loss = T.reduce_sum(T.add(T.mul(x, 3.0), T.mul(x, x)))
