@@ -58,7 +58,10 @@ class RunConfig:
     def __post_init__(self):
         check_at_least(self, ("seed",), least=0)
         check_at_least(self, ("threads", "num_volumes", "size"))
-        self.network()  # the preset, norm and class-count rules
+        for name, table in (("preset", PRESETS), ("precision", T.PRECISIONS)):
+            if getattr(self, name) not in table:
+                raise ConfigError(f"{name} must be {' or '.join(map(repr, table))}, got {getattr(self, name)!r}")
+        self.network()  # the norm and class-count rules
 
     def network(self) -> NetworkConfig:
         return PRESETS[self.preset](num_classes=self.num_classes, norm=self.norm)

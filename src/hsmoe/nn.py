@@ -14,7 +14,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from . import tensor as T
-from .tensor import ShapeError, Tensor
+from .tensor import NumericalError, ShapeError, Tensor
 
 
 class Module:
@@ -68,6 +68,7 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
+@T._quiet
 def gelu(x: Tensor) -> Tensor:
     """Smooth tanh-form approximation of the Gaussian error linear unit,
     0.5 x (1 + tanh(c (x + a x^3))), as one tape op.
@@ -75,7 +76,8 @@ def gelu(x: Tensor) -> Tensor:
     The forward runs in place in the order of the composition
     ``(x*0.5) * (tanh(((x*x)*x*a + x) * c) + 1)``, so its values are
     bit-identical to that composition of traced ops; only s = 1 + tanh(.)
-    is kept for the backward, which uses 1 - tanh^2 = s (2 - s).
+    is kept for the backward, which uses 1 - tanh^2 = s (2 - s). A large
+    finite x overflows x^3 to inf, which tanh maps to 1, so it runs quiet.
     """
     x = T.as_tensor(x)
     s = np.multiply(x.data, x.data, out=np.empty_like(x.data))  # an array even for 0-d x
@@ -143,12 +145,14 @@ class LayerNorm(Module):
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
         self.dim = dim
 
+    @T._quiet
     def __call__(self, x: Tensor, axis: int = -1) -> Tensor:
         """Normalize over ``axis`` (the tokens' trailing one, or 1, the
         channels of a volume) as one tape op ("layernorm"). It keeps the
         traced composition's order (mean, centre, mean square, divide by
         sqrt(var + eps), scale, shift), so along the trailing axis its values
-        are bit-identical to it."""
+        are bit-identical to it. A mean square that overflows raises
+        NumericalError: dividing by its inf would turn every value into 0."""
         x = T.as_tensor(x)
         axis %= x.ndim
         if x.shape[axis] != self.dim:
@@ -156,7 +160,11 @@ class LayerNorm(Module):
         affine = (self.dim,) + (1,) * (x.ndim - 1 - axis)
         gamma = self.gamma.data.reshape(affine)
         normed = x.data - np.mean(x.data, axis=axis, keepdims=True)
-        std = np.sqrt(np.mean(normed * normed, axis=axis, keepdims=True) + LAYERNORM_EPS)
+        var = np.mean(normed * normed, axis=axis, keepdims=True)
+        if not np.isfinite(var).all():
+            raise NumericalError("layernorm: non-finite mean square of the centred input (NaN/Inf surfaced, "
+                                 "not propagated)")
+        std = np.sqrt(var + LAYERNORM_EPS)
         normed /= std
         out = normed * gamma
         out += self.beta.data.reshape(affine)
@@ -213,7 +221,15 @@ def _correlate(x: np.ndarray, weight: np.ndarray, stride: int, padding: int) -> 
     them out as ``cols`` [kh*kw*C, phases, P, B*Ho*Wo]. Live depth offset i
     reads rows i//s .. i//s+Do-1 of phase i % s, a strided view of ``cols``
     that BLAS takes as it is, and the output is sum_i W_i @ view_i with
-    W_i = weight[:, :, i] laid out as [O, kh*kw*C].
+    W_i = weight[:, :, i] laid out as [O, kh*kw*C], added in tap order.
+
+    At stride 1, when the kd-1 rows of ``cols`` past Do cost at most a quarter
+    more work (Do >= 4 (kd-1), so P <= 1.25 Do), the taps share one GEMM: the
+    W_i stacked as [kd*O, R] times all P rows of ``cols``, and W_i @ view_i is
+    rows i .. i+Do-1 of its block (kn2row's stacking, arXiv 1709.03395, on the
+    depth taps only, so K stays kh*kw*C). One taller GEMM runs faster than kd
+    with O rows each; the sum keeps the tap order. Smaller extents and
+    strides above 1 lose by stacking, and keep one GEMM per tap.
     """
     O, C, k = weight.shape[:3]
     B, spatial = x.shape[0], x.shape[2:]
@@ -243,9 +259,15 @@ def _correlate(x: np.ndarray, weight: np.ndarray, stride: int, padding: int) -> 
     cols = taps.reshape(R, phases, P, N)
     views = [cols[:, i % s, i // s:i // s + Do].reshape(R, Do * N) for i in range(kd)]
     wmats = weight[:, :, live[0], live[1], live[2]].transpose(2, 0, 3, 4, 1).reshape(kd, O, R)
-    out = wmats[0] @ views[0]
-    for i in range(1, kd):
-        out += wmats[i] @ views[i]
+    if s == 1 and 1 < kd and 4 * (kd - 1) <= Do:
+        stacked = np.matmul(wmats.reshape(kd * O, R), cols.reshape(R, P * N)).reshape(kd, O, P, N)
+        out = stacked[0, :, :Do]  # tap 0's block, summed into in place
+        for i in range(1, kd):
+            out += stacked[i, :, i:i + Do]
+    else:
+        out = np.matmul(wmats[0], views[0])
+        for i in range(1, kd):
+            out += np.matmul(wmats[i], views[i])
     return np.ascontiguousarray(out.reshape(O, Do, B, Ho, Wo).transpose(2, 0, 1, 3, 4)), (views, live)
 
 

@@ -289,8 +289,11 @@ def test_negative_seed_is_validation_error_before_any_work(tmp_path, capsys, mon
     (cli.RunConfig, {"num_volumes": 0}, "num_volumes must be >= 1, got 0"),
     (cli.RunConfig, {"num_classes": 1}, "num_classes must be >= 2, got 1"),
     (cli.RunConfig, {"norm": "bn"}, "norm must be 'dyt' or 'ln', got 'bn'"),
+    # argparse choices keep these from the CLI; built in Python they are checked too
+    (cli.RunConfig, {"preset": "bogus"}, "preset must be 'tiny' or 'full', got 'bogus'"),
+    (cli.RunConfig, {"precision": "f16"}, "precision must be 'f64' or 'f32', got 'f16'"),
 ], ids=["train-lr-nan", "train-lr-neg-inf", "train-steps", "train-seed", "run-seed", "run-volumes",
-        "run-classes", "run-norm"])
+        "run-classes", "run-norm", "run-preset", "run-precision"])
 def test_run_settings_check_themselves_at_construction(cls, kwargs, fragment):
     with pytest.raises(ConfigError, match=re.escape(fragment)):
         cls(**kwargs)

@@ -32,6 +32,7 @@ def test_exactness_probe_writes_every_output_group(tmp_path):
              for key in ("train/history", "train/checkpoint.json", "train/checkpoint.bin", "eval/csv",
                          "eval/json")}
     want |= {f"train/param/{name}" for name in params}
+    want |= {f"conv3d/{name}/{key}" for name in ("stacked", "per_tap", "stride2") for key in ("out", "dx", "dW")}
     for norm, names in (("dyt", params), ("ln", ln_params)):
         for dtype in ("float64", "float32"):
             key = f"step/{norm}/{dtype}"

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,16 @@ def test_layernorm_channel_axis_of_a_volume():
         ln(x, axis=2)
 
 
+def test_large_finite_inputs_raise_or_pass_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # x^3 overflows inside gelu; tanh maps it to 1, and the value is x
+        assert nn.gelu(Tensor([1e200])).data.tolist() == [1e200]
+        # the mean square overflows: dividing by it would return beta
+        with pytest.raises(T.NumericalError, match="layernorm"):
+            nn.LayerNorm(2)(Tensor([[1e200, -1e200]]))
+
+
 # ---------------------------------------------------------------------------
 # conv3d
 
@@ -423,6 +434,58 @@ def test_conv3d_skips_taps_that_read_only_padding(shape, k, stride, pad, live):
     y = np.vdot(out.data - b.reshape(1, 2, 1, 1, 1), gout)
     assert abs(y - np.vdot(x.data, dx)) <= 1e-12 * max(abs(y), 1.0)
     assert abs(y - np.vdot(w.data, dw)) <= 1e-12 * max(abs(y), 1.0)
+
+
+def test_conv3d_with_stacked_depth_taps_matches_oracle_adjoint_and_gradcheck():
+    # stride 1, k=3 at depth 12 >= 4*(3-1): the forward and the input gradient's
+    # correlation each run the depth taps as one GEMM
+    g = T.rng(43)
+    x = Tensor(g.uniform(-1, 1, (1, 3, 12, 5, 4)), requires_grad=True)
+    conv = nn.Conv3d(3, 2, 3, T.rng(44), padding=1)
+    conv.bias.data[:] = g.uniform(-1, 1, 2)
+    out = conv(x)
+    want = conv3d_naive(x.data, conv.weight.data, conv.bias.data, 1, 1)
+    np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+    gout = g.uniform(-1, 1, out.shape)
+    dx, dw, _ = out.node.backward_fn(gout)
+    y = np.vdot(out.data - conv.bias.data.reshape(1, 2, 1, 1, 1), gout)
+    assert _rel(y, np.vdot(x.data, dx)) <= 1e-12
+    assert _rel(y, np.vdot(conv.weight.data, dw)) <= 1e-12
+    # 884 coordinates of a 240-voxel output: central differences reach 1.3e-6
+    # here whichever grouping runs, so 1e-6 would test the difference's noise
+    params = dict(conv.named_parameters())
+    params["x"] = x
+    res = grad_check(lambda: weighted_sum_loss(conv(x)), params, name="conv3d", tol=1e-5)
+    assert res.passed, f"max rel err {res.max_rel_err}"
+
+
+@pytest.mark.parametrize("depth,k,stride,gemms", [
+    (8, 3, 1, 1),   # Do = 8 >= 4*(3-1): one GEMM for the three depth taps
+    (6, 3, 1, 3),   # Do = 6: one GEMM per tap
+    (16, 3, 2, 3),  # stride 2 (Do = 8) keeps one GEMM per tap
+    (8, 1, 1, 1),   # one depth tap, one GEMM
+])
+def test_correlate_stacks_depth_taps_only_at_stride_1_and_depth_4_per_extra_tap(depth, k, stride, gemms,
+                                                                                 monkeypatch):
+    calls = []
+    matmul = np.matmul
+    monkeypatch.setattr(nn.np, "matmul", lambda a, b: calls.append((a.shape, b.shape)) or matmul(a, b))
+    g = T.rng(45)
+    x = g.uniform(-1, 1, (2, 3, depth, 4, 5))
+    w = g.uniform(-1, 1, (4, 3, k, k, k))
+    out, (views, _) = nn._correlate(x, w, stride, k // 2)
+    monkeypatch.undo()
+    assert len(calls) == gemms
+    if gemms == 1 and k > 1:  # [k*O, R] @ [R, P*N] with P = Do + k-1 rows
+        assert calls[0][0][0] == k * 4 and calls[0][1][1] == (depth + k - 1) * 2 * 4 * 5
+    np.testing.assert_allclose(out, conv3d_naive(x, w, np.zeros(4), stride, k // 2), rtol=0, atol=1e-12)
+    # either grouping sums the taps in order: sum_i W_i @ view_i, from tap 0 up
+    wmats = w.transpose(2, 0, 3, 4, 1).reshape(k, 4, -1)
+    per_tap = wmats[0] @ views[0]
+    for w_i, view in zip(wmats[1:], views[1:]):
+        per_tap += w_i @ view
+    Do, Ho, Wo = out.shape[2:]
+    np.testing.assert_allclose(out, per_tap.reshape(4, Do, 2, Ho, Wo).transpose(2, 0, 1, 3, 4), rtol=0, atol=1e-13)
 
 
 def test_conv_transpose_gradients_are_its_adjoint():

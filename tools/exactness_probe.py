@@ -11,6 +11,10 @@ bytes as shape). The outputs are:
   batch, with DyT and with LayerNorm, in f64 and in f32;
 - a 5-step ``train_loop`` history and the parameters it trained;
 - the tiny network's no-grad logits on one 48^3 volume;
+- a conv3d's output, input gradient and weight gradient at three shapes,
+  one for each way ``nn._correlate`` groups its depth taps: one GEMM for
+  all of them (stride 1, depth 12), one GEMM per tap (stride 1, depth 6)
+  and stride 2;
 - every ``CheckResult`` of ``run_suites()``;
 - the stdout of ``hsmoe describe --preset tiny`` and ``--preset full``;
 - ``hsmoe eval``'s CSV and JSON over four 64^3 label-volume cases shaped as
@@ -50,6 +54,7 @@ from hsmoe import cli, tensor as T  # noqa: E402
 from hsmoe.config import TrainConfig, tiny_config  # noqa: E402
 from hsmoe.gradcheck import run_suites  # noqa: E402
 from hsmoe.network import SegNet  # noqa: E402
+from hsmoe.nn import Conv3d  # noqa: E402
 from hsmoe.train import dice_ce_loss, synth_volumes, train_loop  # noqa: E402
 from hsmoe.volio import write_volume  # noqa: E402
 
@@ -58,6 +63,9 @@ BATCH, SIZE, INFER_SIZE = 4, 16, 48
 TRAIN_STEPS = 5
 EVAL_SEEDS = (0, 1, 2, 3)
 EVAL_CASES, EVAL_SIZE, EVAL_GT_SEED, EVAL_NOISE = 4, 64, 5, 0.01
+# name: (input shape, output channels, stride), each with k=3 and padding 1
+CONVS = {"stacked": ((1, 8, 12, 12, 12), 8, 1), "per_tap": ((2, 8, 6, 6, 6), 8, 1),
+         "stride2": ((1, 8, 12, 12, 12), 16, 2)}
 
 
 def digest(value) -> dict:
@@ -110,6 +118,17 @@ def inference(out: dict) -> None:
     with T.no_grad():
         logits = network("dyt", np.float64)(T.Tensor(sample.image[None]))
     out["infer48/logits"] = digest(logits.data)
+
+
+def convolutions(out: dict) -> None:
+    gen = np.random.default_rng(4)
+    for name, (shape, channels, stride) in CONVS.items():
+        conv = Conv3d(shape[1], channels, 3, gen, stride=stride, padding=1)
+        x = T.Tensor(gen.uniform(-1, 1, shape), requires_grad=True)
+        y = conv(x)
+        dx, dw, _ = y.node.backward_fn(gen.uniform(-1, 1, y.shape))
+        for key, value in (("out", y.data), ("dx", dx), ("dW", dw)):
+            out[f"conv3d/{name}/{key}"] = digest(value)
 
 
 def gradcheck(out: dict) -> None:
@@ -182,6 +201,7 @@ def main(argv) -> int:
     forward_backward(out)
     training(out)
     inference(out)
+    convolutions(out)
     gradcheck(out)
     describe(out)
     with tempfile.TemporaryDirectory() as root:
