@@ -14,10 +14,11 @@ in three batches (the zero offset, the six nearest, the rest) with one gather
 per batch over the source points still open. A point's first hit bounds which
 later hits are measured, exactly as in a walk one offset at a time, and the
 point settles when its nearest hit is provably nearer than anything outside
-the cube. The points it leaves open get candidates from one matmul per chunk,
-|g|² − 2 s·g on centred coordinates, and every target within that matmul's
-rounding bound of the best is re-measured exactly. Either way the distance
-reported is the brute-force ((s − g)**2).sum() on the true nearest pair.
+the cube. The points it leaves open get candidates from one float32 matmul per
+chunk, |g|² − 2 s·g on centred coordinates, and every target within that
+matmul's rounding bound of the best is re-measured exactly in float64. Either
+way the distance reported is the brute-force ((s − g)**2).sum() on the true
+nearest pair.
 """
 
 from __future__ import annotations
@@ -57,10 +58,10 @@ def dsc_per_class(pred: np.ndarray, gt: np.ndarray, cls: int) -> float:
         raise MetricError(f"label shapes differ: {pred.shape} vs {gt.shape}")
     p = pred == cls
     g = gt == cls
-    denom = int(p.sum()) + int(g.sum())
+    denom = int(np.count_nonzero(p)) + int(np.count_nonzero(g))
     if denom == 0:
         return 1.0
-    return 2.0 * int(np.logical_and(p, g).sum()) / denom
+    return 2.0 * int(np.count_nonzero(p & g)) / denom
 
 
 def mdsc(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> float:
@@ -95,21 +96,41 @@ def surface_voxels(mask: np.ndarray) -> np.ndarray:
     return np.stack(np.unravel_index(at, padded.shape), axis=1) - 1
 
 
-_CHUNK_SCORES = 100_000  # entries of one chunk's [rows, |dst|] score matrix (0.8 MB: stays in L2)
+_CHUNK_SCORES = 200_000  # float32 entries of one chunk's [rows, |dst|] score matrix (0.8 MB: stays in L2)
 _STENCIL_RADIUS = 2  # R: the stencil walks the voxel offsets of the cube [-R, R]^3
+
+
+def _score_operands(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """float32 ``lhs`` [n,4] and ``rhs`` [4,m] whose product scores each pair by |g|² − 2 s·g,
+    and each row's ``tol``: the true nearest target scores within it of the row's best."""
+    lo, hi = np.minimum(src.min(0), dst.min(0)), np.maximum(src.max(0), dst.max(0))
+    centre = (lo + hi) / 2
+    # centred coordinates scaled by a power of two into about [-1, 1]: the scale is exact and
+    # keeps every float32 value below in the normal range, so the relative bounds hold
+    scale = np.ldexp(1.0, -np.frexp((hi - lo).max() / 2)[1])
+    lhs = np.empty((len(src), 4), dtype=np.float32)  # [s, 1] @ [−2g; |g|²] = |g|² − 2 s·g
+    np.multiply(src - centre, scale, out=lhs[:, :3])
+    lhs[:, 3] = 1.0
+    g_c = (dst - centre) * scale
+    rhs = np.empty((4, len(dst)), dtype=np.float32)
+    np.multiply(g_c.T, -2.0, out=rhs[:3])
+    rhs[3] = (g_c ** 2).sum(-1)
+    # Scores are float32 (u = 2⁻²⁴) on float64 coordinates (v = 2⁻⁵³). With M = |s|² + max|g|²
+    # (centred and scaled), rounding the operands to float32 moves a score by 2u(|s|² + |g|²)
+    # + u|g|², the float64 |g|² rounds by 3v·M, and the length-4 float32 dot product rounds
+    # by 4u(|s|² + 2|g|²), so a score is |s−g|² − |s|² to within 11u·M + 3v·M. Centring moves
+    # |s−g|² by 4v·M, the brute-force sum rounds by 10v·M and the cut best + tol rounds by
+    # 2u·M, so the true nearest target scores within 2·(11u + 3v + 4v + 10v)·M + 2u·M < 25u·M
+    # of the row's best; tol is 32u·M, with M from the float32 operands (within 6u·M of M).
+    tol = (lhs[:, :3] ** 2).sum(-1)
+    tol += rhs[3].max()
+    tol *= 16 * np.finfo(np.float32).eps
+    return lhs, rhs, tol
 
 
 def _directed_min_dists(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Distance from each ``src`` point to its nearest ``dst`` point (see the module docstring)."""
-    centre = (np.minimum(src.min(0), dst.min(0)) + np.maximum(src.max(0), dst.max(0))) / 2
-    s_c, g_c = src - centre, dst - centre
-    g2 = (g_c ** 2).sum(-1)
-    # With u = eps/2 and M = |s|² + max|g|² (centred), a score is |s−g|² − |s|² to within
-    # 11u·M, centring moves |s−g|² by 4u·M and the brute-force sum rounds by 10u·M, so the
-    # true nearest target scores within 2·(11+4+10)u·M = 50u·M of the best; tol is 64u·M.
-    tol = 32 * np.finfo(np.float64).eps * ((s_c ** 2).sum(-1) + g2.max())
-    lhs = np.c_[s_c, np.ones(len(src))]  # [s, 1] @ [−2g; |g|²] = |g|² − 2 s·g
-    rhs = np.r_[-2.0 * g_c.T, g2[None]]
+    lhs, rhs, tol = _score_operands(src, dst)
     out = np.empty(len(src))
     chunk = max(1, _CHUNK_SCORES // len(dst))
     for i in range(0, len(src), chunk):
@@ -160,7 +181,7 @@ def _stencil_min_d2(src_idx: np.ndarray, dst_idx: np.ndarray, sp: np.ndarray) ->
         offs, key = cube[batch], keys[batch]
         deltas = offs @ strides
         open_ = open_[limit[open_] >= key[0]]
-        rows = max(1, _CHUNK_SCORES // len(batch))
+        rows = max(1, _CHUNK_SCORES // 2 // len(batch))  # int64 gathers: half as many entries
         for i in range(0, len(open_), rows):
             pts = open_[i:i + rows]
             occ = occupied[at[pts, None] + deltas]

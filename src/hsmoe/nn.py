@@ -77,7 +77,8 @@ def gelu(x: Tensor) -> Tensor:
     ``(x*0.5) * (tanh(((x*x)*x*a + x) * c) + 1)``, so its values are
     bit-identical to that composition of traced ops; only s = 1 + tanh(.)
     is kept for the backward, which uses 1 - tanh^2 = s (2 - s). A large
-    finite x overflows x^3 to inf, which tanh maps to 1, so it runs quiet.
+    finite x overflows x^3 to inf, which tanh maps to 1, so it runs quiet;
+    the backward gives such an x its limit gradient, 1 or 0.
     """
     x = T.as_tensor(x)
     s = np.multiply(x.data, x.data, out=np.empty_like(x.data))  # an array even for 0-d x
@@ -91,8 +92,15 @@ def gelu(x: Tensor) -> Tensor:
     out *= s
 
     def bwd(g):
-        dx = (2.0 - s) * x.data
-        dx *= _GELU_C * (1.0 + 3.0 * _GELU_A * x.data * x.data)
+        # past a cube root of the largest float the factors below overflow (and 0 * inf is
+        # NaN), while the gradient has long reached its limit, 1 above and 0 below: x is
+        # clipped there, which leaves every smaller x as it is
+        big = np.cbrt(np.finfo(x.dtype).max) / 8
+        xc = x.data
+        if xc.size and (xc.max() > big or xc.min() < -big):
+            xc = np.clip(xc, -big, big)
+        dx = (2.0 - s) * xc
+        dx *= _GELU_C * (1.0 + 3.0 * _GELU_A * xc * xc)
         dx += 1.0
         dx *= s
         dx *= 0.5

@@ -33,6 +33,7 @@ def test_exactness_probe_writes_every_output_group(tmp_path):
                          "eval/json")}
     want |= {f"train/param/{name}" for name in params}
     want |= {f"conv3d/{name}/{key}" for name in ("stacked", "per_tap", "stride2") for key in ("out", "dx", "dW")}
+    want |= {f"hd95/case{i}/class{c}" for i in range(2) for c in (1, 2)}
     for norm, names in (("dyt", params), ("ln", ln_params)):
         for dtype in ("float64", "float32"):
             key = f"step/{norm}/{dtype}"

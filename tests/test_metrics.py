@@ -278,6 +278,26 @@ def test_hd95_near_ties_inside_the_band_match_bruteforce_bitwise(fallback_rows):
     _assert_bitwise_brute(_ball((40, 40, 40), (19, 20, 19), 15), _ball((40, 40, 40), (20, 19, 20), 15), sp)
 
 
+@pytest.mark.parametrize("spacing", [(2.5, 0.7, 0.7), _ULP_SPACING])
+def test_float32_scores_far_from_the_origin_match_bruteforce_bitwise(spacing):
+    # indices 1000-2000 make M, and so the float32 rounding of the scores, as large as voxel
+    # grids of that extent allow; sources sit amid a clustered shell of targets at nearly one
+    # distance, so rows have several candidates within tol of their best score
+    sp = np.asarray(spacing)
+    g = T.rng(13)
+    cube = np.indices((9, 9, 9)).reshape(3, -1).T - 4
+    length = np.sqrt(((cube * sp) ** 2).sum(-1))
+    shell = cube[np.abs(length - np.median(length)) < 0.1 * sp.min()]
+    centres = g.integers(1000, 2000, (6, 3))
+    dst = np.concatenate([c + shell for c in centres] + [[[1000] * 3, [2000] * 3]]) * sp
+    src = (np.repeat(centres, 40, axis=0) + g.integers(-1, 2, (240, 3))) * sp
+    assert np.array_equal(metrics._directed_min_dists(src, dst), _brute_min_dists(src, dst))
+    lhs, rhs, tol = metrics._score_operands(src, dst)
+    scores = lhs @ rhs
+    candidates = (scores <= scores.min(axis=1, keepdims=True) + tol[:, None]).sum(axis=1)
+    assert candidates.max() >= 2
+
+
 def test_hd95_one_voxel_shift_settles_every_point_in_the_stencil(fallback_rows):
     a = _ball((32, 32, 32), (15, 15, 15), 10)
     b = np.roll(a, 1, axis=1)

@@ -110,6 +110,19 @@ def test_gelu_float32_gradient_stays_float32():
     assert x.grad.dtype == np.float32
 
 
+def test_gelu_gradient_of_huge_inputs_is_its_limit():
+    # (2 - s) is exactly 0 far above and s exactly 0 far below, where x * x overflows: the
+    # gradient is 1 and 0 there, not 0 * inf
+    for dtype in (np.float64, np.float32):
+        data = np.array([1e200, 30, 1e100, 1e160, -1e160, -1e200]) if dtype == np.float64 else \
+            np.array([1e30, 30, 1e15, 1e20, -1e20, -1e30])
+        x = Tensor(data.astype(dtype), requires_grad=True)
+        (dx,) = nn.gelu(x).node.backward_fn(np.ones(6, dtype=dtype))
+        assert dx.dtype == dtype and dx.tolist() == [1.0, 1.0, 1.0, 1.0, 0.0, 0.0]
+        T.backward(T.reduce_sum(nn.gelu(x)))
+        assert x.grad.tolist() == [1.0, 1.0, 1.0, 1.0, 0.0, 0.0]
+
+
 def test_tiny_forward_tape_and_parameter_census():
     from collections import Counter
 

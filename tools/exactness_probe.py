@@ -19,6 +19,8 @@ bytes as shape). The outputs are:
 - the stdout of ``hsmoe describe --preset tiny`` and ``--preset full``;
 - ``hsmoe eval``'s CSV and JSON over four 64^3 label-volume cases shaped as
   the benchmark's eval-labels workload, for four seeds;
+- HD95's pooled nearest surface distances of two of those cases, per class,
+  at an anisotropic spacing, where the distances are off the integer lattice;
 - in f64 and in f32: the history CSV and both checkpoint files of a 2-step
   ``hsmoe train`` on one 16^3 volume, and the CSV and JSON of checkpoint-mode
   ``hsmoe eval`` on that checkpoint.
@@ -50,7 +52,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 import numpy as np  # noqa: E402
 
-from hsmoe import cli, tensor as T  # noqa: E402
+from hsmoe import cli, metrics, tensor as T  # noqa: E402
 from hsmoe.config import TrainConfig, tiny_config  # noqa: E402
 from hsmoe.gradcheck import run_suites  # noqa: E402
 from hsmoe.network import SegNet  # noqa: E402
@@ -63,6 +65,7 @@ BATCH, SIZE, INFER_SIZE = 4, 16, 48
 TRAIN_STEPS = 5
 EVAL_SEEDS = (0, 1, 2, 3)
 EVAL_CASES, EVAL_SIZE, EVAL_GT_SEED, EVAL_NOISE = 4, 64, 5, 0.01
+OFF_LATTICE = (2.5, 0.7, 0.7)  # voxel size (mm) along (D, H, W) for the surface distances
 # name: (input shape, output channels, stride), each with k=3 and padding 1
 CONVS = {"stacked": ((1, 8, 12, 12, 12), 8, 1), "per_tap": ((2, 8, 6, 6, 6), 8, 1),
          "stride2": ((1, 8, 12, 12, 12), 16, 2)}
@@ -150,20 +153,28 @@ def describe(out: dict) -> None:
         out[f"describe/{preset}"] = digest(run_cli(["describe", "--preset", preset]))
 
 
+def eval_cases(ground_truth, seed: int) -> list:
+    """(prediction, ground truth) per case: the fixed ground truth shifted one
+    voxel along a seeded axis and direction, with 1% of its voxels relabelled
+    at random."""
+    gen = np.random.default_rng(seed)
+    pairs = []
+    for case in ground_truth:
+        gt = case.label
+        pred = np.roll(gt, int(gen.choice([-1, 1])), axis=int(gen.integers(3)))
+        noisy = gen.random(gt.shape) < EVAL_NOISE
+        pred[noisy] = gen.integers(0, CLASSES, int(noisy.sum()))
+        pairs.append((pred, gt))
+    return pairs
+
+
 def evaluation(out: dict, root: str) -> None:
-    """Each case: the fixed ground truth shifted one voxel along a seeded
-    axis and direction, with 1% of its voxels relabelled at random."""
-    cases = synth_volumes(seed=EVAL_GT_SEED, n=EVAL_CASES, size=EVAL_SIZE, classes=CLASSES)
+    ground_truth = synth_volumes(seed=EVAL_GT_SEED, n=EVAL_CASES, size=EVAL_SIZE, classes=CLASSES)
     for seed in EVAL_SEEDS:
         dirs = {kind: os.path.join(root, f"seed{seed}", kind) for kind in ("pred", "gt")}
         for path in dirs.values():
             os.makedirs(path)
-        gen = np.random.default_rng(seed)
-        for i, case in enumerate(cases):
-            gt = case.label
-            pred = np.roll(gt, int(gen.choice([-1, 1])), axis=int(gen.integers(3)))
-            noisy = gen.random(gt.shape) < EVAL_NOISE
-            pred[noisy] = gen.integers(0, CLASSES, int(noisy.sum()))
+        for i, (pred, gt) in enumerate(eval_cases(ground_truth, seed)):
             write_volume(os.path.join(dirs["pred"], f"case{i:02d}"), pred, dtype="u8")
             write_volume(os.path.join(dirs["gt"], f"case{i:02d}"), gt, dtype="u8")
         csv_path, json_path = (os.path.join(root, f"seed{seed}", name) for name in ("m.csv", "m.json"))
@@ -172,6 +183,18 @@ def evaluation(out: dict, root: str) -> None:
         for name, path in (("csv", csv_path), ("json", json_path)):
             with open(path) as fh:
                 out[f"eval/seed{seed}/{name}"] = digest(fh.read())
+
+
+def surface_distances(out: dict) -> None:
+    """Both directions of HD95's nearest surface distances, pooled, for the
+    first two cases of the first eval seed, at ``OFF_LATTICE``."""
+    ground_truth = synth_volumes(seed=EVAL_GT_SEED, n=2, size=EVAL_SIZE, classes=CLASSES)
+    sp = np.asarray(OFF_LATTICE)
+    for i, (pred, gt) in enumerate(eval_cases(ground_truth, EVAL_SEEDS[0])):
+        for c in range(1, CLASSES):
+            P, G = metrics.surface_voxels(pred == c), metrics.surface_voxels(gt == c)
+            pooled = np.concatenate([metrics._nearest_dists(P, G, sp), metrics._nearest_dists(G, P, sp)])
+            out[f"hd95/case{i}/class{c}"] = digest(pooled)
 
 
 def cli_files(out: dict, root: str) -> None:
@@ -204,6 +227,7 @@ def main(argv) -> int:
     convolutions(out)
     gradcheck(out)
     describe(out)
+    surface_distances(out)
     with tempfile.TemporaryDirectory() as root:
         evaluation(out, root)
         cli_files(out, root)
