@@ -105,8 +105,9 @@ def _score_operands(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.nd
     and each row's ``tol``: the true nearest target scores within it of the row's best."""
     lo, hi = np.minimum(src.min(0), dst.min(0)), np.maximum(src.max(0), dst.max(0))
     centre = (lo + hi) / 2
-    # centred coordinates scaled by a power of two into about [-1, 1]: the scale is exact and
-    # keeps every float32 value below in the normal range, so the relative bounds hold
+    # centred coordinates scaled by a power of two into about [-1, 1]: the scale is exact, and
+    # the float32 values below neither overflow nor, unless two nonzero coordinates differ in
+    # magnitude by some 10^15, underflow, so the relative bounds below hold
     scale = np.ldexp(1.0, -np.frexp((hi - lo).max() / 2)[1])
     lhs = np.empty((len(src), 4), dtype=np.float32)  # [s, 1] @ [−2g; |g|²] = |g|² − 2 s·g
     np.multiply(src - centre, scale, out=lhs[:, :3])

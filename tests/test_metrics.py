@@ -280,9 +280,9 @@ def test_hd95_near_ties_inside_the_band_match_bruteforce_bitwise(fallback_rows):
 
 @pytest.mark.parametrize("spacing", [(2.5, 0.7, 0.7), _ULP_SPACING])
 def test_float32_scores_far_from_the_origin_match_bruteforce_bitwise(spacing):
-    # indices 1000-2000 make M, and so the float32 rounding of the scores, as large as voxel
-    # grids of that extent allow; sources sit amid a clustered shell of targets at nearly one
-    # distance, so rows have several candidates within tol of their best score
+    # targets spanning indices 1000-2000 make M, and so the float32 rounding of the scores,
+    # large beside the few-voxel distances that decide each row; sources sit amid clustered
+    # shells of targets at nearly one distance, so rows have several candidates within tol
     sp = np.asarray(spacing)
     g = T.rng(13)
     cube = np.indices((9, 9, 9)).reshape(3, -1).T - 4
@@ -296,6 +296,16 @@ def test_float32_scores_far_from_the_origin_match_bruteforce_bitwise(spacing):
     scores = lhs @ rhs
     candidates = (scores <= scores.min(axis=1, keepdims=True) + tol[:, None]).sum(axis=1)
     assert candidates.max() >= 2
+
+
+@pytest.mark.parametrize("spacing", [(1e30, 3e30, 1e30), (1e-21, 2e-21, 1e-21)])
+def test_float32_scores_at_extreme_spacings_match_bruteforce_bitwise(spacing):
+    # squared coordinates past float32's range, or among its subnormals: the scores are taken
+    # on coordinates scaled by a power of two, which the float32 bound assumes
+    g = T.rng(14)
+    a = g.uniform(size=(16, 16, 16)) > 0.5
+    b = g.uniform(size=(16, 16, 16)) > 0.97
+    _assert_bitwise_brute(a, b, spacing)
 
 
 def test_hd95_one_voxel_shift_settles_every_point_in_the_stencil(fallback_rows):
