@@ -240,18 +240,18 @@ def cmd_train(run: RunConfig, args) -> int:
 
 def _eval_case(case_id: str, pred: np.ndarray, gt: np.ndarray, num_classes: int,
                spacing) -> List[Dict]:
+    rows = []
     try:
         _check_labels(pred, gt, num_classes)
+        for c in range(1, num_classes):
+            try:
+                dist = hd95(pred == c, gt == c, spacing)
+            except EmptyMaskError:
+                dist = ""
+            rows.append({"case_id": case_id, "class": c,
+                         "dsc": dsc_per_class(pred, gt, c), "hd95": dist})
     except MetricError as err:
         raise MetricError(f"{case_id}: {err}") from err
-    rows = []
-    for c in range(1, num_classes):
-        try:
-            dist = hd95(pred == c, gt == c, spacing)
-        except EmptyMaskError:
-            dist = ""
-        rows.append({"case_id": case_id, "class": c,
-                     "dsc": dsc_per_class(pred, gt, c), "hd95": dist})
     return rows
 
 
@@ -273,7 +273,10 @@ def cmd_eval(run: RunConfig, args) -> int:
 
         def load(name):  # in the worker: reads overlap scoring, and at most --threads cases are held
             pred, spacing = read_volume(os.path.join(args.pred_dir, name))
-            gt, _ = read_volume(os.path.join(args.gt_dir, name))
+            gt, gt_spacing = read_volume(os.path.join(args.gt_dir, name))
+            if spacing != gt_spacing:
+                raise MetricError(f"{name}: pred spacing_mm {list(spacing)} differs from gt spacing_mm "
+                                  f"{list(gt_spacing)}")
             return name, pred, gt, spacing
     else:
         if not args.checkpoint:

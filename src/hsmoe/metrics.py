@@ -215,6 +215,12 @@ def hd95(pred_mask: np.ndarray, gt_mask: np.ndarray,
         raise MetricError(f"spacing must be three finite positive numbers, got {spacing!r}")
     if np.shape(pred_mask) != np.shape(gt_mask):
         raise MetricError(f"mask shapes differ: {np.shape(pred_mask)} vs {np.shape(gt_mask)}")
+    # every squared length the stages form is at most twice that of the diagonal of the grid
+    # padded by the stencil; in Python floats an overflow is inf, with no numpy warning
+    diag = math.hypot(*((n + 2 * _STENCIL_RADIUS) * s for n, s in zip(np.shape(pred_mask), sp.tolist())))
+    if not math.isfinite(2 * diag * diag):
+        raise MetricError(f"spacing {spacing!r} mm is too large for a {np.shape(pred_mask)} volume: "
+                          "squared distances overflow float64")
     P = surface_voxels(pred_mask)
     G = surface_voxels(gt_mask)
     pooled = np.concatenate([_nearest_dists(P, G, sp), _nearest_dists(G, P, sp)])

@@ -1,6 +1,8 @@
 """Checkpoint manifest/payload format and the raw volume file format."""
 
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -84,31 +86,56 @@ def test_missing_checkpoint_raises(tmp_path):
 # volume files
 
 
-def test_volume_roundtrip_f32(tmp_path):
-    vol = T.rng(6).uniform(0, 1, (4, 5, 6)).astype(np.float32)
-    base = str(tmp_path / "img")
-    write_volume(base, vol, spacing_mm=(0.8, 0.8, 3.0))
-    back, spacing = read_volume(base)
-    assert spacing == (0.8, 0.8, 3.0)
-    assert np.array_equal(back, vol.astype(np.float64))
-
-
 def test_volume_roundtrip_u8_labels(tmp_path):
     lab = T.rng(7).integers(0, 3, size=(3, 3, 3))
     base = str(tmp_path / "lab")
-    write_volume(base, lab, dtype="u8")
-    back, _ = read_volume(base)
+    write_volume(base, lab, spacing_mm=(0.8, 0.8, 3.0), dtype="u8")
+    back, spacing = read_volume(base)
+    assert spacing == (0.8, 0.8, 3.0)
     assert np.array_equal(back, lab)
-    assert back.dtype == np.int64
+    assert back.dtype == np.uint8  # the raster as stored
 
 
 def test_volume_sidecar_schema(tmp_path):
-    vol = np.zeros((2, 3, 4), dtype=np.float32)
+    vol = np.zeros((2, 3, 4), dtype=np.uint8)
     write_volume(str(tmp_path / "v"), vol, spacing_mm=(1.0, 1.5, 2.0))
     sidecar = json.loads((tmp_path / "v.json").read_text())
-    assert sidecar == {"dims": [2, 3, 4], "spacing_mm": [1.0, 1.5, 2.0], "dtype": "f32"}
+    assert sidecar == {"dims": [2, 3, 4], "spacing_mm": [1.0, 1.5, 2.0], "dtype": "u8"}
     raw = (tmp_path / "v.vol").read_bytes()
-    assert len(raw) == 2 * 3 * 4 * 4  # little-endian f32 raster
+    assert len(raw) == 2 * 3 * 4  # one byte per voxel
+
+
+@pytest.mark.parametrize("value", [300, -1, 1.5, float("nan"), float("inf")])
+def test_volume_write_refuses_a_value_the_raster_cannot_hold(tmp_path, value):
+    # 300 would be stored as 44, -1 as 255 and 1.5 as 1; NaN and inf make numpy's cast warn
+    lab = np.zeros((2, 2, 2), dtype=type(value))
+    lab[1, 0, 1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(VolumeIOError, match=re.escape(f"v.vol: a u8 raster holds integers in [0, 255], "
+                                                          f"got {value!r}")):
+            write_volume(str(tmp_path / "v"), lab)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_volume_f32_sidecar_rejected_on_read(tmp_path):
+    write_volume(str(tmp_path / "v"), np.zeros((2, 2, 2)))
+    sidecar = json.loads((tmp_path / "v.json").read_text())
+    sidecar["dtype"] = "f32"
+    (tmp_path / "v.json").write_text(json.dumps(sidecar))
+    (tmp_path / "v.vol").write_bytes(np.full((2, 2, 2), 1.5, dtype="<f4").tobytes())
+    with pytest.raises(VolumeIOError, match=r"bad sidecar .*v.json: dtype must be one of \['u8'\], got 'f32'"):
+        read_volume(str(tmp_path / "v"))
+
+
+@pytest.mark.parametrize("suffix", [".vol", ".json"])
+def test_volume_file_that_cannot_be_read_is_named(tmp_path, suffix):
+    write_volume(str(tmp_path / "v"), np.zeros((2, 2, 2)))
+    path = tmp_path / f"v{suffix}"
+    path.unlink()
+    path.mkdir()
+    with pytest.raises(VolumeIOError, match=f"cannot read {re.escape(str(path))}: Is a directory"):
+        read_volume(str(tmp_path / "v"))
 
 
 def test_volume_size_mismatch_detected(tmp_path):

@@ -667,6 +667,56 @@ def _label_dir_argv(tmp_path):
             "--threads", "2", "--out", str(tmp_path / "m.csv"), "--json-out", str(tmp_path / "m.json")]
 
 
+def test_eval_pred_and_gt_spacings_must_match(tmp_path, capsys):
+    # at the pred's 5 mm the one-voxel shift below would score 14.14 mm against the gt's 2.83
+    argv = _label_dir_argv(tmp_path)
+    lab = np.zeros((4, 4, 4), dtype=np.uint8)
+    lab[1:3, 1:3, 1:3] = 1
+    for name in ("b", "c"):
+        write_volume(str(tmp_path / "gt" / name), lab)
+        write_volume(str(tmp_path / "pred" / name), np.roll(lab, 1, axis=0), spacing_mm=(5.0, 5.0, 5.0))
+    code, _, err = run_cli(capsys, *argv)
+    _assert_validation_error(code, err, "b: pred spacing_mm [5.0, 5.0, 5.0] differs from gt spacing_mm "
+                             "[1.0, 1.0, 1.0]")
+    assert not (tmp_path / "m.csv").exists() and not (tmp_path / "m.json").exists()
+
+
+def test_eval_spacing_whose_squared_distances_overflow_is_validation_error(tmp_path, capsys):
+    argv = _label_dir_argv(tmp_path)
+    lab = np.zeros((4, 4, 4), dtype=np.uint8)
+    lab[1:3, 1:3, 1:3] = 1
+    for kind in ("pred", "gt"):
+        write_volume(str(tmp_path / kind / "a"), lab, spacing_mm=(1e200, 1e200, 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, *argv)
+    _assert_validation_error(code, err, "a: spacing (1e+200, 1e+200, 1e+200) mm is too large")
+    assert not (tmp_path / "m.json").exists()  # no Infinity written
+
+
+def test_eval_f32_pred_is_validation_error(tmp_path, capsys):
+    # a fractional class id used to enter here and score DSC 0 with exit 0
+    argv = _label_dir_argv(tmp_path)
+    sidecar_path = tmp_path / "pred" / "a.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar["dtype"] = "f32"
+    sidecar_path.write_text(json.dumps(sidecar))
+    (tmp_path / "pred" / "a.vol").write_bytes(np.full((4, 4, 4), 1.5, dtype="<f4").tobytes())
+    code, _, err = run_cli(capsys, *argv)
+    _assert_validation_error(code, err, f"bad sidecar {sidecar_path}: dtype must be one of ['u8'], got 'f32'")
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_eval_volume_that_is_a_directory_is_validation_error(tmp_path, capsys):
+    argv = _label_dir_argv(tmp_path)
+    path = tmp_path / "pred" / "a.vol"
+    path.unlink()
+    path.mkdir()
+    code, _, err = run_cli(capsys, *argv)
+    _assert_validation_error(code, err, f"cannot read {path}: Is a directory")
+    assert not (tmp_path / "m.csv").exists()
+
+
 @pytest.mark.parametrize("flag,value", [("--checkpoint", "nothere"), ("--seed", "5"), ("--precision", "f32"),
                                         ("--preset", "full"), ("--norm", "ln"), ("--volumes", "7"),
                                         ("--size", "32")])

@@ -26,7 +26,7 @@ def test_exactness_probe_writes_every_output_group(tmp_path):
 
     params = [name for name, _ in SegNet(tiny_config(3), seed=0).named_parameters()]
     ln_params = [name for name, _ in SegNet(tiny_config(3, norm="ln"), seed=0).named_parameters()]
-    want = {"describe/tiny", "describe/full", "infer48/logits", "train/history"}
+    want = {"describe/tiny", "describe/full", "infer48/logits", "train/history", "eval/read_volume"}
     want |= {f"eval/seed{seed}/{kind}" for seed in range(4) for kind in ("csv", "json")}
     want |= {f"cli/{precision}/{key}" for precision in ("f64", "f32")
              for key in ("train/history", "train/checkpoint.json", "train/checkpoint.bin", "eval/csv",

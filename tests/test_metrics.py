@@ -2,6 +2,7 @@
 brute-force oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -367,6 +368,19 @@ def test_hd95_rejects_a_bad_spacing(spacing):
     m = _ball((6, 6, 6), (3, 3, 3), 2)
     with pytest.raises(MetricError, match="spacing"):
         hd95(m, m, spacing)
+
+
+def test_hd95_rejects_a_spacing_whose_squared_distances_overflow():
+    # at 1e150 mm a 64³ volume's squared distances reach about 1e304 and still score; at 1e200
+    # they would overflow to inf, which reached metrics.json as the invalid JSON token Infinity
+    a = _ball((64, 64, 64), (31, 31, 31), 12)
+    b = np.roll(a, 2, axis=1)
+    assert math.isclose(hd95(a, b, (1e150,) * 3), 1e150 * hd95(a, b))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MetricError, match=r"spacing \(1e\+200, 1e\+200, 1e\+200\) mm is too large for a "
+                                              r"\(64, 64, 64\) volume"):
+            hd95(a, b, (1e200,) * 3)
 
 
 def test_hd95_rejects_masks_of_different_shapes():

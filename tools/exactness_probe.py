@@ -18,7 +18,9 @@ bytes as shape). The outputs are:
 - every ``CheckResult`` of ``run_suites()``;
 - the stdout of ``hsmoe describe --preset tiny`` and ``--preset full``;
 - ``hsmoe eval``'s CSV and JSON over four 64^3 label-volume cases shaped as
-  the benchmark's eval-labels workload, for four seeds;
+  the benchmark's eval-labels workload, for four seeds, and the array
+  ``read_volume`` returns for one of those cases (its values hashed as int64,
+  so a change of the returned dtype alone shows in the dtype field only);
 - HD95's pooled nearest surface distances of two of those cases, per class,
   at an anisotropic spacing, where the distances are off the integer lattice;
 - in f64 and in f32: the history CSV and both checkpoint files of a 2-step
@@ -58,7 +60,7 @@ from hsmoe.gradcheck import run_suites  # noqa: E402
 from hsmoe.network import SegNet  # noqa: E402
 from hsmoe.nn import Conv3d  # noqa: E402
 from hsmoe.train import dice_ce_loss, synth_volumes, train_loop  # noqa: E402
-from hsmoe.volio import write_volume  # noqa: E402
+from hsmoe.volio import read_volume, write_volume  # noqa: E402
 
 CLASSES = 3
 BATCH, SIZE, INFER_SIZE = 4, 16, 48
@@ -183,6 +185,8 @@ def evaluation(out: dict, root: str) -> None:
         for name, path in (("csv", csv_path), ("json", json_path)):
             with open(path) as fh:
                 out[f"eval/seed{seed}/{name}"] = digest(fh.read())
+    labels, _ = read_volume(os.path.join(root, f"seed{EVAL_SEEDS[0]}", "pred", "case00"))
+    out["eval/read_volume"] = {**digest(labels.astype(np.int64)), "dtype": str(labels.dtype)}
 
 
 def surface_distances(out: dict) -> None:
