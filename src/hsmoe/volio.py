@@ -45,7 +45,7 @@ def write_volume(base: str, array: np.ndarray, spacing_mm: Sequence[float] = (1.
         raster = np.ascontiguousarray(arr, dtype=_DTYPES[dtype])
     if not np.array_equal(raster, arr):
         bad = arr[raster != arr][0].item()
-        raise VolumeIOError(f"cannot write {vol_path}: a {dtype} raster holds integers in [0, 255], got {bad!r}")
+        raise VolumeIOError(f"cannot write {vol_path}: a u8 raster holds integers in [0, 255], got {bad!r}")
     with open(vol_path, "wb") as fh:
         fh.write(raster.tobytes())
     sidecar = {"dims": list(arr.shape), "spacing_mm": spacing, "dtype": dtype}
