@@ -668,7 +668,7 @@ def _label_dir_argv(tmp_path):
 
 
 def test_eval_pred_and_gt_spacings_must_match(tmp_path, capsys):
-    # at the pred's 5 mm the one-voxel shift below would score 14.14 mm against the gt's 2.83
+    # HD95 is measured at one spacing, so a case's pred and gt must share it; b fails before c
     argv = _label_dir_argv(tmp_path)
     lab = np.zeros((4, 4, 4), dtype=np.uint8)
     lab[1:3, 1:3, 1:3] = 1
@@ -695,7 +695,7 @@ def test_eval_spacing_whose_squared_distances_overflow_is_validation_error(tmp_p
 
 
 def test_eval_f32_pred_is_validation_error(tmp_path, capsys):
-    # a fractional class id used to enter here and score DSC 0 with exit 0
+    # an f32 raster could carry a fractional class id such as 1.5, which no class matches
     argv = _label_dir_argv(tmp_path)
     sidecar_path = tmp_path / "pred" / "a.json"
     sidecar = json.loads(sidecar_path.read_text())

@@ -372,7 +372,7 @@ def test_hd95_rejects_a_bad_spacing(spacing):
 
 def test_hd95_rejects_a_spacing_whose_squared_distances_overflow():
     # at 1e150 mm a 64³ volume's squared distances reach about 1e304 and still score; at 1e200
-    # they would overflow to inf, which reached metrics.json as the invalid JSON token Infinity
+    # they would overflow to inf, which eval would write to metrics.json as Infinity, not valid JSON
     a = _ball((64, 64, 64), (31, 31, 31), 12)
     b = np.roll(a, 2, axis=1)
     assert math.isclose(hd95(a, b, (1e150,) * 3), 1e150 * hd95(a, b))
